@@ -56,7 +56,6 @@ from .recognition import (
 )
 from .divisibility import (
     C5Classification,
-    DivisionNode,
     PerfectDivision,
     QuotientStep,
     TwoDivision,
@@ -67,7 +66,6 @@ from .divisibility import (
     quotient_by_homogeneous_set,
     recombine,
     two_divide,
-    two_divide_recursive,
     verify_perfect_division,
     verify_two_division,
 )

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .coloring import POWER_OF_TWO, QUADRATIC, audit_bounds, audit_to_csv
+from .coloring import BOUND_KIND, audit_bounds, audit_to_csv
 from .errors import GraphDivError, ParseError
 from .harness import (
     CorpusSpec,
@@ -43,8 +43,6 @@ EXIT_PARSE = 3
 EXIT_CLASS_VIOLATION = 4
 EXIT_THEOREM_VIOLATION = 5
 EXIT_BUDGET_EXCEEDED = 6
-
-_MODE_KIND = {"two": POWER_OF_TWO, "perfect": QUADRATIC}
 
 
 def _add_input_flags(parser):
@@ -182,7 +180,7 @@ def main(argv=None) -> int:
         if args.command == "color":
             graphs = _load_graphs(args)
             if args.format == "csv":
-                rows = audit_bounds(graphs, kind=_MODE_KIND[args.mode])
+                rows = audit_bounds(graphs, kind=BOUND_KIND[args.mode])
                 _write(audit_to_csv(rows), args.out)
                 return EXIT_BUDGET_EXCEEDED if any(r.error for r in rows) else EXIT_OK
             records = run_color(graphs, mode=args.mode)

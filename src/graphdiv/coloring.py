@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .core import Graph, VertexSet, _bits, chromatic_number_exact, clique_number, induced_subgraph
 from .errors import BudgetExceededError, DegenerateCliqueError, NotInClassError, TheoremViolationError
 from .divisibility import (
-    _lift,
     _require_p5c5_free,
     _require_perfect_divide_class,
     perfect_divide,
@@ -20,6 +19,7 @@ from .divisibility import (
 
 POWER_OF_TWO = "power-of-two"
 QUADRATIC = "quadratic"
+BOUND_KIND = {"two": POWER_OF_TWO, "perfect": QUADRATIC}
 
 
 @dataclass(frozen=True)
@@ -86,28 +86,25 @@ def _certified(g: Graph, assignment, used: int, kind: str) -> tuple:
 def color_via_two_division(g: Graph):
     """Color a (P5, C5)-free graph by recursive two-division.
 
-    Each division node colors its A side and B side with disjoint
-    palettes; parts with clique number at most 1 take a single color.
-    Returns ``(Coloring, BoundCertificate)`` with the power-of-two bound.
+    Each division colors its A side and B side with disjoint palettes;
+    parts with clique number at most 1 take a single color. Returns
+    ``(Coloring, BoundCertificate)`` with the power-of-two bound.
     """
     _require_p5c5_free(g)
-    n = g.n
-    assignment = [0] * n
+    assignment = [0] * g.n
 
     def rec(vs: VertexSet, base: int) -> int:
-        sub, vmap = induced_subgraph(g, vs)
-        if sub.n == 0:
+        if not vs:
             return 0
-        if not sub.has_any_edge():
-            for old in vmap:
-                assignment[old] = base
+        if not any(g.adj[v] & vs.mask for v in vs):
+            for v in vs:
+                assignment[v] = base
             return 1
-        d = two_divide(sub, check_class=False)
-        used_a = rec(_lift(d.a, vmap, n), base)
-        used_b = rec(_lift(d.b, vmap, n), base + used_a)
-        return used_a + used_b
+        d = two_divide(g, vs, check_class=False)
+        used_a = rec(d.a, base)
+        return used_a + rec(d.b, base + used_a)
 
-    used = rec(VertexSet.full(n), 0)
+    used = rec(g.vertices(), 0)
     return _certified(g, assignment, used, POWER_OF_TWO)
 
 
@@ -122,22 +119,19 @@ def color_via_perfect_division(g: Graph, class_hint: str = None):
     BoundCertificate)`` with the quadratic bound.
     """
     _require_perfect_divide_class(g, class_hint)
-    n = g.n
-    assignment = [0] * n
+    assignment = [0] * g.n
 
     def rec(vs: VertexSet, base: int) -> int:
-        sub, vmap = induced_subgraph(g, vs)
-        if sub.n == 0:
+        if not vs:
             return 0
-        d = perfect_divide(sub, check_class=False)
-        p_sub, p_map = induced_subgraph(sub, d.p)
+        d = perfect_divide(g, within=vs, check_class=False)
+        p_sub, p_map = induced_subgraph(g, d.p)
         used_p, p_colors = chromatic_number_exact(p_sub)
-        for i, color in enumerate(p_colors):
-            assignment[vmap[p_map[i]]] = base + color
-        used_w = rec(_lift(d.w_side, vmap, n), base + used_p)
-        return used_p + used_w
+        for v, color in zip(p_map, p_colors):
+            assignment[v] = base + color
+        return used_p + rec(d.w_side, base + used_p)
 
-    used = rec(VertexSet.full(n), 0)
+    used = rec(g.vertices(), 0)
     return _certified(g, assignment, used, QUADRATIC)
 
 

@@ -23,7 +23,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """A subset of the vertices ``0..host_size-1`` of a fixed host graph."""
 
@@ -170,12 +170,12 @@ class WeightFn:
 
     def __post_init__(self):
         for i, w in enumerate(self.weights):
-            if not isinstance(w, int) or w < 0:
-                raise ValueError(f"weight of vertex {i} must be a non-negative integer")
+            if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+                raise ValueError(f"weight of vertex {i} must be a non-negative integer, not {w!r}")
 
     @classmethod
     def of(cls, weights) -> "WeightFn":
-        return cls(tuple(int(w) for w in weights))
+        return cls(tuple(weights))
 
     @classmethod
     def unit(cls, n: int) -> "WeightFn":
@@ -186,10 +186,6 @@ class WeightFn:
 
     def __getitem__(self, v: int) -> int:
         return self.weights[v]
-
-    def restrict(self, members) -> "WeightFn":
-        """Weights of ``members`` (in the given order), as a new function."""
-        return WeightFn(tuple(self.weights[v] for v in members))
 
     def total(self, mask: int) -> int:
         return sum(self.weights[v] for v in _bits(mask))
@@ -211,6 +207,14 @@ def _check_vertex(g: Graph, v: int):
 def _check_set(g: Graph, s: VertexSet):
     if s.host_size != g.n:
         raise ValueError("vertex set does not belong to this graph")
+
+
+def _within_mask(g: Graph, within: VertexSet = None) -> int:
+    """The mask of ``within``, or of all of ``g`` when it is None."""
+    if within is None:
+        return (1 << g.n) - 1
+    _check_set(g, within)
+    return within.mask
 
 
 def complement(g: Graph) -> Graph:
@@ -389,10 +393,7 @@ def _max_clique_mask(adj, cand: int):
 
 def clique_number(g: Graph, within: VertexSet = None, *, budget: int = CLIQUE_BUDGET) -> CliqueResult:
     """Exact clique number (optionally restricted to ``within``), with witness."""
-    mask = (1 << g.n) - 1
-    if within is not None:
-        _check_set(g, within)
-        mask = within.mask
+    mask = _within_mask(g, within)
     count = mask.bit_count()
     if count > budget:
         raise BudgetExceededError(f"clique oracle limited to {budget} vertices, asked for {count}")
@@ -429,10 +430,7 @@ def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None, *, budget
     """Exact maximum total weight over cliques (the empty clique counts as 0)."""
     if len(w) != g.n:
         raise ValueError("weight function length does not match the graph")
-    mask = (1 << g.n) - 1
-    if within is not None:
-        _check_set(g, within)
-        mask = within.mask
+    mask = _within_mask(g, within)
     count = mask.bit_count()
     if count > budget:
         raise BudgetExceededError(f"clique oracle limited to {budget} vertices, asked for {count}")

@@ -14,8 +14,8 @@ from .core import (
     WeightFn,
     _bits,
     _mask_components,
+    _within_mask,
     clique_number,
-    induced_subgraph,
     max_weight_clique,
 )
 from .errors import (
@@ -36,6 +36,7 @@ from .recognition import (
     is_homogeneous,
     is_perfect,
     P5_PATTERN,
+    PERFECTION_BUDGET,
 )
 
 ORACLE_BUDGET = 12
@@ -81,50 +82,19 @@ class PerfectDivision:
 class QuotientStep:
     """Contraction of a homogeneous set ``x`` to its smallest member.
 
-    The replacement vertex keeps the common neighbors of ``x`` and carries
-    the maximum clique weight of the part it replaced; ``vertex_map`` sends
-    quotient indices back to original vertices.
+    ``quotient`` is the rest of the divided set plus that representative,
+    whose neighbors there are the common neighbors of ``x``.
+    ``quotient_weights`` is host-length: the representative carries the
+    maximum clique weight of the part it replaced, every other vertex its
+    original weight.
     """
 
     original: Graph
     original_weights: WeightFn
     x: VertexSet
     representative: int
-    quotient: Graph
+    quotient: VertexSet
     quotient_weights: WeightFn
-    vertex_map: tuple
-    xhat: int
-
-
-@dataclass(frozen=True)
-class DivisionNode:
-    """Node of a recursive two-division tree, in host coordinates.
-
-    Leaves are the parts with clique number at most 1 (``a`` is None
-    there); inner nodes carry the partition of their own vertex set.
-    """
-
-    vertices: VertexSet
-    a: VertexSet = None
-    b: VertexSet = None
-    a_child: "DivisionNode" = None
-    b_child: "DivisionNode" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.a is None
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.a_child.depth(), self.b_child.depth())
-
-    def leaves(self):
-        if self.is_leaf:
-            yield self
-        else:
-            yield from self.a_child.leaves()
-            yield from self.b_child.leaves()
 
 
 @dataclass(frozen=True)
@@ -158,20 +128,20 @@ def _require_p5c5_free(g: Graph):
         raise NotInClassError("graph contains an induced C5", [c5])
 
 
-def verify_two_division(g: Graph, d: TwoDivision):
-    """Re-check a claimed two-division with the exact clique oracle.
+def verify_two_division(g: Graph, d: TwoDivision, within: VertexSet = None):
+    """Re-check a claimed two-division of ``g[within]`` (all of ``g`` by
+    default) with the exact clique oracle.
 
     Returns ``(ok, reason)``; ``reason`` names the violated clause.
     """
-    n = g.n
-    full = (1 << n) - 1
-    if d.a.host_size != n or d.b.host_size != n:
+    full = _within_mask(g, within)
+    if d.a.host_size != g.n or d.b.host_size != g.n:
         return False, "parts do not belong to this graph"
     if d.a.mask & d.b.mask:
         return False, "parts overlap"
     if (d.a.mask | d.b.mask) != full:
         return False, "parts do not cover the vertex set"
-    w = clique_number(g).value
+    w = clique_number(g, within).value
     wa = clique_number(g, d.a).value
     if wa >= w:
         return False, f"clique number of A is {wa}, not below {w}"
@@ -181,37 +151,36 @@ def verify_two_division(g: Graph, d: TwoDivision):
     return True, None
 
 
-def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, *, budget: int = 16):
-    """Re-check a claimed perfect division: partition, perfection of the p
-    side, and the strict weight drop on the w side.
+def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: VertexSet = None, *, budget: int = 16):
+    """Re-check a claimed perfect division of ``g[within]`` (all of ``g``
+    by default): partition, perfection of the p side, and the strict
+    weight drop on the w side.
 
-    ``w`` may be None for unit weights. When the host's maximum clique
-    weight is 0 (all-zero weights) the drop condition is vacuous, since no
-    set can go below 0; the division only needs to be a partition then.
+    ``w`` may be None for unit weights. When the maximum clique weight of
+    ``within`` is 0 (all-zero weights) the drop condition is vacuous, since
+    no set can go below 0; the division only needs to be a partition then.
     """
     if w is None:
         w = WeightFn.unit(g.n)
-    n = g.n
-    full = (1 << n) - 1
-    if d.p.host_size != n or d.w_side.host_size != n:
+    full = _within_mask(g, within)
+    if d.p.host_size != g.n or d.w_side.host_size != g.n:
         return False, "parts do not belong to this graph"
     if d.p.mask & d.w_side.mask:
         return False, "parts overlap"
     if (d.p.mask | d.w_side.mask) != full:
         return False, "parts do not cover the vertex set"
-    sub, _ = induced_subgraph(g, d.p)
-    if not is_perfect(sub, budget=budget):
+    if not is_perfect(g, d.p, budget=budget):
         return False, "P side is not perfect"
-    top = max_weight_clique(g, w).value
+    top = max_weight_clique(g, w, within).value
     side = max_weight_clique(g, w, within=d.w_side).value
     if top > 0 and side >= top:
         return False, f"maximum clique weight of W is {side}, not below {top}"
     return True, None
 
 
-def two_divide(g: Graph, *, check_class: bool = True) -> TwoDivision:
-    """Split a (P5, C5)-free graph with an edge into two parts of strictly
-    smaller clique number.
+def two_divide(g: Graph, within: VertexSet = None, *, check_class: bool = True) -> TwoDivision:
+    """Split ``g[within]`` (all of ``g`` by default), a (P5, C5)-free graph
+    with an edge, into two parts of strictly smaller clique number.
 
     Per connected component: take the smallest vertex v with neighborhood N
     and non-neighborhood M. If every component of M has some vertex of N
@@ -220,14 +189,15 @@ def two_divide(g: Graph, *, check_class: bool = True) -> TwoDivision:
     pick the one with the most neighbors in M (smallest id on ties); its
     neighborhood becomes the A side. Edgeless components go wholly into A.
     The union of the per-component sides is verified before being returned.
+    Class membership is checked on the whole host; heredity then covers
+    every ``within``.
     """
     if check_class:
         _require_p5c5_free(g)
-    if not g.has_any_edge():
-        raise DegenerateCliqueError("clique number is at most 1; there is nothing to divide")
-    n = g.n
+    full = _within_mask(g, within)
     adj = g.adj
-    full = (1 << n) - 1
+    if not any(adj[v] & full for v in _bits(full)):
+        raise DegenerateCliqueError("clique number is at most 1; there is nothing to divide")
     log = []
     comps = _mask_components(adj, full)
     log.append(_step("component-split", components=[_members(c) for c in comps]))
@@ -241,8 +211,8 @@ def two_divide(g: Graph, *, check_class: bool = True) -> TwoDivision:
         ca, cb = _divide_connected(adj, comp, log)
         a_mask |= ca
         b_mask |= cb
-    division = TwoDivision(VertexSet(n, a_mask), VertexSet(n, b_mask), log=tuple(log))
-    ok, reason = verify_two_division(g, division)
+    division = TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), log=tuple(log))
+    ok, reason = verify_two_division(g, division, within)
     if not ok:
         raise TheoremViolationError(f"two-division failed verification: {reason}", log=log)
     return division
@@ -298,32 +268,6 @@ def _divide_connected(adj, comp: int, log: list):
     return a, b
 
 
-def _lift(sub_set: VertexSet, vmap, host_n: int) -> VertexSet:
-    return VertexSet.of(host_n, (vmap[i] for i in sub_set))
-
-
-def two_divide_recursive(g: Graph, *, check_class: bool = True) -> DivisionNode:
-    """Divide repeatedly until every part has clique number at most 1.
-
-    Class membership is checked once at the root; heredity makes every
-    recursive call divisible, and each level's division is verified by
-    ``two_divide`` itself.
-    """
-    if check_class:
-        _require_p5c5_free(g)
-    return _divide_tree(g, VertexSet.full(g.n))
-
-
-def _divide_tree(g: Graph, vs: VertexSet) -> DivisionNode:
-    sub, vmap = induced_subgraph(g, vs)
-    if not sub.has_any_edge():
-        return DivisionNode(vertices=vs)
-    d = two_divide(sub, check_class=False)
-    a = _lift(d.a, vmap, g.n)
-    b = _lift(d.b, vmap, g.n)
-    return DivisionNode(vs, a, b, _divide_tree(g, a), _divide_tree(g, b))
-
-
 def is_two_divisible_oracle(g: Graph, *, budget: int = ORACLE_BUDGET):
     """Brute-force 2-divisibility over every induced subgraph.
 
@@ -361,90 +305,69 @@ def is_two_divisible_oracle(g: Graph, *, budget: int = ORACLE_BUDGET):
     return True, None
 
 
-def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet) -> QuotientStep:
-    """Contract the homogeneous set ``x`` to its smallest member, whose new
-    weight is the maximum clique weight inside ``x``."""
+def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: VertexSet = None) -> QuotientStep:
+    """Contract the homogeneous set ``x`` of ``g[within]`` (all of ``g`` by
+    default) to its smallest member, whose new weight is the maximum clique
+    weight inside ``x``."""
     if x.host_size != g.n:
         raise ValueError("vertex set does not belong to this graph")
     if len(w) != g.n:
         raise ValueError("weight function length does not match the graph")
-    if not is_homogeneous(g, x):
+    if not is_homogeneous(g, x, within):
         raise ValueError("x is not a homogeneous set of g")
     rep = x.members()[0]
-    full = (1 << g.n) - 1
-    keep = VertexSet(g.n, (full & ~x.mask) | (1 << rep))
-    quotient, vmap = induced_subgraph(g, keep)
-    xhat = vmap.index(rep)
-    inner, imap = induced_subgraph(g, x)
-    inner_w = w.restrict(imap)
-    lifted = max_weight_clique(inner, inner_w).value
-    q_weights = [w[old] for old in vmap]
-    q_weights[xhat] = lifted
+    q_weights = list(w.weights)
+    q_weights[rep] = max_weight_clique(g, w, x).value
     return QuotientStep(
         original=g,
         original_weights=w,
         x=x,
         representative=rep,
-        quotient=quotient,
+        quotient=VertexSet(g.n, (_within_mask(g, within) & ~x.mask) | (1 << rep)),
         quotient_weights=WeightFn(tuple(q_weights)),
-        vertex_map=vmap,
-        xhat=xhat,
     )
 
 
 def recombine(step: QuotientStep, quotient_division: PerfectDivision, inner_division: PerfectDivision) -> PerfectDivision:
     """Merge a division of the quotient with a division of the contracted
-    part into a division of the original graph.
+    part into a division of the set they came from.
 
-    If the replacement vertex landed on the W side, the whole contracted
-    set joins W. If it landed on the P side, it is replaced by the perfect
+    If the representative landed on the W side, the whole contracted set
+    joins W. If it landed on the P side, it is replaced by the perfect
     part of the inner division, and the inner W part joins W. The merged
     division is verified (including perfection of the combined P side)
     before being returned.
     """
     g = step.original
     w = step.original_weights
-    n = g.n
-    vmap = step.vertex_map
-    if quotient_division.p.host_size != step.quotient.n or quotient_division.w_side.host_size != step.quotient.n:
-        raise ValueError("quotient division does not match the quotient graph")
-    if inner_division.p.host_size != len(step.x) or inner_division.w_side.host_size != len(step.x):
-        raise ValueError("inner division does not match the contracted part")
-    imap = step.x.members()
-    if step.xhat in quotient_division.w_side:
+    x = step.x.mask
+    if quotient_division.p | quotient_division.w_side != step.quotient:
+        raise ValueError("quotient division does not cover the quotient")
+    if inner_division.p | inner_division.w_side != step.x:
+        raise ValueError("inner division does not cover the contracted part")
+    rep_bit = 1 << step.representative
+    if quotient_division.w_side.mask & rep_bit:
         case = "xhat-in-w"
-        p_members = [vmap[i] for i in quotient_division.p]
-        w_members = [vmap[i] for i in quotient_division.w_side if i != step.xhat]
-        w_members.extend(imap)
+        p = quotient_division.p.mask
+        w_side = quotient_division.w_side.mask | x
     else:
         case = "xhat-in-p"
-        p_members = [vmap[i] for i in quotient_division.p if i != step.xhat]
-        p_members.extend(imap[j] for j in inner_division.p)
-        w_members = [vmap[i] for i in quotient_division.w_side]
-        w_members.extend(imap[j] for j in inner_division.w_side)
-    log = (
-        _step(
-            "recombination",
-            case=case,
-            x=list(imap),
-            p=sorted(p_members),
-            w=sorted(w_members),
-        ),
-    )
-    division = PerfectDivision(VertexSet.of(n, p_members), VertexSet.of(n, w_members), weight=w, log=log)
-    ok, reason = verify_perfect_division(g, w, division)
+        p = (quotient_division.p.mask & ~rep_bit) | inner_division.p.mask
+        w_side = quotient_division.w_side.mask | inner_division.w_side.mask
+    log = (_step("recombination", case=case, x=_members(x), p=_members(p), w=_members(w_side)),)
+    division = PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, log=log)
+    ok, reason = verify_perfect_division(g, w, division, VertexSet(g.n, step.quotient.mask | x))
     if not ok:
         raise TheoremViolationError(f"recombination failed verification: {reason}", log=list(log))
     return division
 
 
-def find_perfect_nonneighborhood_vertex(g: Graph, *, budget: int = 16):
-    """Smallest vertex whose non-neighborhood induces a perfect graph, or None."""
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        m_mask = full & ~g.adj[v] & ~(1 << v)
-        sub, _ = induced_subgraph(g, VertexSet(g.n, m_mask))
-        if is_perfect(sub, budget=budget):
+def find_perfect_nonneighborhood_vertex(g: Graph, within: VertexSet = None, *, budget: int = 16):
+    """Smallest vertex of ``within`` (all of ``g`` by default) whose
+    non-neighborhood inside ``within`` induces a perfect graph, or None."""
+    full = _within_mask(g, within)
+    for v in _bits(full):
+        if is_perfect(g, VertexSet(g.n, full & ~g.adj[v] & ~(1 << v)), budget=budget):
             return v
     return None
 
@@ -454,7 +377,7 @@ def _require_perfect_divide_class(g: Graph, class_hint: str = None):
     if bull is not None:
         raise NotInClassError("graph contains an induced bull", [bull])
     if class_hint == "odd-hole-free":
-        hole = find_odd_hole(g)
+        hole = find_odd_hole(g, budget=PERFECTION_BUDGET)
         if hole is not None:
             raise NotInClassError("graph contains an odd hole", [hole])
     elif class_hint == "p5-free":
@@ -462,7 +385,7 @@ def _require_perfect_divide_class(g: Graph, class_hint: str = None):
         if p5 is not None:
             raise NotInClassError("graph contains an induced P5", [p5])
     elif class_hint is None:
-        hole = find_odd_hole(g)
+        hole = find_odd_hole(g, budget=PERFECTION_BUDGET)
         if hole is not None:
             p5 = find_p5(g)
             if p5 is not None:
@@ -473,97 +396,80 @@ def _require_perfect_divide_class(g: Graph, class_hint: str = None):
         raise ValueError(f"unknown class hint: {class_hint}")
 
 
-def perfect_divide(g: Graph, w: WeightFn = None, *, check_class: bool = True, class_hint: str = None) -> PerfectDivision:
-    """Divide a bull-free graph that is odd-hole-free or P5-free into a
-    perfect part and a part with strictly smaller maximum clique weight.
+def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, check_class: bool = True, class_hint: str = None) -> PerfectDivision:
+    """Divide ``g[within]`` (all of ``g`` by default), a bull-free graph
+    that is odd-hole-free or P5-free, into a perfect part and a part with
+    strictly smaller maximum clique weight.
 
     The work happens inside the set U of positively weighted vertices
-    (zero-weight vertices join the W side for free). If the induced graph
+    (zero-weight vertices join the W side for free). If the graph induced
     on U has a homogeneous set, it is contracted, both the quotient and the
     contracted part are divided recursively, and the results recombined.
     Otherwise the graph is prime and the smallest vertex v with a perfect
     non-neighborhood yields the split (M(v) + v, N(v)). Every step and the
-    final result are verified; ``w`` None means unit weights.
+    final result are verified; ``w`` None means unit weights. Class
+    membership is checked on the whole host; heredity then covers every
+    ``within``.
     """
     effective = WeightFn.unit(g.n) if w is None else w
     if len(effective) != g.n:
         raise ValueError("weight function length does not match the graph")
     if check_class:
         _require_perfect_divide_class(g, class_hint)
-    n = g.n
-    full = (1 << n) - 1
-    log = []
+    full = _within_mask(g, within)
     u_mask = 0
-    for v in range(n):
+    for v in _bits(full):
         if effective[v] > 0:
             u_mask |= 1 << v
-    log.append(_step("restrict", positive=_members(u_mask), zero=_members(full & ~u_mask)))
-    if u_mask == 0:
-        division = PerfectDivision(VertexSet(n, 0), VertexSet.full(n), weight=w, log=tuple(log))
-        ok, reason = verify_perfect_division(g, effective, division)
-        if not ok:
-            raise TheoremViolationError(f"perfect division failed verification: {reason}", log=log)
-        return division
-    u_set = VertexSet(n, u_mask)
-    gu, umap = induced_subgraph(g, u_set)
-    wu = effective.restrict(umap)
-    sub = _divide_all_positive(gu, wu, tuple(umap), log)
-    p = _lift(sub.p, umap, n)
-    w_side = VertexSet(n, _lift(sub.w_side, umap, n).mask | (full & ~u_mask))
-    division = PerfectDivision(p, w_side, weight=w, log=tuple(log))
-    ok, reason = verify_perfect_division(g, effective, division)
+    log = [_step("restrict", positive=_members(u_mask), zero=_members(full & ~u_mask))]
+    p_mask = 0
+    if u_mask:
+        p_mask = _divide_all_positive(g, effective, VertexSet(g.n, u_mask), log).p.mask
+    division = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, log=tuple(log))
+    ok, reason = verify_perfect_division(g, effective, division, within)
     if not ok:
         raise TheoremViolationError(f"perfect division failed verification: {reason}", log=log)
     return division
 
 
-def _divide_all_positive(h: Graph, wh: WeightFn, labels, log: list) -> PerfectDivision:
-    """Divide a graph all of whose weights are positive; labels map the
-    current coordinates back to the original host for logging."""
-    x = find_homogeneous_set(h)
+def _divide_all_positive(g: Graph, w: WeightFn, within: VertexSet, log: list) -> PerfectDivision:
+    """Divide ``g[within]``, all of whose weights are positive."""
+    x = find_homogeneous_set(g, within)
     if x is None:
-        v = find_perfect_nonneighborhood_vertex(h)
+        v = find_perfect_nonneighborhood_vertex(g, within)
         if v is None:
             raise TheoremViolationError(
                 "prime graph has no vertex with perfect non-neighborhood",
                 log=log,
-                context={"vertices": list(labels)},
+                context={"vertices": list(within.members())},
             )
-        full = (1 << h.n) - 1
-        p_mask = full & ~h.adj[v]
-        w_mask = h.adj[v]
+        p_mask = within.mask & ~g.adj[v]
+        w_mask = within.mask & g.adj[v]
         log.append(
             _step(
                 "base-partition",
                 rule="perfect-non-neighborhood",
-                chosen=labels[v],
-                rejected=[labels[u] for u in range(v)],
-                p=sorted(labels[u] for u in _bits(p_mask)),
-                w=sorted(labels[u] for u in _bits(w_mask)),
+                chosen=v,
+                rejected=_members(within.mask & ((1 << v) - 1)),
+                p=_members(p_mask),
+                w=_members(w_mask),
             )
         )
-        return PerfectDivision(VertexSet(h.n, p_mask), VertexSet(h.n, w_mask), weight=wh)
-    step = quotient_by_homogeneous_set(h, wh, x)
+        return PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, w_mask), weight=w)
+    step = quotient_by_homogeneous_set(g, w, x, within)
     log.append(
         _step(
             "quotient",
-            x=sorted(labels[i] for i in x),
-            representative=labels[step.representative],
-            lifted_weight=step.quotient_weights[step.xhat],
-            quotient=[labels[i] for i in step.vertex_map],
+            x=_members(x.mask),
+            representative=step.representative,
+            lifted_weight=step.quotient_weights[step.representative],
+            quotient=_members(step.quotient.mask),
         )
     )
-    q_labels = tuple(labels[i] for i in step.vertex_map)
-    q_division = _divide_all_positive(step.quotient, step.quotient_weights, q_labels, log)
-    inner, imap = induced_subgraph(h, x)
-    i_labels = tuple(labels[i] for i in imap)
-    i_division = _divide_all_positive(inner, wh.restrict(imap), i_labels, log)
+    q_division = _divide_all_positive(g, step.quotient_weights, step.quotient, log)
+    i_division = _divide_all_positive(g, w, x, log)
     combined = recombine(step, q_division, i_division)
-    detail = dict(combined.log[0])
-    detail["x"] = sorted(labels[i] for i in x)
-    detail["p"] = sorted(labels[i] for i in combined.p)
-    detail["w"] = sorted(labels[i] for i in combined.w_side)
-    log.append(detail)
+    log.extend(combined.log)
     return combined
 
 

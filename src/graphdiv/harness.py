@@ -8,7 +8,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .coloring import Coloring, color_via_perfect_division, color_via_two_division
+from .coloring import BOUND_KIND, _certified, color_via_perfect_division, color_via_two_division
 from .core import Graph, VertexSet, WeightFn
 from .corpus import EXHAUSTIVE_LIMIT, nonisomorphic_graphs, random_graph
 from .divisibility import (
@@ -165,11 +165,19 @@ def run_classify(graphs) -> list:
 
 def _weights_for(g: Graph, index: int, weights_spec):
     """Resolve the weight payload for one graph: None is unit weights, a
-    flat list applies to every graph, a list of lists is per-graph."""
+    flat list of integers applies to every graph, a list of lists is
+    per-graph. Any other payload raises ValueError."""
     if weights_spec is None:
         return None
-    if all(isinstance(x, int) for x in weights_spec):
+    if not isinstance(weights_spec, list):
+        raise ValueError("weights must be a JSON list")
+    per_graph = [isinstance(x, list) for x in weights_spec]
+    if not any(per_graph):
         return WeightFn.of(weights_spec)
+    if not all(per_graph):
+        raise ValueError("weights mix numbers and per-graph lists")
+    if index >= len(weights_spec):
+        raise ValueError(f"weights give {len(weights_spec)} per-graph lists, too few for graph {index + 1}")
     return WeightFn.of(weights_spec[index])
 
 
@@ -224,11 +232,14 @@ def run_color(graphs, mode: str = "two") -> list:
 
 
 def _division_from_json(g: Graph, payload: dict):
-    if payload["kind"] == "two":
+    kind = payload["kind"]
+    if kind == "two":
         return TwoDivision(
             VertexSet.of(g.n, payload["a"]),
             VertexSet.of(g.n, payload["b"]),
         )
+    if kind != "perfect":
+        raise ValueError(f"unknown division kind {kind!r}")
     weights = payload.get("weights")
     return PerfectDivision(
         VertexSet.of(g.n, payload["p"]),
@@ -237,51 +248,67 @@ def _division_from_json(g: Graph, payload: dict):
     )
 
 
+def _stored_problem(g: Graph, stored: dict):
+    """Why a stored record fails, re-derived from its graph alone; None
+    when it holds. The coloring's clique number, bound and colors used are
+    recomputed, so a stored certificate must match them, not vouch for
+    them."""
+    if "division" not in stored and "coloring" not in stored:
+        return "record carries nothing to verify"
+    try:
+        if "division" in stored:
+            division = _division_from_json(g, stored["division"])
+            if isinstance(division, TwoDivision):
+                ok, reason = verify_two_division(g, division)
+            else:
+                ok, reason = verify_perfect_division(g, division.weight, division)
+            if not ok:
+                return reason
+        if "coloring" in stored:
+            kind = BOUND_KIND.get(stored.get("mode"))
+            if kind is None:
+                return f"coloring record has no known mode: {stored.get('mode')!r}"
+            assignment = stored["coloring"]
+            try:
+                _, certificate = _certified(g, assignment, len(set(assignment)), kind)
+            except TheoremViolationError as exc:
+                return f"stored {exc}"
+            if "certificate" in stored and stored["certificate"] != certificate.to_json():
+                return f"stored certificate {stored['certificate']} disagrees with the graph's {certificate.to_json()}"
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"malformed record: {type(exc).__name__}: {exc}"
+    return None
+
+
 def run_verify(stored_report: dict, graphs=None) -> list:
     """Re-check every division or coloring in a stored report.
 
     Graphs come from the embedded graph6 strings; ``graphs`` (parsed from
-    --graph) additionally restricts which records are admissible.
+    --graph) additionally restricts which records are admissible. Nothing
+    else in a record is trusted: bounds are re-derived from the graph and
+    the record's mode, and a record that cannot be read fails with the
+    reason.
     """
     allowed = None
     if graphs is not None:
         allowed = {g6 for g6, _ in graphs}
+    stored_records = stored_report.get("records", []) if isinstance(stored_report, dict) else None
+    if not isinstance(stored_records, list):
+        raise ValueError("stored report is not a JSON object with a list of records")
     records = []
-    for stored in stored_report.get("records", []):
+    for stored in stored_records:
         started = time.perf_counter()
-        g6 = stored.get("graph6", "")
-        record = {"graph6": g6}
+        g6 = stored.get("graph6") if isinstance(stored, dict) else None
+        record = {"graph6": g6 if isinstance(g6, str) else ""}
         try:
-            if allowed is not None and g6 not in allowed:
-                record["status"] = STATUS_VERIFY_FAILED
-                record["error"] = "record graph does not appear in the supplied graph file"
-                records.append(_finish(record, started))
-                continue
-            g = parse_graph6(g6)
-            checked = False
-            ok = True
-            reason = None
-            if "division" in stored:
-                division = _division_from_json(g, stored["division"])
-                if isinstance(division, TwoDivision):
-                    ok, reason = verify_two_division(g, division)
-                else:
-                    ok, reason = verify_perfect_division(g, division.weight, division)
-                checked = True
-            if ok and "coloring" in stored:
-                assignment = stored["coloring"]
-                used = stored.get("certificate", {}).get("used", len(set(assignment)))
-                coloring = Coloring(tuple(assignment), used)
-                if not coloring.is_proper_for(g):
-                    ok, reason = False, "stored coloring is not proper"
-                bound = stored.get("certificate", {}).get("bound")
-                if ok and bound is not None and used > bound:
-                    ok, reason = False, "stored coloring exceeds its bound"
-                checked = True
-            if not checked:
-                ok, reason = False, "record carries nothing to verify"
-            record["verified"] = ok
-            record["status"] = STATUS_OK if ok else STATUS_VERIFY_FAILED
+            if not isinstance(g6, str):
+                reason = "malformed record: no graph6 string"
+            elif allowed is not None and g6 not in allowed:
+                reason = "record graph does not appear in the supplied graph file"
+            else:
+                reason = _stored_problem(parse_graph6(g6), stored)
+            record["verified"] = reason is None
+            record["status"] = STATUS_OK if reason is None else STATUS_VERIFY_FAILED
             if reason:
                 record["error"] = reason
         except GraphDivError as exc:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import itertools
 
-from .core import Graph, VertexSet, _bits, complement, cycle_graph, path_graph
+from .core import Graph, VertexSet, _bits, _within_mask, complement, cycle_graph, induced_subgraph, path_graph
 from .errors import BudgetExceededError
 
 PERFECTION_BUDGET = 16
@@ -174,19 +174,26 @@ def imperfection_witness(g: Graph, *, budget: int = PERFECTION_BUDGET):
     return find_odd_antihole(g, budget=budget)
 
 
-def is_perfect(g: Graph, *, budget: int = PERFECTION_BUDGET) -> bool:
+def is_perfect(g: Graph, within: VertexSet = None, *, budget: int = PERFECTION_BUDGET) -> bool:
+    """Perfection of ``g``, or of the subgraph induced on ``within``.
+
+    A ``within`` set is relabeled once, here, so the hole-search cache is
+    keyed on the induced subgraph itself, whichever host it came from.
+    """
+    if within is not None:
+        g, _ = induced_subgraph(g, within)
     return imperfection_witness(g, budget=budget) is None
 
 
-def is_homogeneous(g: Graph, x: VertexSet) -> bool:
-    """True when 1 < |x| < n and every outside vertex is adjacent to all of
-    ``x`` or to none of it."""
+def is_homogeneous(g: Graph, x: VertexSet, within: VertexSet = None) -> bool:
+    """True when ``x`` is a subset of ``within`` (all of ``g`` by default)
+    with 1 < |x| < |within|, and every other vertex of ``within`` is
+    adjacent to all of ``x`` or to none of it."""
     if x.host_size != g.n:
         raise ValueError("vertex set does not belong to this graph")
-    size = len(x)
-    if not 1 < size < g.n:
+    full = _within_mask(g, within)
+    if x.mask & ~full or not 1 < len(x) < full.bit_count():
         return False
-    full = (1 << g.n) - 1
     for w in _bits(full & ~x.mask):
         inside = g.adj[w] & x.mask
         if inside != 0 and inside != x.mask:
@@ -195,22 +202,24 @@ def is_homogeneous(g: Graph, x: VertexSet) -> bool:
 
 
 @lru_cache(maxsize=1 << 18)
-def find_homogeneous_set(g: Graph):
-    """Some homogeneous set of ``g``, or None when ``g`` is prime.
+def find_homogeneous_set(g: Graph, within: VertexSet = None):
+    """Some homogeneous set of ``g[within]`` (all of ``g`` by default), or
+    None when that subgraph is prime.
 
-    For each vertex pair (in lexicographic order) this grows the unique
-    minimal candidate containing the pair: any vertex with both a neighbor
-    and a non-neighbor inside must join. The first pair whose closure stays
-    proper yields the answer, which makes the choice deterministic; the
-    result is re-checked against the definition before being returned.
+    For each vertex pair of ``within`` (in lexicographic order) this grows
+    the unique minimal candidate containing the pair: any vertex with both
+    a neighbor and a non-neighbor inside must join. The first pair whose
+    closure stays proper yields the answer, which makes the choice
+    deterministic; the result is re-checked against the definition before
+    being returned.
     """
-    n = g.n
-    if n <= 2:
+    full = _within_mask(g, within)
+    if full.bit_count() <= 2:
         return None
     adj = g.adj
-    full = (1 << n) - 1
-    for u in range(n - 1):
-        for v in range(u + 1, n):
+    members = list(_bits(full))
+    for i, u in enumerate(members[:-1]):
+        for v in members[i + 1 :]:
             x = (1 << u) | (1 << v)
             changed = True
             while changed and x != full:
@@ -221,8 +230,8 @@ def find_homogeneous_set(g: Graph):
                         x |= 1 << w
                         changed = True
             if x != full:
-                found = VertexSet(n, x)
-                if not is_homogeneous(g, found):
+                found = VertexSet(g.n, x)
+                if not is_homogeneous(g, found, within):
                     raise AssertionError("homogeneous-set closure produced an invalid set")
                 return found
     return None

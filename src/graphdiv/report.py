@@ -17,7 +17,6 @@ STATUS_VERIFY_FAILED = "verify-failed"
 STATUS_CLASS_VIOLATION = "class-violation"
 STATUS_THEOREM_VIOLATION = "theorem-violation"
 STATUS_BUDGET_EXCEEDED = "budget-exceeded"
-STATUS_PARSE_ERROR = "parse-error"
 
 _ALL_STATUSES = (
     STATUS_OK,
@@ -25,7 +24,6 @@ _ALL_STATUSES = (
     STATUS_CLASS_VIOLATION,
     STATUS_THEOREM_VIOLATION,
     STATUS_BUDGET_EXCEEDED,
-    STATUS_PARSE_ERROR,
 )
 
 

@@ -99,6 +99,18 @@ class TestDivide:
         assert record["division"]["kind"] == "perfect"
         assert record["division"]["weights"] == [2, 1, 1, 1, 1]
 
+    @pytest.mark.parametrize("payload", ["[1.9, true, 1]", "[[2, 1, 1, 1, 1]]", "{}"])
+    def test_bad_weight_file_is_a_usage_error(self, tmp_path, capsys, payload):
+        # a float, a bool, a per-graph list shorter than the corpus (two
+        # graphs here) and a non-list all exit 2 with a message
+        src = tmp_path / "two.g6"
+        _write_g6(src, cycle_graph(5), cycle_graph(4))
+        weights = tmp_path / "weights.json"
+        weights.write_text(payload)
+        code = main(["divide", "--mode", "perfect", "--in", str(src), "--weights", str(weights)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("graphdiv: ")
+
     def test_budget_ms_flag(self, tmp_path):
         src = tmp_path / "c4.g6"
         _write_g6(src, cycle_graph(4))
@@ -169,6 +181,32 @@ class TestVerify:
         payload["records"][0]["division"]["b"] = [2, 3]
         division_report.write_text(json.dumps(payload))
         assert main(["verify", "--division", str(division_report)]) == EXIT_VERIFY_FAILED
+
+
+    def test_malformed_record_fails_verification(self, tmp_path):
+        src = tmp_path / "c4.g6"
+        _write_g6(src, cycle_graph(4))
+        division_report = tmp_path / "divisions.json"
+        main(["divide", "--mode", "two", "--in", str(src), "--out", str(division_report)])
+        payload = _load(division_report)
+        del payload["records"][0]["division"]["b"]
+        division_report.write_text(json.dumps(payload))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--division", str(division_report), "--out", str(out)]) == EXIT_VERIFY_FAILED
+        record = _load(out)["records"][0]
+        assert record["status"] == "verify-failed"
+        assert record["error"] == "malformed record: KeyError: 'b'"
+
+    def test_edited_certificate_fails_verification(self, tmp_path):
+        src = tmp_path / "p3.g6"
+        _write_g6(src, path_graph(3))
+        color_report = tmp_path / "colors.json"
+        assert main(["color", "--mode", "two", "--in", str(src), "--out", str(color_report)]) == EXIT_OK
+        payload = _load(color_report)
+        payload["records"][0]["coloring"] = [0, 1, 2]
+        payload["records"][0]["certificate"].update(bound=3, used=3)
+        color_report.write_text(json.dumps(payload))
+        assert main(["verify", "--division", str(color_report)]) == EXIT_VERIFY_FAILED
 
 
 class TestConjectureCommand:

@@ -4,6 +4,7 @@ import pytest
 
 import naive
 from graphdiv import (
+    BULL_PATTERN,
     NotInClassError,
     TheoremViolationError,
     VertexSet,
@@ -23,10 +24,22 @@ from graphdiv import (
     path_graph,
     power_of_two_bound,
     quadratic_bound,
-    two_divide_recursive,
+    two_divide,
 )
 from graphdiv.coloring import POWER_OF_TWO, QUADRATIC, audit_bounds, audit_to_csv, audit_to_json
 from graphdiv.corpus import nonisomorphic_graphs
+
+
+def _division_walk(g):
+    """Every set the two-division recursion meets, with its depth and its
+    division (None at the leaves, whose clique number is at most 1)."""
+    stack = [(g.vertices(), 0)]
+    while stack:
+        vs, depth = stack.pop()
+        d = two_divide(g, vs) if clique_number(g, vs).value > 1 else None
+        yield vs, depth, d
+        if d is not None:
+            stack += [(d.a, depth + 1), (d.b, depth + 1)]
 
 
 class TestTwoDivisionColoring:
@@ -56,21 +69,35 @@ class TestTwoDivisionColoring:
             color_via_two_division(c5)
 
     def test_palette_disjoint_across_division_sides(self, bull):
-        # the coloring recursion mirrors the division tree, so the colors
-        # spent inside the two sides of any node must not meet
+        # the coloring recursion divides exactly like this walk, so the
+        # colors spent inside the two sides of any division must not meet
         coloring, _ = color_via_two_division(bull)
-        tree = two_divide_recursive(bull)
 
         def colors_in(vs):
             return {coloring.assignment[v] for v in vs}
 
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            assert not colors_in(node.a) & colors_in(node.b)
-            stack.extend([node.a_child, node.b_child])
+        for _, _, d in _division_walk(bull):
+            if d is not None:
+                assert not colors_in(d.a) & colors_in(d.b)
+
+    @pytest.mark.parametrize(
+        "g, depth",
+        [(cycle_graph(4), 1), (complete_graph(4), 3), (empty_graph(1), 0), (BULL_PATTERN, 2)],
+        ids=["C4", "K4", "K1", "bull"],
+    )
+    def test_division_walk_leaves_and_depth(self, g, depth):
+        # the leaves are stable and partition the graph, and each level
+        # lowers the clique number, so the depth is omega - 1 at most
+        union = 0
+        depths = []
+        for vs, level, d in _division_walk(g):
+            if d is None:
+                assert clique_number(g, vs).value <= 1
+                assert union & vs.mask == 0
+                union |= vs.mask
+                depths.append(level)
+        assert union == (1 << g.n) - 1
+        assert max(depths) == depth <= max(clique_number(g).value - 1, 0)
 
     def test_small_sweep_within_bound_and_above_chi(self):
         for n in range(1, 7):

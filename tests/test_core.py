@@ -69,6 +69,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightFn.of([1, -1])
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, True, False, "3", None])
+    def test_weight_fn_rejects_non_integers(self, bad):
+        # a float or bool is refused, not truncated or read as 0/1
+        with pytest.raises(ValueError):
+            WeightFn.of([1, bad, 1])
+
 
 class TestComplement:
     def test_k3_is_edgeless(self):

@@ -15,6 +15,7 @@ from graphdiv import (
     TheoremViolationError,
     VertexSet,
     WeightFn,
+    classify,
     classify_against_c5,
     clique_number,
     complete_graph,
@@ -38,7 +39,6 @@ from graphdiv import (
     recombine,
     twin_substitute,
     two_divide,
-    two_divide_recursive,
     verify_perfect_division,
     verify_two_division,
 )
@@ -108,33 +108,6 @@ class TestTwoDivide:
                 assert ok, (g, reason)
 
 
-class TestTwoDivideRecursive:
-    def test_c4_depth_one(self):
-        tree = two_divide_recursive(cycle_graph(4))
-        assert tree.depth() == 1
-        assert not tree.is_leaf
-        assert tree.a_child.is_leaf and tree.b_child.is_leaf
-
-    def test_k4_depth_three(self):
-        tree = two_divide_recursive(complete_graph(4))
-        assert tree.depth() == 3
-
-    def test_single_vertex_leaf(self):
-        tree = two_divide_recursive(empty_graph(1))
-        assert tree.is_leaf and tree.depth() == 0
-
-    def test_leaves_are_stable_and_partition(self, bull):
-        tree = two_divide_recursive(bull)
-        union = 0
-        for leaf in tree.leaves():
-            sub, _ = induced_subgraph(bull, leaf.vertices)
-            assert not sub.has_any_edge()
-            assert union & leaf.vertices.mask == 0
-            union |= leaf.vertices.mask
-        assert union == (1 << bull.n) - 1
-        assert tree.depth() <= clique_number(bull).value - 1
-
-
 class TestTwoDivisibleOracle:
     def test_c5_counterexample_is_itself(self, c5):
         divisible, counter = is_two_divisible_oracle(c5)
@@ -163,27 +136,39 @@ class TestQuotient:
         g = cycle_graph(4)
         step = quotient_by_homogeneous_set(g, WeightFn.unit(4), VertexSet.of(4, [0, 2]))
         assert step.representative == 0
-        assert step.quotient.n == 3
-        assert step.quotient_weights[step.xhat] == 1  # stable pair
-        # replacement keeps the common neighbors, which stay non-adjacent
-        assert step.quotient.degree(step.xhat) == 2
-        others = [i for i in range(3) if i != step.xhat]
-        assert not step.quotient.has_edge(others[0], others[1])
+        assert step.quotient.members() == (0, 1, 3)
+        assert len(step.quotient_weights) == 4  # host-length
+        assert step.quotient_weights[0] == 1  # stable pair
+        # the representative keeps the common neighbors, which stay non-adjacent
+        assert g.adj[0] & step.quotient.mask == 0b1010
+        assert not g.has_edge(1, 3)
 
     def test_true_twin_pair_lifts_weight_two(self):
         g = complete_graph(3)
         step = quotient_by_homogeneous_set(g, WeightFn.unit(3), VertexSet.of(3, [0, 1]))
-        assert step.quotient_weights[step.xhat] == 2
+        assert step.quotient.members() == (0, 2)
+        assert step.quotient_weights.weights == (2, 1, 1)
 
     def test_anticomponent_pair_in_near_clique(self):
         # K4 minus the edge {2,3}: the non-adjacent pair lifts weight 1
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         step = quotient_by_homogeneous_set(g, WeightFn.unit(4), VertexSet.of(4, [2, 3]))
-        assert step.quotient_weights[step.xhat] == 1
+        assert step.representative == 2
+        assert step.quotient_weights[2] == 1
 
     def test_rejects_non_homogeneous_set(self, c5):
         with pytest.raises(ValueError):
             quotient_by_homogeneous_set(c5, WeightFn.unit(5), VertexSet.of(5, [0, 1]))
+
+    def test_homogeneous_only_within(self):
+        # C4 plus vertex 4 seeing only 0: {0, 2} is homogeneous inside the C4
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        x = VertexSet.of(5, [0, 2])
+        with pytest.raises(ValueError):
+            quotient_by_homogeneous_set(g, WeightFn.unit(5), x)
+        step = quotient_by_homogeneous_set(g, WeightFn.of([3, 1, 4, 1, 5]), x, VertexSet.of(5, [0, 1, 2, 3]))
+        assert step.quotient.members() == (0, 1, 3)
+        assert step.quotient_weights.weights == (4, 1, 4, 1, 5)
 
 
 class TestRecombine:
@@ -194,28 +179,30 @@ class TestRecombine:
 
     def test_replacement_on_w_side(self):
         step = self._c4_step()
-        # quotient is the path 1 - xhat - 3 (quotient labels 1, 0, 2)
-        q = PerfectDivision(VertexSet.of(3, [1, 2]), VertexSet.of(3, [0]), weight=step.quotient_weights)
-        inner = PerfectDivision(VertexSet.of(2, [0, 1]), VertexSet(2), weight=WeightFn.unit(2))
+        # the quotient is the path 1 - 0 - 3, with 0 standing for {0, 2}
+        q = PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet.of(4, [0]), weight=step.quotient_weights)
+        inner = PerfectDivision(VertexSet.of(4, [0, 2]), VertexSet(4), weight=WeightFn.unit(4))
         d = recombine(step, q, inner)
         assert d.p.members() == (1, 3)
         assert d.w_side.members() == (0, 2)
+        assert d.log[0]["case"] == "xhat-in-w"
         assert verify_perfect_division(cycle_graph(4), WeightFn.unit(4), d)[0]
 
     def test_replacement_on_p_side_with_empty_inner_w(self):
         step = self._c4_step()
-        q = PerfectDivision(VertexSet.of(3, [0]), VertexSet.of(3, [1, 2]), weight=step.quotient_weights)
-        inner = PerfectDivision(VertexSet.of(2, [0, 1]), VertexSet(2), weight=WeightFn.unit(2))
+        q = PerfectDivision(VertexSet.of(4, [0]), VertexSet.of(4, [1, 3]), weight=step.quotient_weights)
+        inner = PerfectDivision(VertexSet.of(4, [0, 2]), VertexSet(4), weight=WeightFn.unit(4))
         d = recombine(step, q, inner)
         # the contracted part is perfect, so its W share is empty
         assert d.p.members() == (0, 2)
         assert d.w_side.members() == (1, 3)
+        assert d.log[0] == {"kind": "recombination", "case": "xhat-in-p", "x": [0, 2], "p": [0, 2], "w": [1, 3]}
 
     def test_twin_pair_replacement_on_p_side(self):
         g = complete_graph(3)
         step = quotient_by_homogeneous_set(g, WeightFn.unit(3), VertexSet.of(3, [0, 1]))
-        q = PerfectDivision(VertexSet.of(2, [0]), VertexSet.of(2, [1]), weight=step.quotient_weights)
-        inner = PerfectDivision(VertexSet.of(2, [0]), VertexSet.of(2, [1]), weight=WeightFn.unit(2))
+        q = PerfectDivision(VertexSet.of(3, [0]), VertexSet.of(3, [2]), weight=step.quotient_weights)
+        inner = PerfectDivision(VertexSet.of(3, [0]), VertexSet.of(3, [1]), weight=WeightFn.unit(3))
         d = recombine(step, q, inner)
         assert d.p.members() == (0,)
         assert d.w_side.members() == (1, 2)
@@ -224,10 +211,19 @@ class TestRecombine:
         step = self._c4_step()
         # everything on the W side: the recombined W keeps the full clique
         # weight, so the output cannot verify
-        q = PerfectDivision(VertexSet(3), VertexSet.of(3, [0, 1, 2]), weight=step.quotient_weights)
-        inner = PerfectDivision(VertexSet(2), VertexSet.of(2, [0, 1]), weight=WeightFn.unit(2))
+        q = PerfectDivision(VertexSet(4), VertexSet.of(4, [0, 1, 3]), weight=step.quotient_weights)
+        inner = PerfectDivision(VertexSet(4), VertexSet.of(4, [0, 2]), weight=WeightFn.unit(4))
         with pytest.raises(TheoremViolationError):
             recombine(step, q, inner)
+
+    def test_divisions_must_cover_their_parts(self):
+        step = self._c4_step()
+        inner = PerfectDivision(VertexSet.of(4, [0, 2]), VertexSet(4))
+        with pytest.raises(ValueError):
+            recombine(step, PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet(4)), inner)
+        q = PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet.of(4, [0]))
+        with pytest.raises(ValueError):
+            recombine(step, q, PerfectDivision(VertexSet.of(4, [0]), VertexSet(4)))
 
 
 class TestPerfectNonNeighborhoodVertex:
@@ -330,6 +326,101 @@ class TestPerfectDivide:
                 assert ok, reason
                 checked += 1
         assert checked > 300
+
+
+def _lift_log(log, vmap):
+    """A derivation log of a division of ``induced_subgraph(g, m)``, with
+    every vertex renamed to its vertex of ``g``."""
+
+    def lift(value, key=None):
+        if isinstance(value, dict):
+            return {k: lift(v, k) for k, v in value.items()}
+        if isinstance(value, list):
+            return [lift(v, key) for v in value]
+        if isinstance(value, int) and key not in ("neighbors_in_m", "lifted_weight"):
+            return vmap[value]
+        return value
+
+    return [lift(step) for step in log]
+
+
+def _random_mask(rng, n):
+    return VertexSet(n, rng.getrandbits(n))
+
+
+class TestWithin:
+    """A division of ``g`` restricted to ``within`` equals the division of
+    the induced subgraph, lifted back to ``g``'s vertices, log included."""
+
+    def test_two_divide_matches_induced_subgraph(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 150:
+            g = random_graph(rng.randint(4, 9), rng.random(), rng)
+            if find_p5(g) is not None or find_c5(g) is not None:
+                continue
+            m = _random_mask(rng, g.n)
+            sub, vmap = induced_subgraph(g, m)
+            if not sub.has_any_edge():
+                with pytest.raises(DegenerateCliqueError):
+                    two_divide(g, m)
+                continue
+            ref = two_divide(sub)
+            got = two_divide(g, m)
+            assert got.a == VertexSet.of(g.n, (vmap[i] for i in ref.a))
+            assert got.b == VertexSet.of(g.n, (vmap[i] for i in ref.b))
+            assert list(got.log) == _lift_log(ref.log, vmap)
+            assert verify_two_division(g, got, m) == (True, None)
+            checked += 1
+
+    def test_perfect_divide_matches_induced_subgraph(self):
+        rng = random.Random(4048)
+        checked = quotients = 0
+        while checked < 150:
+            g = random_graph(rng.randint(3, 7), rng.random(), rng)
+            g = twin_substitute(g, rng.randrange(g.n), adjacent=rng.random() < 0.5)
+            if find_bull(g) is not None:
+                continue
+            if find_odd_hole(g) is not None and find_p5(g) is not None:
+                continue
+            w = WeightFn.of([rng.randint(0, 3) for _ in range(g.n)])
+            m = _random_mask(rng, g.n)
+            sub, vmap = induced_subgraph(g, m)
+            ref = perfect_divide(sub, WeightFn(tuple(w[v] for v in vmap)))
+            got = perfect_divide(g, w, m)
+            assert got.p == VertexSet.of(g.n, (vmap[i] for i in ref.p))
+            assert got.w_side == VertexSet.of(g.n, (vmap[i] for i in ref.w_side))
+            assert list(got.log) == _lift_log(ref.log, vmap)
+            assert verify_perfect_division(g, w, got, m) == (True, None)
+            quotients += any(step["kind"] == "quotient" for step in got.log)
+            checked += 1
+        assert quotients > 20
+
+    def test_verifiers_reject_parts_outside_within(self, c5):
+        m = VertexSet.of(5, [0, 1, 2])
+        d = PerfectDivision(VertexSet.of(5, [0, 1, 2]), VertexSet(5))
+        assert verify_perfect_division(c5, None, d, m) == (True, None)
+        assert verify_perfect_division(c5, None, d)[1] == "parts do not cover the vertex set"
+        from graphdiv import TwoDivision
+
+        two = TwoDivision(VertexSet.of(5, [0, 2]), VertexSet.of(5, [1]))
+        assert verify_two_division(c5, two, m) == (True, None)
+        assert verify_two_division(c5, two, VertexSet.of(5, [0, 1, 2, 3]))[1] == "parts do not cover the vertex set"
+
+
+class TestOddHoleCache:
+    def test_class_check_reuses_the_classify_search(self):
+        # the class check of perfect_divide must hit the hole search that
+        # classify already ran on the same graph
+        g = twin_substitute(cycle_graph(5), 0, adjacent=True)
+        misses = []
+        for check_class in (False, True):
+            find_odd_hole.cache_clear()
+            classify(g)
+            before = find_odd_hole.cache_info().misses
+            perfect_divide(g, check_class=check_class)
+            misses.append(find_odd_hole.cache_info().misses - before)
+        assert misses[0] == misses[1]
 
 
 class TestVerifiers:

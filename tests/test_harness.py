@@ -7,6 +7,7 @@ from graphdiv import (
     GraphDivError,
     conjecture_search,
     cycle_graph,
+    path_graph,
     emit_graph6,
     generate,
     graphs_with_ids,
@@ -147,6 +148,97 @@ class TestDrivers:
         verified = run_verify(report, other)
         assert verified[0]["status"] == "verify-failed"
         assert "does not appear" in verified[0]["error"]
+
+
+    def _p3_color_report(self, mode="two"):
+        records = run_color(graphs_with_ids([path_graph(3)]), mode=mode)
+        assert records[0]["status"] == "ok"
+        return build_report("color", records)
+
+    def test_verify_recomputes_the_bound(self):
+        # a 3-coloring of P3 with its certificate edited to allow it: omega
+        # is 2, so the two-mode bound is 2 whatever the record claims
+        report = self._p3_color_report()
+        record = report["records"][0]
+        record["coloring"] = [0, 1, 2]
+        record["certificate"].update(bound=3, used=3)
+        verified = run_verify(report)
+        assert verified[0]["status"] == "verify-failed"
+        assert "above the bound 2" in verified[0]["error"]
+
+    def test_verify_checks_bound_without_certificate(self):
+        report = self._p3_color_report()
+        record = report["records"][0]
+        record["coloring"] = [0, 1, 2]
+        del record["certificate"]
+        verified = run_verify(report)
+        assert verified[0]["status"] == "verify-failed"
+        assert "above the bound 2" in verified[0]["error"]
+
+    def test_verify_rejects_a_false_certificate(self):
+        report = self._p3_color_report()
+        report["records"][0]["certificate"]["omega"] = 3
+        verified = run_verify(report)
+        assert verified[0]["status"] == "verify-failed"
+        assert "disagrees" in verified[0]["error"]
+
+    def test_verify_reads_the_bound_from_the_mode(self):
+        # P3 with 3 colors is within the perfect-mode bound 3
+        report = self._p3_color_report(mode="perfect")
+        record = report["records"][0]
+        record["coloring"] = [0, 1, 2]
+        del record["certificate"]
+        assert run_verify(report)[0]["status"] == "ok"
+        record["mode"] = "unknown"
+        verified = run_verify(report)
+        assert verified[0]["status"] == "verify-failed"
+        assert "mode" in verified[0]["error"]
+
+    def test_verify_fails_malformed_division_with_reason(self):
+        records = run_divide(graphs_with_ids([cycle_graph(4)]), mode="two")
+        del records[0]["division"]["b"]
+        verified = run_verify(build_report("divide", records))
+        assert verified[0]["status"] == "verify-failed"
+        assert verified[0]["error"] == "malformed record: KeyError: 'b'"
+
+    def test_verify_fails_malformed_weights_with_reason(self, c5):
+        records = run_divide(graphs_with_ids([c5]), mode="perfect")
+        records[0]["division"]["weights"] = [1, 1.5, 1, 1, 1]
+        verified = run_verify(build_report("divide", records))
+        assert verified[0]["status"] == "verify-failed"
+        assert verified[0]["error"].startswith("malformed record: ValueError")
+
+
+    def test_verify_fails_records_without_a_graph(self):
+        verified = run_verify({"records": ["x", {"division": {"kind": "two", "a": [], "b": []}}]})
+        assert [r["status"] for r in verified] == ["verify-failed", "verify-failed"]
+        assert all(r["error"] == "malformed record: no graph6 string" for r in verified)
+
+    @pytest.mark.parametrize("stored", [[1, 2], {"records": {}}, "report"])
+    def test_verify_rejects_a_report_of_the_wrong_shape(self, stored):
+        with pytest.raises(ValueError):
+            run_verify(stored)
+
+
+class TestWeightPayloads:
+    def test_flat_list_with_float_and_bool_is_rejected(self, c5):
+        with pytest.raises(ValueError):
+            run_divide(graphs_with_ids([c5]), mode="perfect", weights_spec=[1.9, True, 1, 1, 1])
+
+    def test_short_per_graph_list_is_rejected(self, c5):
+        graphs = graphs_with_ids([c5, cycle_graph(4)])
+        with pytest.raises(ValueError, match="too few"):
+            run_divide(graphs, mode="perfect", weights_spec=[[1, 1, 1, 1, 1]])
+
+    def test_mixed_list_is_rejected(self, c5):
+        with pytest.raises(ValueError):
+            run_divide(graphs_with_ids([c5]), mode="perfect", weights_spec=[[1, 1, 1, 1, 1], 1])
+
+    def test_per_graph_lists(self, c5):
+        graphs = graphs_with_ids([c5, cycle_graph(4)])
+        records = run_divide(graphs, mode="perfect", weights_spec=[[1, 1, 1, 1, 1], [0, 1, 0, 1]])
+        assert [r["status"] for r in records] == ["ok", "ok"]
+        assert records[1]["division"]["weights"] == [0, 1, 0, 1]
 
 
 class TestConjecture:
