@@ -70,12 +70,8 @@ from .divisibility import (
     verify_two_division,
 )
 from .coloring import (
-    AuditRow,
     BoundCertificate,
     Coloring,
-    audit_bounds,
-    audit_to_csv,
-    audit_to_json,
     color_via_perfect_division,
     color_via_two_division,
     power_of_two_bound,

@@ -3,8 +3,13 @@
 Subcommands: classify | divide | color | verify | conjecture. Input graphs
 come from --in (graph6 lines, or DIMACS for .col files), --exhaustive N
 (all isomorphism classes on N vertices), or --random N,P,COUNT; --filter
-keeps only graphs whose class flags all hold. Reports are versioned JSON
-(--format csv is available for the color audit table).
+keeps only graphs whose class flags all hold. --weights applies to
+divide --mode perfect only. Reports are versioned JSON; color --format csv
+renders the same color records as the table id,omega,chi,used,bound,slack,
+with the same statuses, --budget-ms handling and exit codes (chi is blank
+above 16 vertices, and a record whose coloring failed is the row id,,,,,).
+verify rejects a report of another schema version, and fails a record
+whose graph6 string does not parse without stopping the others.
 
 Exit codes: 0 ok; 1 verification failure; 2 usage error; 3 input parse
 failure; 4 class violation; 5 theorem violation; 6 budget exceeded.
@@ -14,7 +19,6 @@ import argparse
 import json
 import sys
 
-from .coloring import BOUND_KIND, audit_bounds, audit_to_csv
 from .errors import GraphDivError, ParseError
 from .harness import (
     CorpusSpec,
@@ -33,6 +37,7 @@ from .report import (
     STATUS_THEOREM_VIOLATION,
     STATUS_VERIFY_FAILED,
     build_report,
+    color_csv,
     report_to_json,
 )
 
@@ -153,54 +158,36 @@ def _options_of(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
+def _run(args):
+    """Run one batch subcommand: the graphs it read (None when verify has
+    no --graph), its records in input order and its report options."""
+    if args.command == "verify":
+        with open(args.division, encoding="utf-8") as handle:
+            stored = json.load(handle)
+        graphs = None
+        if args.graph:
+            graphs = graphs_with_ids(generate(CorpusSpec(kind="file", path=args.graph)))
+        return graphs, run_verify(stored, graphs), _options_of(args, "division", "graph")
+    if args.command == "divide":
+        weights_spec = None
+        if args.weights != "unit":
+            if args.mode != "perfect":
+                raise ValueError("--weights applies to --mode perfect only")
+            with open(args.weights, encoding="utf-8") as handle:
+                weights_spec = json.load(handle)
+        graphs = _load_graphs(args)
+        records = run_divide(graphs, mode=args.mode, weights_spec=weights_spec)
+        return graphs, records, _options_of(args, "mode", "filter", "weights")
+    graphs = _load_graphs(args)
+    if args.command == "color":
+        return graphs, run_color(graphs, mode=args.mode), _options_of(args, "mode", "filter")
+    return graphs, run_classify(graphs), _options_of(args, "filter")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "classify":
-            graphs = _load_graphs(args)
-            records = run_classify(graphs)
-            _apply_time_budget(records, args.budget_ms)
-            report = build_report("classify", records, seed=args.seed, options=_options_of(args, "filter"))
-            _write(report_to_json(report), args.out)
-            return _exit_code(records)
-
-        if args.command == "divide":
-            graphs = _load_graphs(args)
-            weights_spec = None
-            if args.weights != "unit":
-                with open(args.weights, encoding="utf-8") as handle:
-                    weights_spec = json.load(handle)
-            records = run_divide(graphs, mode=args.mode, weights_spec=weights_spec)
-            _apply_time_budget(records, args.budget_ms)
-            report = build_report("divide", records, seed=args.seed, options=_options_of(args, "mode", "filter", "weights"))
-            _write(report_to_json(report), args.out)
-            return _exit_code(records)
-
-        if args.command == "color":
-            graphs = _load_graphs(args)
-            if args.format == "csv":
-                rows = audit_bounds(graphs, kind=BOUND_KIND[args.mode])
-                _write(audit_to_csv(rows), args.out)
-                return EXIT_BUDGET_EXCEEDED if any(r.error for r in rows) else EXIT_OK
-            records = run_color(graphs, mode=args.mode)
-            _apply_time_budget(records, args.budget_ms)
-            report = build_report("color", records, seed=args.seed, options=_options_of(args, "mode", "filter"))
-            _write(report_to_json(report), args.out)
-            return _exit_code(records)
-
-        if args.command == "verify":
-            with open(args.division, encoding="utf-8") as handle:
-                stored = json.load(handle)
-            graphs = None
-            if args.graph:
-                spec = CorpusSpec(kind="file", path=args.graph)
-                graphs = graphs_with_ids(generate(spec))
-            records = run_verify(stored, graphs)
-            report = build_report("verify", records, options=_options_of(args, "division", "graph"))
-            _write(report_to_json(report), args.out)
-            return _exit_code(records)
-
         if args.command == "conjecture":
             report = conjecture_search(args.max_n, seed=args.seed)
             _write(report_to_json(report), args.out)
@@ -211,7 +198,14 @@ def main(argv=None) -> int:
                 return EXIT_VERIFY_FAILED
             return _exit_code(report["records"])
 
-        parser.error(f"unknown command {args.command!r}")
+        graphs, records, options = _run(args)
+        _apply_time_budget(records, getattr(args, "budget_ms", None))
+        if args.format == "csv":
+            text = color_csv(records, graphs)
+        else:
+            text = report_to_json(build_report(args.command, records, seed=getattr(args, "seed", None), options=options))
+        _write(text, args.out)
+        return _exit_code(records)
     except ParseError as exc:
         print(f"graphdiv: parse error ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -221,7 +215,6 @@ def main(argv=None) -> int:
     except (GraphDivError, ValueError, json.JSONDecodeError) as exc:
         print(f"graphdiv: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def console_main():

@@ -9,7 +9,7 @@ omega*(omega+1)/2. Certificates record both numbers so audits are cheap.
 from dataclasses import dataclass
 
 from .core import Graph, VertexSet, _bits, chromatic_number_exact, clique_number, induced_subgraph
-from .errors import BudgetExceededError, DegenerateCliqueError, NotInClassError, TheoremViolationError
+from .errors import TheoremViolationError
 from .divisibility import (
     _require_p5c5_free,
     _require_perfect_divide_class,
@@ -72,6 +72,9 @@ def quadratic_bound(omega: int) -> int:
 
 
 def _certified(g: Graph, assignment, used: int, kind: str) -> tuple:
+    """The one check of a finished coloring, shared by both colorings and
+    ``verify``: raise ``TheoremViolationError`` unless it is proper and
+    within the bound of its kind."""
     coloring = Coloring(tuple(assignment), used)
     omega = clique_number(g).value
     bound = power_of_two_bound(omega) if kind == POWER_OF_TWO else quadratic_bound(omega)
@@ -133,75 +136,3 @@ def color_via_perfect_division(g: Graph, class_hint: str = None):
 
     used = rec(g.vertices(), 0)
     return _certified(g, assignment, used, QUADRATIC)
-
-
-@dataclass(frozen=True)
-class AuditRow:
-    """One corpus graph in a bound audit; ``error`` marks rows whose
-    oracles ran out of budget (or whose graph fell outside the class)."""
-
-    id: str
-    omega: int = None
-    chi: int = None
-    used: int = None
-    bound: int = None
-    slack: int = None
-    error: str = None
-
-
-AUDIT_HEADER = "id,omega,chi,used,bound,slack"
-
-
-def audit_bounds(corpus, kind: str = POWER_OF_TWO) -> list:
-    """Run the division coloring of the given kind over ``corpus`` (pairs
-    of id and graph) and tabulate clique number, exact chromatic number,
-    colors spent, bound, and slack. Per-row failures are recorded, not
-    raised."""
-    if kind not in (POWER_OF_TWO, QUADRATIC):
-        raise ValueError(f"unknown bound kind: {kind}")
-    rows = []
-    for graph_id, g in corpus:
-        try:
-            omega = clique_number(g).value
-            chi, _ = chromatic_number_exact(g)
-            if kind == POWER_OF_TWO:
-                _, certificate = color_via_two_division(g)
-            else:
-                _, certificate = color_via_perfect_division(g)
-            rows.append(
-                AuditRow(
-                    id=graph_id,
-                    omega=omega,
-                    chi=chi,
-                    used=certificate.colors_used,
-                    bound=certificate.bound_value,
-                    slack=certificate.bound_value - certificate.colors_used,
-                )
-            )
-        except (BudgetExceededError, NotInClassError, DegenerateCliqueError) as exc:
-            rows.append(AuditRow(id=graph_id, error=f"{type(exc).__name__}: {exc}"))
-    return rows
-
-
-def audit_to_csv(rows) -> str:
-    lines = [AUDIT_HEADER]
-    for row in rows:
-        if row.error is not None:
-            lines.append(f"{row.id},,,,,")
-        else:
-            lines.append(f"{row.id},{row.omega},{row.chi},{row.used},{row.bound},{row.slack}")
-    return "\n".join(lines) + "\n"
-
-
-def audit_to_json(rows) -> list:
-    out = []
-    for row in rows:
-        entry = {"id": row.id}
-        if row.error is not None:
-            entry["error"] = row.error
-        else:
-            entry.update(
-                omega=row.omega, chi=row.chi, used=row.used, bound=row.bound, slack=row.slack
-            )
-        out.append(entry)
-    return out

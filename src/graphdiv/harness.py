@@ -30,6 +30,7 @@ from .errors import (
 from .formats import emit_graph6, parse_dimacs, parse_graph6, parse_graph6_lines
 from .recognition import classify
 from .report import (
+    SCHEMA_VERSION,
     STATUS_BUDGET_EXCEEDED,
     STATUS_CLASS_VIOLATION,
     STATUS_OK,
@@ -128,12 +129,7 @@ def generate(spec: CorpusSpec):
                 yield g
 
 
-def _finish(record: dict, started: float) -> dict:
-    record["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    return record
-
-
-def _failure(record: dict, exc: Exception) -> dict:
+def _failure(record: dict, exc: Exception):
     if isinstance(exc, (NotInClassError, DegenerateCliqueError)):
         record["status"] = STATUS_CLASS_VIOLATION
         if isinstance(exc, NotInClassError):
@@ -146,21 +142,33 @@ def _failure(record: dict, exc: Exception) -> dict:
     else:
         raise exc
     record["error"] = str(exc)
-    return record
+
+
+def _drive(items, body) -> list:
+    """The one per-record loop behind every batch driver: ``body(record,
+    item)`` fills a fresh record for each item, and the driver times it and
+    turns a ``GraphDivError`` into the record's failure status."""
+    records = []
+    for item in items:
+        started = time.perf_counter()
+        record = {}
+        try:
+            body(record, item)
+        except GraphDivError as exc:
+            _failure(record, exc)
+        record["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+        records.append(record)
+    return records
 
 
 def run_classify(graphs) -> list:
-    records = []
-    for g6, g in graphs:
-        started = time.perf_counter()
-        record = {"graph6": g6, "n": g.n}
-        try:
-            record["class"] = classify(g).to_json()
-            record["status"] = STATUS_OK
-        except GraphDivError as exc:
-            _failure(record, exc)
-        records.append(_finish(record, started))
-    return records
+    def body(record, item):
+        g6, g = item
+        record.update(graph6=g6, n=g.n)
+        record["class"] = classify(g).to_json()
+        record["status"] = STATUS_OK
+
+    return _drive(graphs, body)
 
 
 def _weights_for(g: Graph, index: int, weights_spec):
@@ -182,53 +190,42 @@ def _weights_for(g: Graph, index: int, weights_spec):
 
 
 def run_divide(graphs, mode: str = "two", weights_spec=None) -> list:
-    records = []
-    for index, (g6, g) in enumerate(graphs):
-        started = time.perf_counter()
-        record = {"graph6": g6, "n": g.n, "mode": mode}
-        try:
-            if mode == "two":
-                division = two_divide(g)
-                ok, reason = verify_two_division(g, division)
-            else:
-                w = _weights_for(g, index, weights_spec)
-                division = perfect_divide(g, w)
-                ok, reason = verify_perfect_division(g, w, division)
-            record["division"] = division.to_json()
-            record["log"] = list(division.log)
-            record["verified"] = ok
-            if ok:
-                record["status"] = STATUS_OK
-            else:
-                record["status"] = STATUS_VERIFY_FAILED
-                record["error"] = reason
-        except GraphDivError as exc:
-            _failure(record, exc)
-        records.append(_finish(record, started))
-    return records
+    """Divide every graph. The division verifies itself before it returns
+    (a failure raises ``TheoremViolationError`` with the log), so
+    ``verified`` is true on every ok record."""
+
+    def body(record, item):
+        index, (g6, g) = item
+        record.update(graph6=g6, n=g.n, mode=mode)
+        if mode == "two":
+            division = two_divide(g)
+        else:
+            division = perfect_divide(g, _weights_for(g, index, weights_spec))
+        record["division"] = division.to_json()
+        record["log"] = list(division.log)
+        record["verified"] = True
+        record["status"] = STATUS_OK
+
+    return _drive(enumerate(graphs), body)
 
 
 def run_color(graphs, mode: str = "two") -> list:
-    records = []
-    for g6, g in graphs:
-        started = time.perf_counter()
-        record = {"graph6": g6, "n": g.n, "mode": mode}
-        try:
-            if mode == "two":
-                coloring, certificate = color_via_two_division(g)
-            else:
-                coloring, certificate = color_via_perfect_division(g)
-            record["coloring"] = list(coloring.assignment)
-            record["certificate"] = certificate.to_json()
-            proper = coloring.is_proper_for(g)
-            within = certificate.colors_used <= certificate.bound_value
-            record["proper"] = proper
-            record["within_bound"] = within
-            record["status"] = STATUS_OK if proper and within else STATUS_VERIFY_FAILED
-        except GraphDivError as exc:
-            _failure(record, exc)
-        records.append(_finish(record, started))
-    return records
+    """Color every graph. The coloring checks properness and its bound
+    before it returns, so ``proper`` and ``within_bound`` are true on every
+    ok record."""
+    color = color_via_two_division if mode == "two" else color_via_perfect_division
+
+    def body(record, item):
+        g6, g = item
+        record.update(graph6=g6, n=g.n, mode=mode)
+        coloring, certificate = color(g)
+        record["coloring"] = list(coloring.assignment)
+        record["certificate"] = certificate.to_json()
+        record["proper"] = True
+        record["within_bound"] = True
+        record["status"] = STATUS_OK
+
+    return _drive(graphs, body)
 
 
 def _division_from_json(g: Graph, payload: dict):
@@ -248,7 +245,7 @@ def _division_from_json(g: Graph, payload: dict):
     )
 
 
-def _stored_problem(g: Graph, stored: dict):
+def _stored_problem(g6: str, stored: dict):
     """Why a stored record fails, re-derived from its graph alone; None
     when it holds. The coloring's clique number, bound and colors used are
     recomputed, so a stored certificate must match them, not vouch for
@@ -256,6 +253,7 @@ def _stored_problem(g: Graph, stored: dict):
     if "division" not in stored and "coloring" not in stored:
         return "record carries nothing to verify"
     try:
+        g = parse_graph6(g6)
         if "division" in stored:
             division = _division_from_json(g, stored["division"])
             if isinstance(division, TwoDivision):
@@ -286,8 +284,10 @@ def run_verify(stored_report: dict, graphs=None) -> list:
     Graphs come from the embedded graph6 strings; ``graphs`` (parsed from
     --graph) additionally restricts which records are admissible. Nothing
     else in a record is trusted: bounds are re-derived from the graph and
-    the record's mode, and a record that cannot be read fails with the
-    reason.
+    the record's mode, and a record that cannot be read, its graph6 string
+    included, fails with the reason. A report that is not an object with a
+    list of records, or that names a schema other than ``SCHEMA_VERSION``,
+    raises ValueError.
     """
     allowed = None
     if graphs is not None:
@@ -295,26 +295,25 @@ def run_verify(stored_report: dict, graphs=None) -> list:
     stored_records = stored_report.get("records", []) if isinstance(stored_report, dict) else None
     if not isinstance(stored_records, list):
         raise ValueError("stored report is not a JSON object with a list of records")
-    records = []
-    for stored in stored_records:
-        started = time.perf_counter()
+    schema = stored_report.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ValueError(f"stored report has schema {schema!r}, this version reads schema {SCHEMA_VERSION}")
+
+    def body(record, stored):
         g6 = stored.get("graph6") if isinstance(stored, dict) else None
-        record = {"graph6": g6 if isinstance(g6, str) else ""}
-        try:
-            if not isinstance(g6, str):
-                reason = "malformed record: no graph6 string"
-            elif allowed is not None and g6 not in allowed:
-                reason = "record graph does not appear in the supplied graph file"
-            else:
-                reason = _stored_problem(parse_graph6(g6), stored)
-            record["verified"] = reason is None
-            record["status"] = STATUS_OK if reason is None else STATUS_VERIFY_FAILED
-            if reason:
-                record["error"] = reason
-        except GraphDivError as exc:
-            _failure(record, exc)
-        records.append(_finish(record, started))
-    return records
+        record["graph6"] = g6 if isinstance(g6, str) else ""
+        if not isinstance(g6, str):
+            reason = "malformed record: no graph6 string"
+        elif allowed is not None and g6 not in allowed:
+            reason = "record graph does not appear in the supplied graph file"
+        else:
+            reason = _stored_problem(g6, stored)
+        record["verified"] = reason is None
+        record["status"] = STATUS_OK if reason is None else STATUS_VERIFY_FAILED
+        if reason:
+            record["error"] = reason
+
+    return _drive(stored_records, body)
 
 
 def conjecture_search(max_n: int, *, seed: int = 0) -> dict:
@@ -328,33 +327,28 @@ def conjecture_search(max_n: int, *, seed: int = 0) -> dict:
     """
     if max_n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"conjecture sweep limited to n <= {EXHAUSTIVE_LIMIT}")
-    records = []
     counterexamples = []
     necessity_violations = []
-    for n in range(1, max_n + 1):
-        for g in nonisomorphic_graphs(n):
-            started = time.perf_counter()
-            g6 = emit_graph6(g)
-            record = {"graph6": g6, "n": n}
-            report = classify(g)
-            record["odd_hole_free"] = report.odd_hole_free
-            try:
-                divisible, counter = is_two_divisible_oracle(g)
-                record["two_divisible"] = divisible
-                if counter is not None:
-                    record["counterexample_subgraph"] = list(counter.members())
-                agrees = divisible == report.odd_hole_free
-                record["agrees"] = agrees
-                record["status"] = STATUS_OK if agrees else STATUS_VERIFY_FAILED
-                if not agrees:
-                    if report.odd_hole_free:
-                        counterexamples.append(g6)
-                    else:
-                        necessity_violations.append(g6)
-            except BudgetExceededError as exc:
-                record["status"] = STATUS_BUDGET_EXCEEDED
-                record["error"] = str(exc)
-            records.append(_finish(record, started))
+
+    def body(record, g):
+        g6 = emit_graph6(g)
+        record.update(graph6=g6, n=g.n)
+        odd_hole_free = classify(g).odd_hole_free
+        record["odd_hole_free"] = odd_hole_free
+        divisible, counter = is_two_divisible_oracle(g)
+        record["two_divisible"] = divisible
+        if counter is not None:
+            record["counterexample_subgraph"] = list(counter.members())
+        agrees = divisible == odd_hole_free
+        record["agrees"] = agrees
+        record["status"] = STATUS_OK if agrees else STATUS_VERIFY_FAILED
+        if not agrees and odd_hole_free:
+            counterexamples.append(g6)
+        elif not agrees:
+            necessity_violations.append(g6)
+
+    graphs = (g for n in range(1, max_n + 1) for g in nonisomorphic_graphs(n))
+    records = _drive(graphs, body)
     report = build_report("conjecture", records, seed=seed, options={"max_n": max_n})
     report["summary"]["counterexamples"] = counterexamples
     report["summary"]["necessity_violations"] = necessity_violations

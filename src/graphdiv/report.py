@@ -4,10 +4,13 @@ Reports are deterministic given the same seed and inputs: records are
 sorted by their graph6 string and serialization sorts keys. The only
 volatile content is wall-clock data (the top-level timestamp and the
 per-record timings), which ``scrub_volatile`` strips for comparisons.
+Color records also render as a CSV table (``color_csv``).
 """
 
 import json
 import time
+
+from .core import CHROMATIC_BUDGET, chromatic_number_exact
 
 SCHEMA_VERSION = 1
 VOLATILE_KEYS = frozenset({"timestamp", "elapsed_ms"})
@@ -48,6 +51,30 @@ def build_report(command: str, records, *, seed=None, options=None) -> dict:
 
 def report_to_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+COLOR_CSV_HEADER = "id,omega,chi,used,bound,slack"
+
+
+def color_csv(records, graphs) -> str:
+    """The color records as a table, one row per record, in the order of
+    ``graphs``, the (graph6, Graph) pairs the records were made from.
+
+    Every column but ``chi`` comes from the record's certificate; ``chi``
+    is the graph's exact chromatic number, blank above
+    ``CHROMATIC_BUDGET`` vertices. A record without a certificate (its
+    coloring failed) is the row ``id,,,,,``.
+    """
+    lines = [COLOR_CSV_HEADER]
+    for record, (_, g) in zip(records, graphs):
+        certificate = record.get("certificate")
+        if certificate is None:
+            lines.append(f"{record['graph6']},,,,,")
+            continue
+        chi = chromatic_number_exact(g)[0] if g.n <= CHROMATIC_BUDGET else ""
+        omega, used, bound = certificate["omega"], certificate["used"], certificate["bound"]
+        lines.append(f"{record['graph6']},{omega},{chi},{used},{bound},{bound - used}")
+    return "\n".join(lines) + "\n"
 
 
 def scrub_volatile(value):

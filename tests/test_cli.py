@@ -2,12 +2,14 @@ import json
 
 import pytest
 
-from graphdiv import cycle_graph, emit_graph6, path_graph, scrub_volatile
+import graphdiv.divisibility
+from graphdiv import complete_graph, cycle_graph, emit_graph6, path_graph, scrub_volatile
 from graphdiv.cli import (
     EXIT_BUDGET_EXCEEDED,
     EXIT_CLASS_VIOLATION,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_THEOREM_VIOLATION,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     main,
@@ -111,6 +113,15 @@ class TestDivide:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("graphdiv: ")
 
+    def test_weight_file_in_two_mode_is_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "c4.g6"
+        _write_g6(src, cycle_graph(4))
+        weights = tmp_path / "weights.json"
+        weights.write_text("[1.5, true]")
+        code = main(["divide", "--mode", "two", "--in", str(src), "--weights", str(weights)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "graphdiv: --weights applies to --mode perfect only\n"
+
     def test_budget_ms_flag(self, tmp_path):
         src = tmp_path / "c4.g6"
         _write_g6(src, cycle_graph(4))
@@ -153,6 +164,36 @@ class TestColor:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "id,omega,chi,used,bound,slack"
         assert len(lines) == 12  # header + the 11 classes on 4 vertices
+
+    def _csv(self, tmp_path, mode, graph, *extra):
+        src = tmp_path / "in.g6"
+        _write_g6(src, graph)
+        out = tmp_path / "table.csv"
+        code = main(["color", "--mode", mode, "--in", str(src), "--format", "csv", "--out", str(out), *extra])
+        return code, out.read_text().splitlines()
+
+    def test_csv_class_violation_exit(self, tmp_path, c5):
+        code, lines = self._csv(tmp_path, "two", c5)
+        assert code == EXIT_CLASS_VIOLATION
+        assert lines[1] == f"{emit_graph6(c5)},,,,,"
+
+    def test_csv_theorem_violation_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphdiv.divisibility, "verify_two_division", lambda *args: (False, "forced"))
+        code, lines = self._csv(tmp_path, "two", cycle_graph(4))
+        assert code == EXIT_THEOREM_VIOLATION
+        assert lines[1] == f"{emit_graph6(cycle_graph(4))},,,,,"
+
+    def test_csv_budget_ms(self, tmp_path):
+        code, lines = self._csv(tmp_path, "two", cycle_graph(4), "--budget-ms", "0.000001")
+        assert code == EXIT_BUDGET_EXCEEDED
+        assert lines[1] == f"{emit_graph6(cycle_graph(4))},2,2,2,2,0"
+
+    def test_csv_chi_blank_above_its_budget(self, tmp_path):
+        # only chi's 16-vertex oracle budget is exceeded; the coloring is ok
+        k17 = complete_graph(17)
+        code, lines = self._csv(tmp_path, "two", k17)
+        assert code == EXIT_OK
+        assert lines[1] == f"{emit_graph6(k17)},17,,17,65536,65519"
 
 
 class TestVerify:
@@ -207,6 +248,28 @@ class TestVerify:
         payload["records"][0]["certificate"].update(bound=3, used=3)
         color_report.write_text(json.dumps(payload))
         assert main(["verify", "--division", str(color_report)]) == EXIT_VERIFY_FAILED
+
+    def test_unparsable_graph6_fails_only_its_record(self, tmp_path):
+        src = tmp_path / "c4.g6"
+        _write_g6(src, cycle_graph(4))
+        division_report = tmp_path / "divisions.json"
+        main(["divide", "--mode", "two", "--in", str(src), "--out", str(division_report)])
+        payload = _load(division_report)
+        bad = dict(payload["records"][0], graph6="??")
+        payload["records"].append(bad)
+        division_report.write_text(json.dumps(payload))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--division", str(division_report), "--out", str(out)]) == EXIT_VERIFY_FAILED
+        records = {r["graph6"]: r for r in _load(out)["records"]}
+        assert records[emit_graph6(cycle_graph(4))]["status"] == "ok"
+        assert records["??"]["status"] == "verify-failed"
+        assert records["??"]["error"].startswith("malformed record: ParseError: ")
+
+    def test_other_schema_is_a_usage_error(self, tmp_path, capsys):
+        stored = tmp_path / "report.json"
+        stored.write_text(json.dumps({"schema": 99, "records": []}))
+        assert main(["verify", "--division", str(stored)]) == EXIT_USAGE
+        assert "schema 99" in capsys.readouterr().err
 
 
 class TestConjectureCommand:

@@ -26,8 +26,9 @@ from graphdiv import (
     quadratic_bound,
     two_divide,
 )
-from graphdiv.coloring import POWER_OF_TWO, QUADRATIC, audit_bounds, audit_to_csv, audit_to_json
 from graphdiv.corpus import nonisomorphic_graphs
+from graphdiv.harness import run_color
+from graphdiv.report import color_csv
 
 
 def _division_walk(g):
@@ -176,37 +177,30 @@ class TestPerfectDivisionColoring:
                 assert cert.bound_value == quadratic_bound(cert.omega)
 
 
+def _table(mode, corpus):
+    """The CSV lines of ``color --mode mode`` over (id, graph) pairs."""
+    return color_csv(run_color(corpus, mode=mode), corpus).splitlines()
+
+
 class TestAuditBounds:
     def test_rows_for_named_graphs(self, c5):
-        rows = audit_bounds([("c5", c5)], kind=QUADRATIC)
-        row = rows[0]
-        assert (row.omega, row.chi, row.used, row.bound, row.slack) == (2, 3, 3, 3, 0)
-
-        rows = audit_bounds([("c4", cycle_graph(4))], kind=POWER_OF_TWO)
-        row = rows[0]
-        assert (row.omega, row.chi, row.used, row.bound, row.slack) == (2, 2, 2, 2, 0)
-
-        rows = audit_bounds([("k3", complete_graph(3))], kind=POWER_OF_TWO)
-        row = rows[0]
-        assert (row.omega, row.chi, row.used, row.bound, row.slack) == (3, 3, 3, 4, 1)
+        assert _table("perfect", [("c5", c5)])[1] == "c5,2,3,3,3,0"
+        assert _table("two", [("c4", cycle_graph(4))])[1] == "c4,2,2,2,2,0"
+        assert _table("two", [("k3", complete_graph(3))])[1] == "k3,3,3,3,4,1"
 
     def test_out_of_class_rows_record_errors(self, c5):
-        rows = audit_bounds([("c5", c5), ("p4", path_graph(4))], kind=POWER_OF_TWO)
-        assert rows[0].error is not None
-        assert rows[1].error is None
+        corpus = [("c5", c5), ("p4", path_graph(4))]
+        assert [r["status"] for r in run_color(corpus, mode="two")] == ["class-violation", "ok"]
+        assert _table("two", corpus)[1:] == ["c5,,,,,", "p4,2,2,2,2,0"]
 
     def test_csv_shape(self, c5):
-        rows = audit_bounds([("c5", c5), ("k3", complete_graph(3))], kind=QUADRATIC)
-        text = audit_to_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0] == "id,omega,chi,used,bound,slack"
-        assert lines[1] == "c5,2,3,3,3,0"
-        assert lines[2] == "k3,3,3,3,6,3"
+        lines = _table("perfect", [("c5", c5), ("k3", complete_graph(3))])
+        assert lines == ["id,omega,chi,used,bound,slack", "c5,2,3,3,3,0", "k3,3,3,3,6,3"]
 
     def test_json_shape(self, c5):
-        rows = audit_bounds([("c5", c5)], kind=QUADRATIC)
-        payload = audit_to_json(rows)
-        assert payload == [{"id": "c5", "omega": 2, "chi": 3, "used": 3, "bound": 3, "slack": 0}]
+        # the JSON color record carries every CSV column but chi and slack
+        record = run_color([("c5", c5)], mode="perfect")[0]
+        assert record["certificate"] == {"omega": 2, "kind": "quadratic", "bound": 3, "used": 3}
 
     def test_slack_is_never_negative(self):
         corpus = []
@@ -214,9 +208,8 @@ class TestAuditBounds:
             for g in nonisomorphic_graphs(n):
                 if find_p5(g) is None and find_c5(g) is None:
                     corpus.append((f"g{len(corpus)}", g))
-        for row in audit_bounds(corpus, kind=POWER_OF_TWO):
-            assert row.error is None and row.slack >= 0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            audit_bounds([], kind="cubic")
+        rows = _table("two", corpus)[1:]
+        assert len(rows) == len(corpus)
+        for row in rows:
+            assert "" not in row.split(",")
+            assert int(row.split(",")[-1]) >= 0

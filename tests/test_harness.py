@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import graphdiv.divisibility
+import graphdiv.harness
 from graphdiv import (
     CorpusSpec,
     GraphDivError,
@@ -115,6 +117,33 @@ class TestDrivers:
         assert records[0]["status"] == "ok"
         assert records[0]["division"]["p"] == [0, 2, 3]
 
+    def test_divide_reports_a_failed_self_check(self, monkeypatch):
+        graphs = graphs_with_ids([cycle_graph(4)])
+        log = run_divide(graphs, mode="two")[0]["log"]
+        monkeypatch.setattr(graphdiv.divisibility, "verify_two_division", lambda *args: (False, "forced"))
+        record = run_divide(graphs, mode="two")[0]
+        assert record["status"] == "theorem-violation"
+        assert record["error"] == "two-division failed verification: forced"
+        assert record["log"] == log
+
+    @pytest.mark.parametrize("mode", ["two", "perfect"])
+    def test_divide_verifies_each_division_once(self, monkeypatch, mode):
+        # C4 and C5 have no homogeneous set, so the division's own final
+        # check is the only verifier call
+        name = f"verify_{mode}_division"
+        calls = []
+        original = getattr(graphdiv.divisibility, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (graphdiv.divisibility, graphdiv.harness):
+            monkeypatch.setattr(module, name, counted)
+        g = cycle_graph(4) if mode == "two" else cycle_graph(5)
+        assert run_divide(graphs_with_ids([g]), mode=mode)[0]["status"] == "ok"
+        assert len(calls) == 1
+
     def test_color_records(self):
         records = run_color(graphs_with_ids([cycle_graph(4)]), mode="two")
         record = records[0]
@@ -214,7 +243,7 @@ class TestDrivers:
         assert [r["status"] for r in verified] == ["verify-failed", "verify-failed"]
         assert all(r["error"] == "malformed record: no graph6 string" for r in verified)
 
-    @pytest.mark.parametrize("stored", [[1, 2], {"records": {}}, "report"])
+    @pytest.mark.parametrize("stored", [[1, 2], {"records": {}}, "report", {"schema": 2, "records": []}, {"schema": "1", "records": []}])
     def test_verify_rejects_a_report_of_the_wrong_shape(self, stored):
         with pytest.raises(ValueError):
             run_verify(stored)
