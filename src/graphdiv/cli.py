@@ -11,8 +11,9 @@ above 16 vertices, and a record whose coloring failed is the row id,,,,,).
 verify rejects a report of another schema version, and fails a record
 whose graph6 string does not parse without stopping the others.
 
-Exit codes: 0 ok; 1 verification failure; 2 usage error; 3 input parse
-failure; 4 class violation; 5 theorem violation; 6 budget exceeded.
+Exit codes: 0 ok; 1 verification failure; 2 usage error (an --out file
+that cannot be written included); 3 an input file that cannot be read or
+parsed; 4 class violation; 5 theorem violation; 6 budget exceeded.
 """
 
 import argparse
@@ -148,8 +149,11 @@ def _exit_code(records) -> int:
 
 def _write(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError:
+            raise ValueError(f"cannot write {out_path}") from None
     else:
         sys.stdout.write(text)
 
@@ -209,7 +213,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"graphdiv: parse error ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"graphdiv: cannot read {exc.filename}", file=sys.stderr)
         return EXIT_PARSE
     except (GraphDivError, ValueError, json.JSONDecodeError) as exc:

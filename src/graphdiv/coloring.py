@@ -8,7 +8,7 @@ omega*(omega+1)/2. Certificates record both numbers so audits are cheap.
 
 from dataclasses import dataclass
 
-from .core import Graph, VertexSet, _bits, chromatic_number_exact, clique_number, induced_subgraph
+from .core import Graph, VertexSet, _bits, chromatic_number_exact, clique_number
 from .errors import TheoremViolationError
 from .divisibility import (
     _require_p5c5_free,
@@ -111,27 +111,25 @@ def color_via_two_division(g: Graph):
     return _certified(g, assignment, used, POWER_OF_TWO)
 
 
-def color_via_perfect_division(g: Graph, class_hint: str = None):
+def color_via_perfect_division(g: Graph):
     """Color a bull-free graph that is odd-hole-free or P5-free by
     recursive perfect division.
 
     The perfect side of every division is colored exactly (its chromatic
     number equals its clique number), the other side recurses on a fresh
-    palette. ``class_hint`` ("odd-hole-free" or "p5-free") narrows the
-    membership check to one disjunct. Returns ``(Coloring,
-    BoundCertificate)`` with the quadratic bound.
+    palette. Returns ``(Coloring, BoundCertificate)`` with the quadratic
+    bound.
     """
-    _require_perfect_divide_class(g, class_hint)
+    _require_perfect_divide_class(g)
     assignment = [0] * g.n
 
     def rec(vs: VertexSet, base: int) -> int:
         if not vs:
             return 0
         d = perfect_divide(g, within=vs, check_class=False)
-        p_sub, p_map = induced_subgraph(g, d.p)
-        used_p, p_colors = chromatic_number_exact(p_sub)
-        for v, color in zip(p_map, p_colors):
-            assignment[v] = base + color
+        used_p, p_colors = chromatic_number_exact(g, d.p)
+        for v in d.p:
+            assignment[v] = base + p_colors[v]
         return used_p + rec(d.w_side, base + used_p)
 
     used = rec(g.vertices(), 0)

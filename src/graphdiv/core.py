@@ -217,10 +217,14 @@ def _within_mask(g: Graph, within: VertexSet = None) -> int:
     return within.mask
 
 
+def _co_rows(adj, mask: int) -> tuple:
+    """Complement adjacency rows, restricted to the vertices of ``mask``."""
+    return tuple(mask & ~row & ~(1 << v) for v, row in enumerate(adj))
+
+
 def complement(g: Graph) -> Graph:
     """The graph on the same vertices whose edges are exactly the non-edges."""
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
+    return Graph(g.n, _co_rows(g.adj, (1 << g.n) - 1))
 
 
 def induced_subgraph(g: Graph, s: VertexSet):
@@ -290,9 +294,7 @@ def components(g: Graph, x: VertexSet) -> list:
 def anticomponents(g: Graph, x: VertexSet) -> list:
     """Maximal anticonnected subsets of ``x`` (components in the complement)."""
     _check_set(g, x)
-    full = (1 << g.n) - 1
-    cadj = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
-    return [VertexSet(g.n, m) for m in _mask_components(cadj, x.mask)]
+    return [VertexSet(g.n, m) for m in _mask_components(_co_rows(g.adj, x.mask), x.mask)]
 
 
 def _check_disjoint(x: VertexSet, y: VertexSet):
@@ -331,11 +333,7 @@ def seagull(g: Graph, c: VertexSet, v: int, *, in_complement: bool = False):
     if not c.mask:
         raise ValueError("seagull: c is empty, hence not connected")
     where = "complement" if in_complement else "graph"
-    if in_complement:
-        full = (1 << g.n) - 1
-        adj = tuple(full & ~g.adj[u] & ~(1 << u) for u in range(g.n))
-    else:
-        adj = g.adj
+    adj = _co_rows(g.adj, (1 << g.n) - 1) if in_complement else g.adj
     if len(_mask_components(adj, c.mask)) > 1:
         raise ValueError(f"seagull: c is not connected in the {where}")
     inside = adj[v] & c.mask
@@ -438,26 +436,25 @@ def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None, *, budget
     return CliqueResult(value, VertexSet(g.n, wmask))
 
 
-def chromatic_number_exact(g: Graph, *, budget: int = CHROMATIC_BUDGET):
-    """Exact chromatic number with a proper coloring witness.
+def chromatic_number_exact(g: Graph, within: VertexSet = None, *, budget: int = CHROMATIC_BUDGET):
+    """Exact chromatic number of ``g[within]`` (all of ``g`` by default),
+    with a proper coloring witness indexed by vertex of ``g``; vertices
+    outside ``within`` get -1.
 
     Iterative deepening over the palette size, starting at the clique
     number; backtracking assigns the vertices in degree order and never
     opens more than one fresh color per step.
     """
-    n = g.n
+    mask = _within_mask(g, within)
+    n = mask.bit_count()
     if n > budget:
         raise BudgetExceededError(f"coloring oracle limited to {budget} vertices, asked for {n}")
-    if n == 0:
-        return 0, ()
-    if not g.has_any_edge():
-        return 1, (0,) * n
-    adj = g.adj
-    lower = clique_number(g).value
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    adj = [row & mask for row in g.adj]
+    lower = clique_number(g, within).value
+    order = sorted(_bits(mask), key=lambda v: (-adj[v].bit_count(), v))
 
     for k in range(lower, n + 1):
-        colors = [-1] * n
+        colors = [-1] * g.n
 
         def backtrack(i, used):
             if i == n:

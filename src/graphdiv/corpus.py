@@ -15,15 +15,14 @@ from .core import Graph, _bits, empty_graph
 EXHAUSTIVE_LIMIT = 10
 
 
-def _refined_colors(g: Graph):
+def _refined_colors(n: int, adj):
     """Stable vertex colors under iterated neighbor-multiset refinement."""
-    n = g.n
-    degrees = [g.adj[v].bit_count() for v in range(n)]
+    degrees = [adj[v].bit_count() for v in range(n)]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     colors = [rank[d] for d in degrees]
     while True:
         signatures = [
-            (colors[v], tuple(sorted(colors[u] for u in _bits(g.adj[v])))) for v in range(n)
+            (colors[v], tuple(sorted(colors[u] for u in _bits(adj[v])))) for v in range(n)
         ]
         order = {s: i for i, s in enumerate(sorted(set(signatures)))}
         refined = [order[s] for s in signatures]
@@ -36,11 +35,14 @@ def canonical_key(g: Graph):
     """Isomorphism-invariant key: ``(n, chunks)`` where ``chunks[p]`` is the
     adjacency of the p-th placed vertex to the earlier ones, minimized over
     all placements that respect the refined color classes."""
-    n = g.n
+    return _canonical_key(g.n, g.adj)
+
+
+def _canonical_key(n: int, adj):
+    """``canonical_key`` of the graph on ``0..n-1`` with the rows ``adj``."""
     if n <= 1:
         return (n, (0,) * n)
-    adj = g.adj
-    colors = _refined_colors(g)
+    colors = _refined_colors(n, adj)
     position_colors = sorted(colors)
     by_color = {}
     for v in range(n):
@@ -124,7 +126,7 @@ def nonisomorphic_graphs(n: int):
                 for u in _bits(mask):
                     rows[u] |= bit_new
                 rows.append(mask)
-                keys.add(canonical_key(Graph(n, tuple(rows))))
+                keys.add(_canonical_key(n, rows))
         result = tuple(canonical_graph(k) for k in sorted(keys))
     _NONISO_CACHE[n] = result
     return result

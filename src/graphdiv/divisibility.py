@@ -36,7 +36,6 @@ from .recognition import (
     is_homogeneous,
     is_perfect,
     P5_PATTERN,
-    PERFECTION_BUDGET,
 )
 
 ORACLE_BUDGET = 12
@@ -151,7 +150,7 @@ def verify_two_division(g: Graph, d: TwoDivision, within: VertexSet = None):
     return True, None
 
 
-def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: VertexSet = None, *, budget: int = 16):
+def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: VertexSet = None):
     """Re-check a claimed perfect division of ``g[within]`` (all of ``g``
     by default): partition, perfection of the p side, and the strict
     weight drop on the w side.
@@ -169,7 +168,7 @@ def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: V
         return False, "parts overlap"
     if (d.p.mask | d.w_side.mask) != full:
         return False, "parts do not cover the vertex set"
-    if not is_perfect(g, d.p, budget=budget):
+    if not is_perfect(g, d.p):
         return False, "P side is not perfect"
     top = max_weight_clique(g, w, within).value
     side = max_weight_clique(g, w, within=d.w_side).value
@@ -268,7 +267,7 @@ def _divide_connected(adj, comp: int, log: list):
     return a, b
 
 
-def is_two_divisible_oracle(g: Graph, *, budget: int = ORACLE_BUDGET):
+def is_two_divisible_oracle(g: Graph):
     """Brute-force 2-divisibility over every induced subgraph.
 
     A subset with an edge must admit a bipartition where both sides have
@@ -277,8 +276,8 @@ def is_two_divisible_oracle(g: Graph, *, budget: int = ORACLE_BUDGET):
     ``(False, counterexample_set)``.
     """
     n = g.n
-    if n > budget:
-        raise BudgetExceededError(f"2-divisibility oracle limited to {budget} vertices, asked for {n}")
+    if n > ORACLE_BUDGET:
+        raise BudgetExceededError(f"2-divisibility oracle limited to {ORACLE_BUDGET} vertices, asked for {n}")
     adj = g.adj
     size = 1 << n
     omega = [0] * size
@@ -309,8 +308,6 @@ def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: Ver
     """Contract the homogeneous set ``x`` of ``g[within]`` (all of ``g`` by
     default) to its smallest member, whose new weight is the maximum clique
     weight inside ``x``."""
-    if x.host_size != g.n:
-        raise ValueError("vertex set does not belong to this graph")
     if len(w) != g.n:
         raise ValueError("weight function length does not match the graph")
     if not is_homogeneous(g, x, within):
@@ -362,41 +359,28 @@ def recombine(step: QuotientStep, quotient_division: PerfectDivision, inner_divi
     return division
 
 
-def find_perfect_nonneighborhood_vertex(g: Graph, within: VertexSet = None, *, budget: int = 16):
+def find_perfect_nonneighborhood_vertex(g: Graph, within: VertexSet = None):
     """Smallest vertex of ``within`` (all of ``g`` by default) whose
     non-neighborhood inside ``within`` induces a perfect graph, or None."""
     full = _within_mask(g, within)
     for v in _bits(full):
-        if is_perfect(g, VertexSet(g.n, full & ~g.adj[v] & ~(1 << v)), budget=budget):
+        if is_perfect(g, VertexSet(g.n, full & ~g.adj[v] & ~(1 << v))):
             return v
     return None
 
 
-def _require_perfect_divide_class(g: Graph, class_hint: str = None):
+def _require_perfect_divide_class(g: Graph):
     bull = find_bull(g)
     if bull is not None:
         raise NotInClassError("graph contains an induced bull", [bull])
-    if class_hint == "odd-hole-free":
-        hole = find_odd_hole(g, budget=PERFECTION_BUDGET)
-        if hole is not None:
-            raise NotInClassError("graph contains an odd hole", [hole])
-    elif class_hint == "p5-free":
+    hole = find_odd_hole(g, None)
+    if hole is not None:
         p5 = find_p5(g)
         if p5 is not None:
-            raise NotInClassError("graph contains an induced P5", [p5])
-    elif class_hint is None:
-        hole = find_odd_hole(g, budget=PERFECTION_BUDGET)
-        if hole is not None:
-            p5 = find_p5(g)
-            if p5 is not None:
-                raise NotInClassError(
-                    "graph contains both an odd hole and an induced P5", [hole, p5]
-                )
-    else:
-        raise ValueError(f"unknown class hint: {class_hint}")
+            raise NotInClassError("graph contains both an odd hole and an induced P5", [hole, p5])
 
 
-def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, check_class: bool = True, class_hint: str = None) -> PerfectDivision:
+def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, check_class: bool = True) -> PerfectDivision:
     """Divide ``g[within]`` (all of ``g`` by default), a bull-free graph
     that is odd-hole-free or P5-free, into a perfect part and a part with
     strictly smaller maximum clique weight.
@@ -406,16 +390,16 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, ch
     on U has a homogeneous set, it is contracted, both the quotient and the
     contracted part are divided recursively, and the results recombined.
     Otherwise the graph is prime and the smallest vertex v with a perfect
-    non-neighborhood yields the split (M(v) + v, N(v)). Every step and the
-    final result are verified; ``w`` None means unit weights. Class
-    membership is checked on the whole host; heredity then covers every
-    ``within``.
+    non-neighborhood yields the split (M(v) + v, N(v)). Every recombination
+    and the final result are verified, once each; ``w`` None means unit
+    weights. Class membership is checked on the whole host; heredity then
+    covers every ``within``.
     """
     effective = WeightFn.unit(g.n) if w is None else w
     if len(effective) != g.n:
         raise ValueError("weight function length does not match the graph")
     if check_class:
-        _require_perfect_divide_class(g, class_hint)
+        _require_perfect_divide_class(g)
     full = _within_mask(g, within)
     u_mask = 0
     for v in _bits(full):
@@ -426,9 +410,11 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, ch
     if u_mask:
         p_mask = _divide_all_positive(g, effective, VertexSet(g.n, u_mask), log).p.mask
     division = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, log=tuple(log))
-    ok, reason = verify_perfect_division(g, effective, division, within)
-    if not ok:
-        raise TheoremViolationError(f"perfect division failed verification: {reason}", log=log)
+    # ``recombine`` has verified a division of all of ``within`` that ends in it
+    if u_mask != full or log[-1]["kind"] != "recombination":
+        ok, reason = verify_perfect_division(g, effective, division, within)
+        if not ok:
+            raise TheoremViolationError(f"perfect division failed verification: {reason}", log=log)
     return division
 
 

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateCliqueError,
     GraphDivError,
     NotInClassError,
+    ParseError,
     TheoremViolationError,
 )
 from .formats import emit_graph6, parse_dimacs, parse_graph6, parse_graph6_lines
@@ -47,6 +48,8 @@ FILTER_FLAGS = {
     "perfect": "perfect",
 }
 
+MAX_ATTEMPTS_FACTOR = 1000
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -56,7 +59,8 @@ class CorpusSpec:
     "random" (``count`` seeded draws at ``edge_prob``), or "file" (graph6
     lines, or DIMACS for .col paths). ``filters`` is a conjunction of
     class flags; random draws that fail it are rejected and redrawn, with
-    per-attempt sub-seeds so the stream is stable under count changes.
+    per-attempt sub-seeds so the stream is stable under count changes, up
+    to ``MAX_ATTEMPTS_FACTOR`` draws per requested graph.
     """
 
     kind: str
@@ -66,7 +70,6 @@ class CorpusSpec:
     path: str = None
     filters: tuple = ()
     seed: int = 0
-    max_attempts_factor: int = 1000
 
     def __post_init__(self):
         if self.kind == "exhaustive":
@@ -105,7 +108,7 @@ def generate(spec: CorpusSpec):
     elif spec.kind == "random":
         produced = 0
         attempts = 0
-        limit = spec.count * spec.max_attempts_factor
+        limit = spec.count * MAX_ATTEMPTS_FACTOR
         while produced < spec.count:
             if attempts >= limit:
                 raise GraphDivError(
@@ -118,8 +121,11 @@ def generate(spec: CorpusSpec):
                 produced += 1
                 yield g
     else:
-        with open(spec.path, encoding="ascii") as handle:
-            text = handle.read()
+        with open(spec.path, "rb") as handle:
+            data = handle.read()
+        if not data.isascii():
+            raise ParseError(f"{spec.path} holds a byte outside ASCII", kind="range")
+        text = data.decode("ascii")
         if spec.path.endswith(".col"):
             graphs = [parse_dimacs(text)]
         else:

@@ -3,13 +3,18 @@
 Every finder is exhaustive (no false negatives at the sizes it accepts)
 and returns a witness embedding when the pattern is present, so a caller
 can always re-check a positive answer independently.
+
+Hole, antihole and perfection search and homogeneous sets take a ``within``
+set of the input graph and are cached on ``(g, within)``. ``lru_cache``
+keys ``f(g)`` and ``f(g, None)`` apart, so the package always passes
+``within`` positionally, None included.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
 
-from .core import Graph, VertexSet, _bits, _within_mask, complement, cycle_graph, induced_subgraph, path_graph
+from .core import Graph, VertexSet, _bits, _check_set, _co_rows, _within_mask, complement, cycle_graph, path_graph
 from .errors import BudgetExceededError
 
 PERFECTION_BUDGET = 16
@@ -135,62 +140,63 @@ def _induced_cycle_order(adj, combo, mask):
     return tuple(order)
 
 
-@lru_cache(maxsize=1 << 16)
-def find_odd_hole(g: Graph, *, budget: int = PERFECTION_BUDGET):
-    """First induced odd cycle of length at least 5, shortest first."""
-    n = g.n
-    if n > budget:
-        raise BudgetExceededError(f"odd-hole search limited to {budget} vertices, asked for {n}")
-    adj = g.adj
-    for k in range(5, n + 1, 2):
-        for combo in itertools.combinations(range(n), k):
+def _first_odd_cycle(kind: str, adj, full: int):
+    """First induced odd cycle of length at least 5 on ``full`` under the
+    rows ``adj``, shortest first, trying members in ascending order."""
+    count = full.bit_count()
+    if count > PERFECTION_BUDGET:
+        raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
+    members = tuple(_bits(full))
+    for k in range(5, count + 1, 2):
+        for combo in itertools.combinations(members, k):
             mask = 0
             for v in combo:
                 mask |= 1 << v
             order = _induced_cycle_order(adj, combo, mask)
             if order is not None:
-                return Embedding(f"odd-hole({k})", order)
+                return Embedding(f"{kind}({k})", order)
     return None
 
 
-def find_odd_antihole(g: Graph, *, budget: int = PERFECTION_BUDGET):
-    """First induced odd antihole of length at least 5 (a C5 counts: it is
-    its own complement). The image tuple is in complement-cycle order."""
-    emb = find_odd_hole(complement(g), budget=budget)
-    if emb is None:
-        return None
-    return Embedding(f"odd-antihole({len(emb.vertices)})", emb.vertices)
+@lru_cache(maxsize=1 << 16)
+def find_odd_hole(g: Graph, within: VertexSet = None):
+    """First induced odd cycle of length at least 5 in ``g[within]`` (all
+    of ``g`` by default), shortest first, in cycle order."""
+    return _first_odd_cycle("odd-hole", g.adj, _within_mask(g, within))
 
 
-def imperfection_witness(g: Graph, *, budget: int = PERFECTION_BUDGET):
-    """An odd hole or odd antihole of ``g``, or None when ``g`` is perfect.
+@lru_cache(maxsize=1 << 16)
+def find_odd_antihole(g: Graph, within: VertexSet = None):
+    """First induced odd antihole of length at least 5 in ``g[within]``
+    (all of ``g`` by default); a C5 counts, since it is its own complement.
+    The image tuple is in complement-cycle order."""
+    full = _within_mask(g, within)
+    return _first_odd_cycle("odd-antihole", _co_rows(g.adj, full), full)
+
+
+def imperfection_witness(g: Graph, within: VertexSet = None):
+    """An odd hole or odd antihole of ``g[within]`` (all of ``g`` by
+    default), or None when that subgraph is perfect.
 
     Perfection here is exactly the absence of both, checked by exhaustive
     search; a C5 is reported once, as a hole.
     """
-    hole = find_odd_hole(g, budget=budget)
+    hole = find_odd_hole(g, within)
     if hole is not None:
         return hole
-    return find_odd_antihole(g, budget=budget)
+    return find_odd_antihole(g, within)
 
 
-def is_perfect(g: Graph, within: VertexSet = None, *, budget: int = PERFECTION_BUDGET) -> bool:
-    """Perfection of ``g``, or of the subgraph induced on ``within``.
-
-    A ``within`` set is relabeled once, here, so the hole-search cache is
-    keyed on the induced subgraph itself, whichever host it came from.
-    """
-    if within is not None:
-        g, _ = induced_subgraph(g, within)
-    return imperfection_witness(g, budget=budget) is None
+def is_perfect(g: Graph, within: VertexSet = None) -> bool:
+    """Perfection of ``g``, or of the subgraph induced on ``within``."""
+    return imperfection_witness(g, within) is None
 
 
 def is_homogeneous(g: Graph, x: VertexSet, within: VertexSet = None) -> bool:
     """True when ``x`` is a subset of ``within`` (all of ``g`` by default)
     with 1 < |x| < |within|, and every other vertex of ``within`` is
     adjacent to all of ``x`` or to none of it."""
-    if x.host_size != g.n:
-        raise ValueError("vertex set does not belong to this graph")
+    _check_set(g, x)
     full = _within_mask(g, within)
     if x.mask & ~full or not 1 < len(x) < full.bit_count():
         return False
@@ -278,13 +284,13 @@ class ClassReport:
         return payload
 
 
-def classify(g: Graph, *, budget: int = PERFECTION_BUDGET) -> ClassReport:
+def classify(g: Graph) -> ClassReport:
     """Run all finders and assemble a consistent report."""
     p5 = find_p5(g)
     c5 = find_c5(g)
     bull = find_bull(g)
-    hole = find_odd_hole(g, budget=budget)
-    imperfection = hole if hole is not None else find_odd_antihole(g, budget=budget)
+    hole = find_odd_hole(g, None)
+    imperfection = hole if hole is not None else find_odd_antihole(g, None)
     return ClassReport(
         p5_free=p5 is None,
         c5_free=c5 is None,

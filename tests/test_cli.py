@@ -272,6 +272,31 @@ class TestVerify:
         assert "schema 99" in capsys.readouterr().err
 
 
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--in", "{dir}"],
+            ["verify", "--division", "{dir}"],
+            ["divide", "--mode", "perfect", "--exhaustive", "3", "--weights", "{dir}"],
+        ],
+    )
+    def test_directory_cannot_be_read(self, tmp_path, capsys, argv):
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_PARSE
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+    def test_out_in_a_missing_directory_cannot_be_written(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["classify", "--exhaustive", "3", "--out", str(out)]) == EXIT_USAGE
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_non_ascii_graph6_is_a_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "bad.g6"
+        src.write_bytes(b"D\xc3\xa9\n")
+        assert main(["classify", "--in", str(src)]) == EXIT_PARSE
+        assert "parse error (range)" in capsys.readouterr().err
+
+
 class TestConjectureCommand:
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "conjecture.json"

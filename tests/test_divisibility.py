@@ -15,9 +15,11 @@ from graphdiv import (
     TheoremViolationError,
     VertexSet,
     WeightFn,
+    chromatic_number_exact,
     classify,
     classify_against_c5,
     clique_number,
+    color_via_perfect_division,
     complete_graph,
     cycle_graph,
     embedding_is_valid,
@@ -301,11 +303,8 @@ class TestPerfectDivide:
         assert names == {"odd-hole(7)", "P5"}
 
     def test_class_hints(self, c5):
-        assert perfect_divide(c5, class_hint="p5-free").p.members() == (0, 2, 3)
-        with pytest.raises(NotInClassError):
-            perfect_divide(c5, class_hint="odd-hole-free")
-        with pytest.raises(ValueError):
-            perfect_divide(c5, class_hint="nonsense")
+        # C5 has an odd hole but no P5, so it is in the class
+        assert perfect_divide(c5).p.members() == (0, 2, 3)
 
     def test_empty_graph(self):
         d = perfect_divide(empty_graph(0))
@@ -421,6 +420,58 @@ class TestOddHoleCache:
             perfect_divide(g, check_class=check_class)
             misses.append(find_odd_hole.cache_info().misses - before)
         assert misses[0] == misses[1]
+
+
+class TestRelabeling:
+    def test_relabeling_preserves_invariants_and_divisions_verify(self):
+        # a seeded relabeling keeps omega, chi and the class flags, and
+        # every division of the relabeled graph verifies
+        rng = random.Random(8192)
+        two = perfect = 0
+        for _ in range(120):
+            g = random_graph(rng.randint(2, 8), rng.random(), rng)
+            g = twin_substitute(g, rng.randrange(g.n), adjacent=rng.random() < 0.5)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert clique_number(h).value == clique_number(g).value
+            assert chromatic_number_exact(h)[0] == chromatic_number_exact(g)[0]
+            flags = classify(h).to_json()
+            assert {k: v for k, v in flags.items() if k != "witnesses"} == {
+                k: v for k, v in classify(g).to_json().items() if k != "witnesses"
+            }
+            if flags["p5_free"] and flags["c5_free"] and h.has_any_edge():
+                assert verify_two_division(h, two_divide(h)) == (True, None)
+                two += 1
+            if flags["bull_free"] and (flags["odd_hole_free"] or flags["p5_free"]):
+                w = WeightFn.of([rng.randint(0, 3) for _ in range(h.n)])
+                for weights in (None, w):
+                    assert verify_perfect_division(h, weights, perfect_divide(h, weights)) == (True, None)
+                perfect += 1
+        assert two > 20 and perfect > 20
+
+
+class TestNoGraphBelowTheBoundary:
+    def test_perfect_division_and_coloring_build_no_graph(self, monkeypatch):
+        # a Graph is built and validated where it enters the program; the
+        # oracles below work on its rows and a vertex set
+        g = cycle_graph(5)
+        for v in range(7):
+            g = twin_substitute(g, v, adjacent=v % 2 == 0)
+        report = classify(g)
+        assert g.n == 12 and report.bull_free and report.p5_free and not report.perfect
+        built = []
+        original = Graph.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        d = perfect_divide(g)
+        color_via_perfect_division(g)
+        assert any(step["kind"] == "quotient" for step in d.log)
+        assert built == []
 
 
 class TestVerifiers:

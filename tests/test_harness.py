@@ -14,6 +14,7 @@ from graphdiv import (
     generate,
     graphs_with_ids,
     scrub_volatile,
+    twin_substitute,
 )
 from graphdiv.harness import run_classify, run_color, run_divide, run_verify
 from graphdiv.report import build_report
@@ -54,32 +55,14 @@ class TestCorpusSpec:
         with pytest.raises(ValueError):
             CorpusSpec(kind="exhaustive", n=4, filters=("triangles",))
 
-    def test_starving_filter_raises(self):
-        # complete graphs at p=1.0 are never C5-free... they are! use an
-        # impossible conjunction instead: perfect and not odd-hole-free
-        spec = CorpusSpec(
-            kind="random",
-            n=5,
-            edge_prob=1.0,
-            count=1,
-            filters=("oddholefree",),
-            seed=0,
-            max_attempts_factor=5,
-        )
-        # K5 is odd-hole-free, so this one succeeds; starve with c5free on
-        # a generator pinned to produce C5-heavy graphs instead
+    def test_starving_filter_raises(self, monkeypatch):
+        # every draw at p = 0 or 1 passes every filter, so no filter can
+        # starve a real spec; a zero attempt limit starves any
+        spec = CorpusSpec(kind="random", n=5, edge_prob=1.0, count=1, filters=("oddholefree",), seed=0)
         assert len(list(generate(spec))) == 1
-        starving = CorpusSpec(
-            kind="random",
-            n=2,
-            edge_prob=0.0,
-            count=1,
-            filters=("perfect",),
-            seed=0,
-            max_attempts_factor=0,
-        )
+        monkeypatch.setattr(graphdiv.harness, "MAX_ATTEMPTS_FACTOR", 0)
         with pytest.raises(GraphDivError):
-            list(generate(starving))
+            list(generate(spec))
 
     def test_file_source_graph6(self, tmp_path):
         path = tmp_path / "graphs.g6"
@@ -143,6 +126,25 @@ class TestDrivers:
         g = cycle_graph(4) if mode == "two" else cycle_graph(5)
         assert run_divide(graphs_with_ids([g]), mode=mode)[0]["status"] == "ok"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("weights", [None, [1, 1, 1, 1, 0, 1]])
+    def test_perfect_divide_checks_the_whole_graph_once(self, monkeypatch, weights):
+        # C5 with a true twin of 0 has the homogeneous set {0, 5}, so the
+        # top level ends in a recombination; with unit weights its check
+        # is the final one, with a zero weight the final check is new
+        covered = []
+        original = graphdiv.divisibility.verify_perfect_division
+
+        def counted(g, w, d, within=None):
+            covered.append(d.p.mask | d.w_side.mask)
+            return original(g, w, d, within)
+
+        monkeypatch.setattr(graphdiv.divisibility, "verify_perfect_division", counted)
+        g = twin_substitute(cycle_graph(5), 0, adjacent=True)
+        record = run_divide(graphs_with_ids([g]), mode="perfect", weights_spec=weights)[0]
+        assert record["status"] == "ok"
+        assert any(step["kind"] == "quotient" for step in record["log"])
+        assert covered.count(0b111111) == 1
 
     def test_color_records(self):
         records = run_color(graphs_with_ids([cycle_graph(4)]), mode="two")

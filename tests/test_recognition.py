@@ -8,9 +8,11 @@ from graphdiv import (
     BULL_PATTERN,
     BudgetExceededError,
     C5_PATTERN,
+    Embedding,
     Graph,
     P5_PATTERN,
     VertexSet,
+    chromatic_number_exact,
     classify,
     complement,
     complete_graph,
@@ -166,6 +168,46 @@ class TestPerfection:
         for _ in range(40):
             g = random_graph(rng.randint(0, 6), rng.random(), rng)
             assert is_perfect(g) == naive.is_perfect(g)
+
+
+def _lift(emb, vmap):
+    return None if emb is None else Embedding(emb.pattern_name, tuple(vmap[v] for v in emb.vertices))
+
+
+class TestWithin:
+    """Hole, antihole and perfection search and the chromatic oracle on
+    ``g`` restricted to ``within`` equal the same call on the induced
+    subgraph, mapped back to ``g``'s vertices."""
+
+    def test_matches_induced_subgraph(self):
+        rng = random.Random(4096)
+        imperfect = 0
+        for _ in range(1000):
+            # medium densities and about three vertices in four, so that
+            # many of the subgraphs are imperfect
+            g = random_graph(rng.randint(0, 12), rng.uniform(0.25, 0.75), rng)
+            m = VertexSet(g.n, rng.getrandbits(g.n) | rng.getrandbits(g.n))
+            sub, vmap = induced_subgraph(g, m)
+            assert find_odd_hole(g, m) == _lift(find_odd_hole(sub), vmap)
+            assert find_odd_antihole(g, m) == _lift(find_odd_antihole(sub), vmap)
+            assert imperfection_witness(g, m) == _lift(imperfection_witness(sub), vmap)
+            assert is_perfect(g, m) == is_perfect(sub)
+            imperfect += not is_perfect(sub)
+            chi, colors = chromatic_number_exact(g, m)
+            ref_chi, ref_colors = chromatic_number_exact(sub)
+            assert chi == ref_chi
+            assert all(colors[v] == -1 for v in range(g.n) if v not in m)
+            assert [colors[v] for v in vmap] == list(ref_colors)
+            assert all(colors[u] != colors[v] for u in m for v in m if g.has_edge(u, v))
+        assert imperfect > 40
+
+    def test_budget_counts_within(self):
+        g = empty_graph(20)
+        assert is_perfect(g, VertexSet.of(20, range(16)))
+        with pytest.raises(BudgetExceededError):
+            find_odd_hole(g, VertexSet.of(20, range(17)))
+        with pytest.raises(BudgetExceededError):
+            find_odd_antihole(g, VertexSet.of(20, range(17)))
 
 
 class TestHomogeneousSets:
