@@ -29,7 +29,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .formats import emit_graph6, parse_dimacs, parse_graph6, parse_graph6_lines
-from .recognition import classify
+from .recognition import classify, find_bull, find_c5, find_odd_hole, find_p5, is_perfect
 from .report import (
     SCHEMA_VERSION,
     STATUS_BUDGET_EXCEEDED,
@@ -40,12 +40,13 @@ from .report import (
     build_report,
 )
 
+# Each class filter runs only the finder its flag needs.
 FILTER_FLAGS = {
-    "p5free": "p5_free",
-    "c5free": "c5_free",
-    "bullfree": "bull_free",
-    "oddholefree": "odd_hole_free",
-    "perfect": "perfect",
+    "p5free": lambda g: find_p5(g) is None,
+    "c5free": lambda g: find_c5(g) is None,
+    "bullfree": lambda g: find_bull(g) is None,
+    "oddholefree": lambda g: find_odd_hole(g, None) is None,
+    "perfect": lambda g: is_perfect(g, None),
 }
 
 MAX_ATTEMPTS_FACTOR = 1000
@@ -93,10 +94,7 @@ class CorpusSpec:
 
 
 def passes_filters(g: Graph, filters) -> bool:
-    if not filters:
-        return True
-    report = classify(g)
-    return all(getattr(report, FILTER_FLAGS[flag]) for flag in filters)
+    return all(FILTER_FLAGS[flag](g) for flag in filters)
 
 
 def generate(spec: CorpusSpec):

@@ -4,6 +4,15 @@ Every finder is exhaustive (no false negatives at the sizes it accepts)
 and returns a witness embedding when the pattern is present, so a caller
 can always re-check a positive answer independently.
 
+Both searches try only vertices that can extend the partial witness.
+``find_induced`` keeps one candidate mask per pattern slot, built from the
+rows and co-rows of the vertices already placed; the hole and antihole
+search grows k-subsets in ascending order and ends a branch as soon as no
+2-regular set can complete it (chordless-cycle pruning in the spirit of
+Uno & Satoh, arXiv:1404.7610). Both return the witness of a plain scan in
+the same order: the lexicographically smallest image tuple, and the
+first odd cycle among the shortest, in ``itertools.combinations`` order.
+
 Hole, antihole and perfection search and homogeneous sets take a ``within``
 set of the input graph and are cached on ``(g, within)``. ``lru_cache``
 keys ``f(g)`` and ``f(g, None)`` apart, so the package always passes
@@ -12,7 +21,6 @@ keys ``f(g)`` and ``f(g, None)`` apart, so the package always passes
 
 from dataclasses import dataclass
 from functools import lru_cache
-import itertools
 
 from .core import Graph, VertexSet, _bits, _check_set, _co_rows, _within_mask, complement, cycle_graph, path_graph
 from .errors import BudgetExceededError
@@ -67,37 +75,43 @@ def pattern_for_name(name: str) -> Graph:
 
 def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     """First induced copy of ``pattern`` in ``g`` (lexicographically smallest
-    image tuple under the vertex order), or None."""
+    image tuple under the vertex order), or None.
+
+    Slot i's candidates are one mask: the AND, over the slots already
+    placed, of the placed vertex's row where the pattern has an edge to
+    slot i and its co-row where it has none. Rows and co-rows leave out the
+    vertex itself, so no vertex is placed twice. Each slot tries the bits
+    of its mask in ascending order, the order of a scan over all vertices
+    minus the rejects, so the first complete image is the smallest.
+    """
     k = pattern.n
     n = g.n
     if k > n:
         return None
     if k == 0:
         return Embedding(name, ())
-    gadj = g.adj
-    padj = pattern.adj
+    full = (1 << n) - 1
+    adj = g.adj
+    co = _co_rows(adj, full)
+    # rows[i][j]: the rows through which slot j's vertex narrows slot i.
+    rows = [[adj if pattern.adj[i] >> j & 1 else co for j in range(i)] for i in range(k)]
     image = [0] * k
 
-    def backtrack(i, used):
-        prow = padj[i]
-        for v in range(n):
-            bit = 1 << v
-            if used & bit:
-                continue
-            gv = gadj[v]
-            ok = True
-            for j in range(i):
-                if (gv >> image[j] & 1) != (prow >> j & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[i] = v
-            if i + 1 == k or backtrack(i + 1, used | bit):
+    def backtrack(i, mask):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            image[i] = low.bit_length() - 1
+            if i + 1 == k:
+                return True
+            nxt = full
+            for j, row in enumerate(rows[i + 1]):
+                nxt &= row[image[j]]
+            if nxt and backtrack(i + 1, nxt):
                 return True
         return False
 
-    if backtrack(0, 0):
+    if backtrack(0, full):
         return Embedding(name, tuple(image))
     return None
 
@@ -116,15 +130,14 @@ def find_bull(g: Graph):
 
 
 def _induced_cycle_order(adj, combo, mask):
-    """Cycle order of ``combo`` if it induces a single cycle, else None.
+    """Cycle order of ``combo``, the ascending members of ``mask``, where
+    each member has two neighbours in ``mask``: the order if they form a
+    single cycle, else None.
 
     Starts at the smallest member and walks toward its smaller neighbor,
     so the returned tuple is canonical for the vertex set.
     """
     k = len(combo)
-    for v in combo:
-        if (adj[v] & mask).bit_count() != 2:
-            return None
     start = combo[0]
     nbrs = adj[start] & mask
     second = (nbrs & -nbrs).bit_length() - 1
@@ -140,21 +153,116 @@ def _induced_cycle_order(adj, combo, mask):
     return tuple(order)
 
 
+def _two_core(adj, mask: int) -> int:
+    """The vertices of ``mask`` left after repeatedly dropping those with
+    fewer than two neighbours in what is left; only they can lie on a cycle."""
+    while True:
+        loose = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & mask).bit_count() < 2:
+                loose |= low
+        if not loose:
+            return mask
+        mask ^= loose
+
+
+def _can_saturate(adj, later: int, zero: int, one: int) -> bool:
+    """True when each vertex of ``one`` has a neighbour in ``later`` and each
+    vertex of ``zero`` has two."""
+    while one:
+        u = one & -one
+        one ^= u
+        if not adj[u.bit_length() - 1] & later:
+            return False
+    while zero:
+        u = zero & -zero
+        zero ^= u
+        if (adj[u.bit_length() - 1] & later).bit_count() < 2:
+            return False
+    return True
+
+
 def _first_odd_cycle(kind: str, adj, full: int):
     """First induced odd cycle of length at least 5 on ``full`` under the
-    rows ``adj``, shortest first, trying members in ascending order."""
+    rows ``adj``, shortest first, in cycle order.
+
+    The search runs on the 2-core of ``full``, which holds every cycle. For
+    each odd k, shortest first, it adds members in ascending order, so the
+    k-subsets come in the order of ``itertools.combinations``. A member
+    with two neighbours in the set is saturated. A branch ends when:
+
+    - a member would get three neighbours in the set (a vertex that a
+      saturated member sees is never tried);
+    - a member short of two neighbours cannot find them among the later
+      vertices that no saturated member sees;
+    - fewer of those vertices remain than slots.
+
+    Only 2-regular sets are completed, so the first one that is a single
+    cycle is the first combination ``_induced_cycle_order`` accepts.
+    """
     count = full.bit_count()
     if count > PERFECTION_BUDGET:
         raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
-    members = tuple(_bits(full))
-    for k in range(5, count + 1, 2):
-        for combo in itertools.combinations(members, k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            order = _induced_cycle_order(adj, combo, mask)
-            if order is not None:
-                return Embedding(f"{kind}({k})", order)
+    if count < 5:
+        return None
+    core = _two_core(adj, full)
+    chosen = []
+
+    def extend(cand, slots, inside, zero, one, blocked):
+        # cand: later vertices no saturated member sees; zero and one: the
+        # members with no neighbour and with one neighbour in ``inside``.
+        while cand.bit_count() >= slots:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            nbrs = adj[v] & inside
+            degree = nbrs.bit_count()
+            if degree > 2:
+                continue
+            now_blocked = blocked
+            saturated = nbrs & one
+            while saturated:
+                u = saturated & -saturated
+                saturated ^= u
+                now_blocked |= adj[u.bit_length() - 1]
+            now_zero = zero & ~nbrs
+            now_one = (one & ~nbrs) | (zero & nbrs)
+            if degree == 2:
+                now_blocked |= adj[v]
+            elif degree == 1:
+                now_one |= low
+            else:
+                now_zero |= low
+            left = slots - 1
+            later = cand & ~now_blocked
+            chosen.append(v)
+            if left == 1:
+                # The last vertex joins the two ends a and b of a path, and
+                # the set is one cycle for every such vertex or for none.
+                if not now_zero and now_one.bit_count() == 2:
+                    a = now_one & -now_one
+                    last = later & adj[a.bit_length() - 1] & adj[(now_one ^ a).bit_length() - 1]
+                    if last:
+                        w = last & -last
+                        chosen.append(w.bit_length() - 1)
+                        order = _induced_cycle_order(adj, chosen, inside | low | w)
+                        if order is not None:
+                            return order
+                        chosen.pop()
+            elif later.bit_count() >= left and _can_saturate(adj, later, now_zero, now_one):
+                order = extend(later, left, inside | low, now_zero, now_one, now_blocked)
+                if order is not None:
+                    return order
+            chosen.pop()
+        return None
+
+    for k in range(5, core.bit_count() + 1, 2):
+        order = extend(core, k, 0, 0, 0, 0)
+        if order is not None:
+            return Embedding(f"{kind}({k})", order)
     return None
 
 

@@ -82,6 +82,51 @@ def _induces_cycle(g: Graph, vertices) -> bool:
     return len(seen) == len(vertices)
 
 
+def first_induced(g: Graph, pattern: Graph):
+    """Lexicographically smallest tuple of distinct vertices whose i-th entry
+    hosts pattern vertex i in an induced copy, or None: every vertex is
+    tried at every slot, in ascending order."""
+    image = []
+
+    def extend():
+        i = len(image)
+        if i == pattern.n:
+            return True
+        for v in range(g.n):
+            if v in image:
+                continue
+            if all(g.has_edge(v, image[j]) == pattern.has_edge(i, j) for j in range(i)):
+                image.append(v)
+                if extend():
+                    return True
+                image.pop()
+        return False
+
+    return tuple(image) if extend() else None
+
+
+def _cycle_order(g: Graph, cycle):
+    """The vertices of an induced cycle, from its smallest vertex toward
+    that vertex's smaller neighbor."""
+    order = [cycle[0], min(u for u in cycle if g.has_edge(cycle[0], u))]
+    while len(order) < len(cycle):
+        order.append(next(u for u in cycle if g.has_edge(order[-1], u) and u != order[-2]))
+    return tuple(order)
+
+
+def first_odd_hole(g: Graph, vertices=None):
+    """The first odd hole of ``g`` restricted to ``vertices`` (all of ``g``
+    by default), in cycle order: the least odd length k >= 5, then the
+    first k-subset in ``itertools.combinations`` order. None when there is
+    no odd hole."""
+    vertices = sorted(range(g.n) if vertices is None else vertices)
+    for k in range(5, len(vertices) + 1, 2):
+        for s in itertools.combinations(vertices, k):
+            if _induces_cycle(g, s):
+                return _cycle_order(g, s)
+    return None
+
+
 def has_odd_hole(g: Graph) -> bool:
     for k in range(5, g.n + 1, 2):
         for s in subsets(range(g.n), k):

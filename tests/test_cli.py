@@ -122,6 +122,21 @@ class TestDivide:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "graphdiv: --weights applies to --mode perfect only\n"
 
+    def test_filter_runs_only_the_finders_it_names(self, tmp_path):
+        # p5free and c5free need no hole search, so 20 vertices are past no
+        # budget
+        out = tmp_path / "report.json"
+        code = main(
+            ["divide", "--mode", "two", "--random", "20,0.1,2", "--filter", "p5free,c5free", "--seed", "1", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert [r["status"] for r in _load(out)["records"]] == ["ok", "ok"]
+
+    def test_hole_filter_keeps_the_perfection_budget(self, capsys):
+        code = main(["divide", "--mode", "two", "--random", "20,0.1,2", "--filter", "oddholefree", "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "graphdiv: odd-hole search limited to 16 vertices, asked for 20\n"
+
     def test_budget_ms_flag(self, tmp_path):
         src = tmp_path / "c4.g6"
         _write_g6(src, cycle_graph(4))

@@ -170,6 +170,64 @@ class TestPerfection:
             assert is_perfect(g) == naive.is_perfect(g)
 
 
+def _small_and_random_graphs(seed):
+    """Every graph on at most 7 vertices (one per isomorphism class), then
+    seeded random graphs on 8 to 13 vertices."""
+    from graphdiv.corpus import nonisomorphic_graphs
+
+    for n in range(8):
+        yield from nonisomorphic_graphs(n)
+    rng = random.Random(seed)
+    for _ in range(150):
+        yield random_graph(rng.randint(8, 13), rng.uniform(0.15, 0.85), rng)
+
+
+def _vertices(emb):
+    return None if emb is None else emb.vertices
+
+
+class TestExactWitnesses:
+    """The candidate-mask and pruned odd-cycle searches return exactly the
+    witness of the plain scans in ``naive``, not just a witness."""
+
+    def test_induced_patterns(self):
+        p3, k3 = path_graph(3), complete_graph(3)
+        finders = (
+            (P5_PATTERN, "P5", find_p5),
+            (C5_PATTERN, "C5", find_c5),
+            (BULL_PATTERN, "bull", find_bull),
+            (p3, "P3", lambda g: find_induced(g, p3, "P3")),
+            (k3, "K3", lambda g: find_induced(g, k3, "K3")),
+        )
+        found = 0
+        for g in _small_and_random_graphs("witness/induced"):
+            for pattern, name, finder in finders:
+                got = finder(g)
+                assert _vertices(got) == naive.first_induced(g, pattern)
+                if got is not None:
+                    assert got.pattern_name == name
+                    found += 1
+        assert found > 1000
+
+    def test_odd_holes_and_antiholes_within(self):
+        rng = random.Random("witness/holes")
+        holes = antiholes = 0
+        for g in _small_and_random_graphs("witness/graphs"):
+            for m in (None, VertexSet(g.n, rng.getrandbits(g.n) | rng.getrandbits(g.n))):
+                vertices = None if m is None else m.members()
+                hole = find_odd_hole(g, m)
+                assert _vertices(hole) == naive.first_odd_hole(g, vertices)
+                antihole = find_odd_antihole(g, m)
+                assert _vertices(antihole) == naive.first_odd_hole(complement(g), vertices)
+                if hole is not None:
+                    assert hole.pattern_name == f"odd-hole({len(hole.vertices)})"
+                    holes += 1
+                if antihole is not None:
+                    assert antihole.pattern_name == f"odd-antihole({len(antihole.vertices)})"
+                    antiholes += 1
+        assert holes > 100 and antiholes > 100
+
+
 def _lift(emb, vmap):
     return None if emb is None else Embedding(emb.pattern_name, tuple(vmap[v] for v in emb.vertices))
 
