@@ -275,13 +275,41 @@ def _mask_components(adj, mask: int) -> list:
         frontier = comp
         while frontier:
             grown = 0
-            for v in _bits(frontier):
-                grown |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= adj[low.bit_length() - 1]
             grown &= mask & ~comp
             comp |= grown
             frontier = grown
         out.append(comp)
         rest &= ~comp
+    return out
+
+
+def _mask_anticomponents(adj, mask: int) -> list:
+    """Anticomponents of the subgraph induced on ``mask`` (as masks): the
+    components of its complement, grown from ``adj`` without building
+    complement rows.
+
+    Ordered by smallest member, like ``_mask_components``.
+    """
+    out = []
+    rest = mask
+    while rest:
+        comp = rest & -rest
+        rest ^= comp
+        frontier = comp
+        while frontier and rest:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= rest & ~adj[low.bit_length() - 1]
+            rest ^= grown
+            comp |= grown
+            frontier = grown
+        out.append(comp)
     return out
 
 
@@ -294,7 +322,7 @@ def components(g: Graph, x: VertexSet) -> list:
 def anticomponents(g: Graph, x: VertexSet) -> list:
     """Maximal anticonnected subsets of ``x`` (components in the complement)."""
     _check_set(g, x)
-    return [VertexSet(g.n, m) for m in _mask_components(_co_rows(g.adj, x.mask), x.mask)]
+    return [VertexSet(g.n, m) for m in _mask_anticomponents(g.adj, x.mask)]
 
 
 def _check_disjoint(x: VertexSet, y: VertexSet):
@@ -400,27 +428,43 @@ def clique_number(g: Graph, within: VertexSet = None, *, budget: int = CLIQUE_BU
 
 
 def _max_weight_clique_mask(adj, weights, cand: int):
+    """Exact maximum-weight clique within ``cand``: branch and bound on the
+    weight of the candidates left. Returns ``(weight, clique_mask)``.
+
+    A node sums its candidates' weights once, on entry, and takes off each
+    candidate's weight when that candidate's branch is done. A child
+    without candidates is a leaf and is scored in place.
+    """
     best_w = 0
     best_mask = 0
 
-    def expand(cur_mask, cur_w, cand, cand_total):
+    def expand(cur_mask, cur_w, cand):
         nonlocal best_w, best_mask
         if cur_w > best_w:
             best_w = cur_w
             best_mask = cur_mask
-        p = cand
-        remaining = cand_total
-        for v in _bits(cand):
+        remaining = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            remaining += weights[low.bit_length() - 1]
+        while cand:
             if cur_w + remaining <= best_w:
                 return
-            bit = 1 << v
-            p ^= bit
-            sub = p & adj[v]
-            sub_total = sum(weights[u] for u in _bits(sub))
-            expand(cur_mask | bit, cur_w + weights[v], sub, sub_total)
-            remaining -= weights[v]
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            wv = weights[v]
+            sub = cand & adj[v]
+            if sub:
+                expand(cur_mask | low, cur_w + wv, sub)
+            elif cur_w + wv > best_w:
+                best_w = cur_w + wv
+                best_mask = cur_mask | low
+            remaining -= wv
 
-    expand(0, 0, cand, sum(weights[v] for v in _bits(cand)))
+    expand(0, 0, cand)
     return best_w, best_mask
 
 

@@ -5,13 +5,18 @@ and returns a witness embedding when the pattern is present, so a caller
 can always re-check a positive answer independently.
 
 Both searches try only vertices that can extend the partial witness.
-``find_induced`` keeps one candidate mask per pattern slot, built from the
-rows and co-rows of the vertices already placed; the hole and antihole
-search grows k-subsets in ascending order and ends a branch as soon as no
-2-regular set can complete it (chordless-cycle pruning in the spirit of
-Uno & Satoh, arXiv:1404.7610). Both return the witness of a plain scan in
-the same order: the lexicographically smallest image tuple, and the
-first odd cycle among the shortest, in ``itertools.combinations`` order.
+``find_induced`` keeps one candidate mask per pattern slot; placing a
+vertex narrows the masks of all later slots at once, and a branch ends as
+soon as one of them is empty. The hole and antihole search first splits
+the set into pieces, by components and anticomponents of its 2-core, and
+keeps only the non-bipartite ones with at least 5 vertices: an odd hole is
+connected, anticonnected and an odd cycle, so it lies inside one of them.
+It then grows k-subsets in ascending order inside the piece of their first
+member and ends a branch as soon as no 2-regular set can complete it
+(chordless-cycle pruning in the spirit of Uno & Satoh, arXiv:1404.7610).
+Both return the witness of a plain scan in the same order: the
+lexicographically smallest image tuple, and the first odd cycle among the
+shortest, in ``itertools.combinations`` order.
 
 Hole, antihole and perfection search and homogeneous sets take a ``within``
 set of the input graph and are cached on ``(g, within)``. ``lru_cache``
@@ -22,7 +27,19 @@ keys ``f(g)`` and ``f(g, None)`` apart, so the package always passes
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Graph, VertexSet, _bits, _check_set, _co_rows, _within_mask, complement, cycle_graph, path_graph
+from .core import (
+    Graph,
+    VertexSet,
+    _bits,
+    _check_set,
+    _co_rows,
+    _mask_anticomponents,
+    _mask_components,
+    _within_mask,
+    complement,
+    cycle_graph,
+    path_graph,
+)
 from .errors import BudgetExceededError
 
 PERFECTION_BUDGET = 16
@@ -77,12 +94,14 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     """First induced copy of ``pattern`` in ``g`` (lexicographically smallest
     image tuple under the vertex order), or None.
 
-    Slot i's candidates are one mask: the AND, over the slots already
-    placed, of the placed vertex's row where the pattern has an edge to
-    slot i and its co-row where it has none. Rows and co-rows leave out the
-    vertex itself, so no vertex is placed twice. Each slot tries the bits
-    of its mask in ascending order, the order of a scan over all vertices
-    minus the rejects, so the first complete image is the smallest.
+    Every slot keeps one candidate mask. Placing a vertex in slot i narrows
+    the mask of every later slot j, by the vertex's row where the pattern
+    has the edge ij and by its co-row where it has not, and a branch ends
+    as soon as some later mask is empty (forward checking). Rows and
+    co-rows leave out the vertex itself, so no vertex is placed twice. Each
+    slot tries the bits of its mask in ascending order, the order of a
+    scan over all vertices minus the rejects, so the first complete image
+    is the smallest.
     """
     k = pattern.n
     n = g.n
@@ -93,25 +112,38 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     full = (1 << n) - 1
     adj = g.adj
     co = _co_rows(adj, full)
-    # rows[i][j]: the rows through which slot j's vertex narrows slot i.
-    rows = [[adj if pattern.adj[i] >> j & 1 else co for j in range(i)] for i in range(k)]
+    # narrow[i]: each later slot j with the rows through which slot i's
+    # vertex narrows it.
+    narrow = [[(j, adj if pattern.adj[i] >> j & 1 else co) for j in range(i + 1, k)] for i in range(k)]
+    # masks[i][j]: slot j's candidates once slots 0 .. i - 1 are placed.
+    masks = [[full] * k for _ in range(k)]
     image = [0] * k
+    last = k - 1
 
-    def backtrack(i, mask):
+    def backtrack(i):
+        cur = masks[i]
+        mask = cur[i]
+        if i == last:
+            image[i] = (mask & -mask).bit_length() - 1
+            return True
+        nxt = masks[i + 1]
+        rows = narrow[i]
         while mask:
             low = mask & -mask
             mask ^= low
-            image[i] = low.bit_length() - 1
-            if i + 1 == k:
-                return True
-            nxt = full
-            for j, row in enumerate(rows[i + 1]):
-                nxt &= row[image[j]]
-            if nxt and backtrack(i + 1, nxt):
-                return True
+            v = low.bit_length() - 1
+            for j, row in rows:
+                m = cur[j] & row[v]
+                if not m:
+                    break
+                nxt[j] = m
+            else:
+                if backtrack(i + 1):
+                    image[i] = v
+                    return True
         return False
 
-    if backtrack(0, full):
+    if backtrack(0):
         return Embedding(name, tuple(image))
     return None
 
@@ -169,6 +201,54 @@ def _two_core(adj, mask: int) -> int:
         mask ^= loose
 
 
+def _is_bipartite(adj, mask: int) -> bool:
+    """True when the subgraph induced on ``mask`` has no odd cycle: no
+    breadth-first layer of any of its components holds an edge."""
+    rest = mask
+    while rest:
+        layer = rest & -rest
+        rest ^= layer
+        while layer:
+            reach = 0
+            todo = layer
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                row = adj[low.bit_length() - 1]
+                if row & layer:
+                    return False
+                reach |= row
+            layer = reach & rest
+            rest ^= layer
+    return True
+
+
+def _odd_cycle_pieces(adj, mask: int) -> list:
+    """The pieces of ``mask`` that can hold an induced odd cycle of length
+    at least 5, as disjoint masks.
+
+    Such a cycle is connected and anticonnected, each of its vertices has
+    two neighbours on it, and it is an odd cycle. So it lies inside one
+    piece: take the 2-core, drop it if it has fewer than 5 vertices or is
+    bipartite, and split it into components, else into anticomponents,
+    until neither splits.
+    """
+    pieces = []
+    todo = [mask]
+    while todo:
+        part = _two_core(adj, todo.pop())
+        if part.bit_count() < 5 or _is_bipartite(adj, part):
+            continue
+        split = _mask_components(adj, part)
+        if len(split) == 1:
+            split = _mask_anticomponents(adj, part)
+            if len(split) == 1:
+                pieces.append(part)
+                continue
+        todo.extend(split)
+    return pieces
+
+
 def _can_saturate(adj, later: int, zero: int, one: int) -> bool:
     """True when each vertex of ``one`` has a neighbour in ``later`` and each
     vertex of ``zero`` has two."""
@@ -189,10 +269,13 @@ def _first_odd_cycle(kind: str, adj, full: int):
     """First induced odd cycle of length at least 5 on ``full`` under the
     rows ``adj``, shortest first, in cycle order.
 
-    The search runs on the 2-core of ``full``, which holds every cycle. For
-    each odd k, shortest first, it adds members in ascending order, so the
-    k-subsets come in the order of ``itertools.combinations``. A member
-    with two neighbours in the set is saturated. A branch ends when:
+    The search runs on the pieces of ``_odd_cycle_pieces``, one of which
+    holds every such cycle. For each odd k, shortest first, it adds members
+    in ascending order, and once the first member is chosen the others come
+    from its piece only. So the k-subsets come in the order of
+    ``itertools.combinations``, minus those that span two pieces or miss
+    them. A member with two neighbours in the set is saturated. A branch
+    ends when:
 
     - a member would get three neighbours in the set (a vertex that a
       saturated member sees is never tried);
@@ -206,9 +289,15 @@ def _first_odd_cycle(kind: str, adj, full: int):
     count = full.bit_count()
     if count > PERFECTION_BUDGET:
         raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
-    if count < 5:
+    pieces = _odd_cycle_pieces(adj, full)
+    if not pieces:
         return None
-    core = _two_core(adj, full)
+    home = [0] * len(adj)
+    spread = 0
+    for piece in pieces:
+        spread |= piece
+        for v in _bits(piece):
+            home[v] = piece
     chosen = []
 
     def extend(cand, slots, inside, zero, one, blocked):
@@ -259,10 +348,22 @@ def _first_odd_cycle(kind: str, adj, full: int):
             chosen.pop()
         return None
 
-    for k in range(5, core.bit_count() + 1, 2):
-        order = extend(core, k, 0, 0, 0, 0)
-        if order is not None:
-            return Embedding(f"{kind}({k})", order)
+    longest = max(piece.bit_count() for piece in pieces)
+    for k in range(5, longest + 1, 2):
+        rest = spread
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            # The rest of the set comes from the later members of the first
+            # member's piece, and two of them must be its neighbours.
+            later = home[v] & ~(2 * low - 1)
+            if later.bit_count() >= k - 1 and (adj[v] & later).bit_count() >= 2:
+                chosen.append(v)
+                order = extend(later, k - 1, low, low, 0, 0)
+                if order is not None:
+                    return Embedding(f"{kind}({k})", order)
+                chosen.pop()
     return None
 
 

@@ -66,11 +66,9 @@ def contains_induced(g: Graph, pattern: Graph) -> bool:
 
 def _induces_cycle(g: Graph, vertices) -> bool:
     vertices = list(vertices)
-    degrees = {
-        v: sum(1 for u in vertices if u != v and g.has_edge(u, v)) for v in vertices
-    }
-    if any(d != 2 for d in degrees.values()):
-        return False
+    for v in vertices:
+        if sum(1 for u in vertices if u != v and g.has_edge(u, v)) != 2:
+            return False
     seen = {vertices[0]}
     stack = [vertices[0]]
     while stack:

@@ -323,12 +323,16 @@ class TestMaxWeightClique:
 
     def test_matches_naive(self):
         rng = random.Random(13)
-        for _ in range(40):
-            n = rng.randint(0, 7)
-            g = Graph.from_edges(
-                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-            )
-            weights = [rng.randint(0, 5) for _ in range(n)]
+        for i in range(80):
+            # 40 graphs on up to 7 vertices, then 40 on 8 to 16; every third
+            # of the larger ones has mostly zero weights, so ties and
+            # zero-weight bounds occur
+            small = i < 40
+            n = rng.randint(0, 7) if small else rng.randint(8, 16)
+            p = 0.5 if small else rng.uniform(0.3, 0.9)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            palette = (0, 0, 0, 1, 5) if not small and i % 3 == 0 else range(6)
+            weights = [rng.choice(palette) for _ in range(n)]
             got = max_weight_clique(g, WeightFn.of(weights))
             assert got.value == naive.max_weight_clique(g, weights)
             assert naive.is_clique(g, got.witness.members())

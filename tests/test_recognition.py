@@ -33,7 +33,7 @@ from graphdiv import (
     path_graph,
     pattern_for_name,
 )
-from graphdiv.corpus import random_graph
+from graphdiv.corpus import random_graph, twin_substitute
 
 
 def _rand(n, p, seed):
@@ -170,9 +170,99 @@ class TestPerfection:
             assert is_perfect(g) == naive.is_perfect(g)
 
 
+def _relabel(g, rng):
+    """``g`` with its vertices shuffled."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _combine(g, h, *, join):
+    """The disjoint union of ``g`` and ``h`` (``h`` after ``g``), or with
+    ``join`` their join."""
+    n = g.n + h.n
+    low = (1 << g.n) - 1
+    high = ((1 << n) - 1) ^ low
+    return Graph(
+        n,
+        tuple(row | (high if join else 0) for row in g.adj)
+        + tuple((row << g.n) | (low if join else 0) for row in h.adj),
+    )
+
+
+def _random_cograph(n, rng):
+    """A random tree of unions and joins over single vertices."""
+    if n == 1:
+        return empty_graph(1)
+    k = rng.randint(1, n - 1)
+    return _combine(_random_cograph(k, rng), _random_cograph(n - k, rng), join=rng.random() < 0.5)
+
+
+def _random_bipartite(n, rng):
+    side = [rng.random() < 0.5 for _ in range(n)]
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v] and rng.random() < 0.5]
+    )
+
+
+def _c5_blowup(n, rng):
+    """A 5-cycle whose vertices are replaced by random cographs."""
+    sizes = [1] * 5
+    for _ in range(n - 5):
+        sizes[rng.randrange(5)] += 1
+    offsets = [sum(sizes[:i]) for i in range(5)]
+    blocks = [((1 << sizes[i]) - 1) << offsets[i] for i in range(5)]
+    rows = []
+    for i in range(5):
+        ring = blocks[(i - 1) % 5] | blocks[(i + 1) % 5]
+        rows += [(row << offsets[i]) | ring for row in _random_cograph(sizes[i], rng).adj]
+    return Graph(n, tuple(rows))
+
+
+def _graph_with_hole(rng):
+    """A random graph on 5 to 8 vertices, half of the time with an odd
+    cycle of length 5 or 7 laid over its first vertices."""
+    g = random_graph(rng.randint(5, 8), rng.uniform(0.25, 0.75), rng)
+    if rng.random() < 0.5:
+        return g
+    k = 5 if g.n < 7 or rng.random() < 0.5 else 7
+    return Graph.from_edges(g.n, g.edges() + [(i, (i + 1) % k) for i in range(k)])
+
+
+def _piece_graphs(rng):
+    """Graphs whose hole and antihole search splits into pieces: unions and
+    joins, random bipartite graphs, cographs and C5 blow-ups on 8 to 16
+    vertices, and twin substitutions, all relabeled at random."""
+    for _ in range(20):
+        for join in (False, True):
+            g = _combine(_graph_with_hole(rng), _graph_with_hole(rng), join=join)
+            yield _relabel(g, rng)
+    for family in (_random_bipartite, _random_cograph, _c5_blowup):
+        for _ in range(8):
+            yield _relabel(family(rng.randint(8, 16), rng), rng)
+    for _ in range(15):
+        g = _graph_with_hole(rng)
+        for _ in range(rng.randint(2, 6)):
+            g = twin_substitute(g, rng.randrange(g.n), adjacent=rng.random() < 0.5)
+        yield _relabel(g, rng)
+
+
+def _later_piece_cases():
+    """Graphs with their first odd hole, which lies outside the piece that
+    holds vertex 0."""
+    c7_then_c5 = _combine(cycle_graph(7), cycle_graph(5), join=False)
+    # A C5 on 6..10 with vertex 0 joined to 6 and 7, beside a C5 on 1..5:
+    # no odd hole passes through 0, so the first one is 1..5.
+    beside = Graph.from_edges(
+        11, [(0, 6), (0, 7), (6, 7), (7, 8), (8, 9), (9, 10), (10, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]
+    )
+    return ((c7_then_c5, (7, 8, 9, 10, 11)), (beside, (1, 2, 3, 4, 5)))
+
+
 def _small_and_random_graphs(seed):
     """Every graph on at most 7 vertices (one per isomorphism class), then
-    seeded random graphs on 8 to 13 vertices."""
+    seeded random graphs on 8 to 13 vertices, then graphs that split into
+    pieces (``_piece_graphs``)."""
     from graphdiv.corpus import nonisomorphic_graphs
 
     for n in range(8):
@@ -180,6 +270,7 @@ def _small_and_random_graphs(seed):
     rng = random.Random(seed)
     for _ in range(150):
         yield random_graph(rng.randint(8, 13), rng.uniform(0.15, 0.85), rng)
+    yield from _piece_graphs(rng)
 
 
 def _vertices(emb):
@@ -226,6 +317,13 @@ class TestExactWitnesses:
                     assert antihole.pattern_name == f"odd-antihole({len(antihole.vertices)})"
                     antiholes += 1
         assert holes > 100 and antiholes > 100
+
+    def test_later_pieces(self):
+        for g, hole in _later_piece_cases():
+            assert naive.first_odd_hole(g) == hole
+            assert _vertices(find_odd_hole(g, None)) == hole
+            assert _vertices(find_odd_antihole(complement(g), None)) == hole
+            assert _vertices(find_odd_antihole(g, None)) == naive.first_odd_hole(complement(g))
 
 
 def _lift(emb, vmap):
