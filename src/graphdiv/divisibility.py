@@ -14,9 +14,9 @@ from .core import (
     WeightFn,
     _bits,
     _mask_components,
+    _max_clique_weight,
     _within_mask,
     clique_number,
-    max_weight_clique,
 )
 from .errors import (
     BudgetExceededError,
@@ -170,8 +170,8 @@ def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: V
         return False, "parts do not cover the vertex set"
     if not is_perfect(g, d.p):
         return False, "P side is not perfect"
-    top = max_weight_clique(g, w, within).value
-    side = max_weight_clique(g, w, within=d.w_side).value
+    top = _max_clique_weight(g, w, within)
+    side = _max_clique_weight(g, w, d.w_side)
     if top > 0 and side >= top:
         return False, f"maximum clique weight of W is {side}, not below {top}"
     return True, None
@@ -314,7 +314,7 @@ def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: Ver
         raise ValueError("x is not a homogeneous set of g")
     rep = x.members()[0]
     q_weights = list(w.weights)
-    q_weights[rep] = max_weight_clique(g, w, x).value
+    q_weights[rep] = _max_clique_weight(g, w, x)
     return QuotientStep(
         original=g,
         original_weights=w,

@@ -5,9 +5,10 @@ avoiding the bitmask machinery of the package under test, so the two
 routes only share the input graphs.
 """
 
+import functools
 import itertools
 
-from graphdiv import Graph
+from graphdiv import Graph, canonical_graph, canonical_key
 
 
 def subsets(items, size=None):
@@ -192,3 +193,19 @@ def is_two_divisible(g: Graph) -> bool:
         if not ok:
             return False
     return True
+
+
+@functools.cache
+def nonisomorphic_graphs(n: int):
+    """The classes on ``n`` vertices, in canonical labeling and sorted by
+    canonical key, found the slow way: every class on n-1 vertices gets a
+    new vertex with every possible neighborhood, and every extension is
+    canonicalized. Shares only the canonical key with the package."""
+    if n <= 1:
+        return (Graph(n, (0,) * n),)
+    keys = set()
+    for base in nonisomorphic_graphs(n - 1):
+        for neighborhood in subsets(range(n - 1)):
+            edges = list(base.edges()) + [(u, n - 1) for u in neighborhood]
+            keys.add(canonical_key(Graph.from_edges(n, edges)))
+    return tuple(canonical_graph(k) for k in sorted(keys))

@@ -4,6 +4,8 @@ import random
 import networkx as nx
 import pytest
 
+import naive
+from graphdiv import corpus
 from graphdiv import (
     Graph,
     canonical_graph,
@@ -21,7 +23,7 @@ from graphdiv import (
 )
 
 # published counts of isomorphism classes of simple graphs
-KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
@@ -100,9 +102,32 @@ class TestEnumeration:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_reference_generator(self, n):
+        # same graphs, same labeling, same order as canonicalizing every extension
+        assert nonisomorphic_graphs(n) == naive.nonisomorphic_graphs(n)
+
+    def test_canonical_key_calls(self, monkeypatch):
+        calls = 0
+        key = corpus._canonical_key
+
+        def counted(n, adj):
+            nonlocal calls
+            calls += 1
+            return key(n, adj)
+
+        monkeypatch.setattr(corpus, "_canonical_key", counted)
+        monkeypatch.setattr(corpus, "_NONISO_CACHE", {})
+        nonisomorphic_graphs(7)
+        # canonicalizing every extension costs one call per class on n-1
+        # vertices and neighborhood of the new vertex
+        every_extension = sum(KNOWN_COUNTS[n - 1] << (n - 1) for n in range(2, 8))
+        assert every_extension == 11290
+        assert calls == 3689 < every_extension
+
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
-            nonisomorphic_graphs(11)
+            nonisomorphic_graphs(corpus.EXHAUSTIVE_LIMIT + 1)
 
 
 class TestRandomGraph:

@@ -16,6 +16,7 @@ from graphdiv import (
     scrub_volatile,
     twin_substitute,
 )
+from graphdiv.corpus import EXHAUSTIVE_LIMIT
 from graphdiv.harness import run_classify, run_color, run_divide, run_verify
 from graphdiv.report import build_report
 
@@ -27,7 +28,7 @@ class TestCorpusSpec:
 
     def test_exhaustive_limit(self):
         with pytest.raises(ValueError):
-            CorpusSpec(kind="exhaustive", n=11)
+            CorpusSpec(kind="exhaustive", n=EXHAUSTIVE_LIMIT + 1)
 
     def test_random_stream_is_seed_deterministic(self):
         spec = CorpusSpec(kind="random", n=6, edge_prob=0.5, count=30, seed=9)
