@@ -158,6 +158,14 @@ def _write(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply") from None
+
+
 def _options_of(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
@@ -166,8 +174,7 @@ def _run(args):
     """Run one batch subcommand: the graphs it read (None when verify has
     no --graph), its records in input order and its report options."""
     if args.command == "verify":
-        with open(args.division, encoding="utf-8") as handle:
-            stored = json.load(handle)
+        stored = _read_json(args.division)
         graphs = None
         if args.graph:
             graphs = graphs_with_ids(generate(CorpusSpec(kind="file", path=args.graph)))
@@ -177,8 +184,7 @@ def _run(args):
         if args.weights != "unit":
             if args.mode != "perfect":
                 raise ValueError("--weights applies to --mode perfect only")
-            with open(args.weights, encoding="utf-8") as handle:
-                weights_spec = json.load(handle)
+            weights_spec = _read_json(args.weights)
         graphs = _load_graphs(args)
         records = run_divide(graphs, mode=args.mode, weights_spec=weights_spec)
         return graphs, records, _options_of(args, "mode", "filter", "weights")

@@ -232,19 +232,32 @@ def run_color(graphs, mode: str = "two") -> list:
     return _drive(graphs, body)
 
 
+def _stored_ints(payload, key: str) -> list:
+    """``payload[key]`` if it is a list of non-negative integers, booleans
+    excluded as ``WeightFn`` excludes them; TypeError or ValueError
+    otherwise."""
+    values = payload[key]
+    if not isinstance(values, list):
+        raise TypeError(f"{key} must be a list, not {type(values).__name__}")
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{key}[{i}] must be a non-negative integer, not {value!r}")
+    return values
+
+
 def _division_from_json(g: Graph, payload: dict):
     kind = payload["kind"]
     if kind == "two":
         return TwoDivision(
-            VertexSet.of(g.n, payload["a"]),
-            VertexSet.of(g.n, payload["b"]),
+            VertexSet.of(g.n, _stored_ints(payload, "a")),
+            VertexSet.of(g.n, _stored_ints(payload, "b")),
         )
     if kind != "perfect":
         raise ValueError(f"unknown division kind {kind!r}")
     weights = payload.get("weights")
     return PerfectDivision(
-        VertexSet.of(g.n, payload["p"]),
-        VertexSet.of(g.n, payload["w"]),
+        VertexSet.of(g.n, _stored_ints(payload, "p")),
+        VertexSet.of(g.n, _stored_ints(payload, "w")),
         weight=WeightFn.of(weights) if weights is not None else None,
     )
 
@@ -270,7 +283,7 @@ def _stored_problem(g6: str, stored: dict):
             kind = BOUND_KIND.get(stored.get("mode"))
             if kind is None:
                 return f"coloring record has no known mode: {stored.get('mode')!r}"
-            assignment = stored["coloring"]
+            assignment = _stored_ints(stored, "coloring")
             try:
                 _, certificate = _certified(g, assignment, len(set(assignment)), kind)
             except TheoremViolationError as exc:

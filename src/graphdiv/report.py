@@ -4,7 +4,9 @@ Reports are deterministic given the same seed and inputs: records are
 sorted by their graph6 string and serialization sorts keys. The only
 volatile content is wall-clock data (the top-level timestamp and the
 per-record timings), which ``scrub_volatile`` strips for comparisons.
-Color records also render as a CSV table (``color_csv``).
+``report_to_json`` writes one top-level key per line and each record
+compact on a line of its own. Color records also render as a CSV table
+(``color_csv``).
 """
 
 import json
@@ -49,8 +51,33 @@ def build_report(command: str, records, *, seed=None, options=None) -> dict:
     }
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``report`` as ASCII JSON text ending in a newline.
+
+    The envelope is indented by two spaces, one top-level key per line in
+    sorted order, and each record sits compact on a line of its own. The C
+    encoder does all of the encoding (``indent`` would switch it off), and
+    the text is joined once from one list of pieces.
+    """
+    pieces = ["{"]
+    separator = "\n  "
+    for key in sorted(report):
+        pieces += (separator, _encode(key), ": ")
+        separator = ",\n  "
+        if key == "records":
+            pieces.append("[")
+            record_separator = "\n    "
+            for record in report[key]:
+                pieces += (record_separator, _encode(record))
+                record_separator = ",\n    "
+            pieces.append("\n  ]")
+        else:
+            pieces.append(_encode(report[key]))
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 COLOR_CSV_HEADER = "id,omega,chi,used,bound,slack"

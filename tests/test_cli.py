@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import graphdiv.divisibility
 from graphdiv import complete_graph, cycle_graph, emit_graph6, path_graph, scrub_volatile
@@ -101,10 +102,13 @@ class TestDivide:
         assert record["division"]["kind"] == "perfect"
         assert record["division"]["weights"] == [2, 1, 1, 1, 1]
 
-    @pytest.mark.parametrize("payload", ["[1.9, true, 1]", "[[2, 1, 1, 1, 1]]", "{}"])
+    @pytest.mark.parametrize(
+        "payload", ["[1.9, true, 1]", "[[2, 1, 1, 1, 1]]", "{}", pytest.param("[" * 200000, id="deeply-nested")]
+    )
     def test_bad_weight_file_is_a_usage_error(self, tmp_path, capsys, payload):
         # a float, a bool, a per-graph list shorter than the corpus (two
-        # graphs here) and a non-list all exit 2 with a message
+        # graphs here), a non-list and JSON nested past the parser's depth
+        # all exit 2 with a message
         src = tmp_path / "two.g6"
         _write_g6(src, cycle_graph(5), cycle_graph(4))
         weights = tmp_path / "weights.json"
@@ -280,6 +284,34 @@ class TestVerify:
         assert records["??"]["status"] == "verify-failed"
         assert records["??"]["error"].startswith("malformed record: ParseError: ")
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"mode": "perfect", "coloring": [0, 1, 0, 1, "x"]},
+            {"mode": "perfect", "coloring": [0, 1, 0, 1, 2.0]},
+            {"mode": "perfect", "coloring": [0, True, 0, True, 2]},
+            {"mode": "perfect", "coloring": [0, 1, 0, 1, -1]},
+            {"mode": "perfect", "coloring": "01012"},
+            {"division": {"kind": "perfect", "p": [0, 2, 3], "w": [True, 4], "weights": None}},
+        ],
+        ids=["string-color", "float-color", "bool-colors", "negative-color", "string-coloring", "bool-vertex"],
+    )
+    def test_non_integer_entries_fail_verification(self, tmp_path, entries):
+        # each record holds on C5 if its entries are taken at their word
+        stored = tmp_path / "stored.json"
+        stored.write_text(json.dumps({"records": [{"graph6": emit_graph6(cycle_graph(5)), **entries}]}))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--division", str(stored), "--out", str(out)]) == EXIT_VERIFY_FAILED
+        record = _load(out)["records"][0]
+        assert record["status"] == "verify-failed"
+        assert record["error"].startswith("malformed record: ")
+
+    def test_deeply_nested_report_is_a_usage_error(self, tmp_path, capsys):
+        stored = tmp_path / "report.json"
+        stored.write_text("[" * 200000)
+        assert main(["verify", "--division", str(stored)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"graphdiv: {stored} nests JSON too deeply\n"
+
     def test_other_schema_is_a_usage_error(self, tmp_path, capsys):
         stored = tmp_path / "report.json"
         stored.write_text(json.dumps({"schema": 99, "records": []}))
@@ -347,3 +379,51 @@ class TestDeterminism:
 
     def test_usage_error_exit(self):
         assert main(["classify", "--random", "6,0.5"]) == EXIT_USAGE
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=10,
+)
+_vertex_lists = st.lists(st.integers(-1, 5), max_size=6) | _json_values
+_divisions = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["two", "perfect"]) | _json_values},
+    optional={"a": _vertex_lists, "b": _vertex_lists, "p": _vertex_lists, "w": _vertex_lists, "weights": _vertex_lists},
+)
+_graph6s = st.sampled_from([emit_graph6(cycle_graph(5)), emit_graph6(path_graph(4)), "?", None])
+_records = st.fixed_dictionaries({"graph6": _graph6s, "division": _divisions | _json_values}) | st.fixed_dictionaries(
+    {"graph6": _graph6s, "mode": st.sampled_from(["two", "perfect"]) | _json_values, "coloring": _vertex_lists},
+    optional={"certificate": _json_values},
+)
+_reports = st.fixed_dictionaries(
+    {"records": st.lists(_records, min_size=1, max_size=3)}, optional={"schema": st.just(1) | _json_values}
+) | _json_values
+_weights = _json_values | st.lists(st.integers(-1, 6) | _json_values, max_size=6) | st.lists(
+    st.lists(st.integers(0, 6), min_size=5, max_size=5), max_size=3
+)
+_FUZZ_SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzzedJsonInputs:
+    """Whatever JSON text reaches ``main``, it ends in a documented exit
+    code, never in an exception."""
+
+    @_FUZZ_SETTINGS
+    @given(_reports.map(json.dumps))
+    @example("[" * 200000)
+    def test_verify_division(self, tmp_path, text):
+        stored = tmp_path / "report.json"
+        stored.write_text(text)
+        assert main(["verify", "--division", str(stored), "--out", str(tmp_path / "verify.json")]) in range(7)
+
+    @_FUZZ_SETTINGS
+    @given(_weights.map(json.dumps))
+    @example("[" * 200000)
+    def test_divide_weights(self, tmp_path, text):
+        src = tmp_path / "in.g6"
+        _write_g6(src, cycle_graph(5), path_graph(5))
+        weights = tmp_path / "weights.json"
+        weights.write_text(text)
+        argv = ["divide", "--mode", "perfect", "--in", str(src), "--weights", str(weights), "--out", str(tmp_path / "out.json")]
+        assert main(argv) in range(7)

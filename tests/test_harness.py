@@ -18,7 +18,7 @@ from graphdiv import (
 )
 from graphdiv.corpus import EXHAUSTIVE_LIMIT
 from graphdiv.harness import run_classify, run_color, run_divide, run_verify
-from graphdiv.report import build_report
+from graphdiv.report import build_report, report_to_json
 
 
 class TestCorpusSpec:
@@ -308,3 +308,26 @@ class TestReportEnvelope:
             scrub_volatile(build_report("classify", [{"graph6": "Ch", "status": "ok", "elapsed_ms": 9.87}])),
             sort_keys=True,
         )
+
+    def test_json_layout(self, c5):
+        # the same value as an indented dump, ASCII, and one line per record
+        graphs = graphs_with_ids([c5, cycle_graph(4), path_graph(4)])
+        divided = build_report("divide", run_divide(graphs, mode="perfect"))
+        reports = [
+            build_report("classify", run_classify(graphs)),
+            build_report("divide", run_divide(graphs, mode="two")),
+            divided,
+            build_report("color", run_color(graphs, mode="perfect")),
+            build_report("verify", run_verify(divided)),
+            conjecture_search(4),
+            build_report("classify", []),
+        ]
+        for report in reports:
+            text = report_to_json(report)
+            assert json.loads(text) == json.loads(json.dumps(report, indent=2, sort_keys=True))
+            assert text.isascii() and text.endswith("}\n")
+            lines = text.splitlines()
+            assert len(lines) == len(report["records"]) + len(report) + 3
+            start = lines.index('  "records": [') + 1
+            for line, record in zip(lines[start:], report["records"]):
+                assert json.loads(line.strip().rstrip(",")) == record
