@@ -9,7 +9,7 @@ number up to 16 by default; both limits are arguments).
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, echo
 
 CLIQUE_BUDGET = 32
 CHROMATIC_BUDGET = 16
@@ -41,7 +41,7 @@ class VertexSet:
         mask = 0
         for v in members:
             if not 0 <= v < host_size:
-                raise ValueError(f"vertex {v} out of range for host of size {host_size}")
+                raise ValueError(f"vertex {echo(v)} out of range for host of size {host_size}")
             mask |= 1 << v
         return cls(host_size, mask)
 
@@ -171,7 +171,7 @@ class WeightFn:
     def __post_init__(self):
         for i, w in enumerate(self.weights):
             if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-                raise ValueError(f"weight of vertex {i} must be a non-negative integer, not {w!r}")
+                raise ValueError(f"weight of vertex {i} must be a non-negative integer, not {echo(w)}")
 
     @classmethod
     def of(cls, weights) -> "WeightFn":

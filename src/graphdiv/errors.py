@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounded echo that
+their messages use to quote input."""
+
+import reprlib
+
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+_ECHO.maxdict = 2
+_ECHO.maxlist = _ECHO.maxtuple = 3
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 16
+
+
+def echo(value) -> str:
+    """``repr(value)`` cut to at most about 80 characters, for a message
+    that quotes an input value: strings and numbers lose their middle, and
+    containers show their first few members, one level deep."""
+    return _ECHO.repr(value)
 
 
 class GraphDivError(Exception):

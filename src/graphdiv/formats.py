@@ -2,11 +2,14 @@
 
 Both formats follow their public conventions bit for bit: graph6 packs the
 upper triangle column by column into 6-bit printable bytes offset by 63;
-DIMACS uses a ``p edge n m`` header and 1-indexed ``e u v`` lines.
+DIMACS uses a ``p edge n m`` header and 1-indexed ``e u v`` lines. A
+DIMACS header may declare at most ``CLIQUE_BUDGET`` vertices, the largest
+oracle budget; graph6 needs no such limit, because the work its reader
+does is bounded by the length of the string.
 """
 
-from .core import Graph, _bits
-from .errors import ParseError
+from .core import CLIQUE_BUDGET, Graph, _bits
+from .errors import ParseError, echo
 
 _G6_HEADER = ">>graph6<<"
 
@@ -105,7 +108,12 @@ def parse_graph6_lines(text: str) -> list:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse a DIMACS .col graph (``p edge n m`` header, ``e u v`` lines)."""
+    """Parse a DIMACS .col graph (``p edge n m`` header, ``e u v`` lines).
+
+    A header that declares more than ``CLIQUE_BUDGET`` vertices is a parse
+    error of kind "range": no subcommand can give such a graph an ok
+    record, and the header alone would size the adjacency rows.
+    """
     n = None
     declared = 0
     edge_lines = 0
@@ -119,39 +127,44 @@ def parse_dimacs(text: str) -> Graph:
             if n is not None:
                 raise ParseError("duplicate DIMACS problem line", kind="header")
             if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError(f"malformed DIMACS header: {line!r}", kind="header")
+                raise ParseError(f"malformed DIMACS header: {echo(line)}", kind="header")
             try:
                 n = int(parts[2])
                 declared = int(parts[3])
             except ValueError:
-                raise ParseError(f"non-numeric DIMACS header fields: {line!r}", kind="header") from None
+                raise ParseError(f"non-numeric DIMACS header fields: {echo(line)}", kind="header") from None
             if n < 0 or declared < 0:
                 raise ParseError("DIMACS sizes must be non-negative", kind="header")
+            if n > CLIQUE_BUDGET:
+                raise ParseError(
+                    f"DIMACS header declares {echo(n)} vertices, above the limit of {CLIQUE_BUDGET}",
+                    kind="range",
+                )
             adj = [0] * n
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("DIMACS edge line before the problem line", kind="header")
             if len(parts) != 3:
-                raise ParseError(f"malformed DIMACS edge line: {line!r}", kind="header")
+                raise ParseError(f"malformed DIMACS edge line: {echo(line)}", kind="header")
             try:
                 u = int(parts[1])
                 v = int(parts[2])
             except ValueError:
-                raise ParseError(f"non-numeric DIMACS edge endpoints: {line!r}", kind="range") from None
+                raise ParseError(f"non-numeric DIMACS edge endpoints: {echo(line)}", kind="range") from None
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"DIMACS endpoint out of 1..{n}: {line!r}", kind="range")
+                raise ParseError(f"DIMACS endpoint out of 1..{n}: {echo(line)}", kind="range")
             if u == v:
                 raise ParseError(f"DIMACS self-loop at vertex {u}", kind="range")
             edge_lines += 1
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
         else:
-            raise ParseError(f"unknown DIMACS line type: {line!r}", kind="header")
+            raise ParseError(f"unknown DIMACS line type: {echo(line)}", kind="header")
     if n is None:
         raise ParseError("DIMACS input has no problem line", kind="header")
     if edge_lines != declared:
         raise ParseError(
-            f"DIMACS header declares {declared} edges but {edge_lines} edge lines follow",
+            f"DIMACS header declares {echo(declared)} edges but {edge_lines} edge lines follow",
             kind="count",
         )
     return Graph(n, tuple(adj))

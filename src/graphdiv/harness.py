@@ -27,6 +27,7 @@ from .errors import (
     NotInClassError,
     ParseError,
     TheoremViolationError,
+    echo,
 )
 from .formats import emit_graph6, parse_dimacs, parse_graph6, parse_graph6_lines
 from .recognition import classify, find_bull, find_c5, find_odd_hole, find_p5, is_perfect
@@ -241,7 +242,7 @@ def _stored_ints(payload, key: str) -> list:
         raise TypeError(f"{key} must be a list, not {type(values).__name__}")
     for i, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"{key}[{i}] must be a non-negative integer, not {value!r}")
+            raise ValueError(f"{key}[{i}] must be a non-negative integer, not {echo(value)}")
     return values
 
 
@@ -253,7 +254,7 @@ def _division_from_json(g: Graph, payload: dict):
             VertexSet.of(g.n, _stored_ints(payload, "b")),
         )
     if kind != "perfect":
-        raise ValueError(f"unknown division kind {kind!r}")
+        raise ValueError(f"unknown division kind {echo(kind)}")
     weights = payload.get("weights")
     return PerfectDivision(
         VertexSet.of(g.n, _stored_ints(payload, "p")),
@@ -282,14 +283,14 @@ def _stored_problem(g6: str, stored: dict):
         if "coloring" in stored:
             kind = BOUND_KIND.get(stored.get("mode"))
             if kind is None:
-                return f"coloring record has no known mode: {stored.get('mode')!r}"
+                return f"coloring record has no known mode: {echo(stored.get('mode'))}"
             assignment = _stored_ints(stored, "coloring")
             try:
                 _, certificate = _certified(g, assignment, len(set(assignment)), kind)
             except TheoremViolationError as exc:
                 return f"stored {exc}"
             if "certificate" in stored and stored["certificate"] != certificate.to_json():
-                return f"stored certificate {stored['certificate']} disagrees with the graph's {certificate.to_json()}"
+                return f"stored certificate disagrees with the graph's {certificate.to_json()}"
     except (KeyError, TypeError, ValueError) as exc:
         return f"malformed record: {type(exc).__name__}: {exc}"
     return None
@@ -314,7 +315,7 @@ def run_verify(stored_report: dict, graphs=None) -> list:
         raise ValueError("stored report is not a JSON object with a list of records")
     schema = stored_report.get("schema", SCHEMA_VERSION)
     if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise ValueError(f"stored report has schema {schema!r}, this version reads schema {SCHEMA_VERSION}")
+        raise ValueError(f"stored report has schema {echo(schema)}, this version reads schema {SCHEMA_VERSION}")
 
     def body(record, stored):
         g6 = stored.get("graph6") if isinstance(stored, dict) else None
@@ -350,7 +351,7 @@ def conjecture_search(max_n: int, *, seed: int = 0) -> dict:
     def body(record, g):
         g6 = emit_graph6(g)
         record.update(graph6=g6, n=g.n)
-        odd_hole_free = classify(g).odd_hole_free
+        odd_hole_free = find_odd_hole(g, None) is None
         record["odd_hole_free"] = odd_hole_free
         divisible, counter = is_two_divisible_oracle(g)
         record["two_divisible"] = divisible

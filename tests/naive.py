@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to cross-check the package.
 
-Everything here is written against plain lists and sets, deliberately
-avoiding the bitmask machinery of the package under test, so the two
-routes only share the input graphs.
+Most of it is written against plain lists and sets, deliberately avoiding
+the bitmask machinery of the package under test, so the two routes only
+share the input graphs. ``is_two_divisible_oracle`` and
+``nonisomorphic_graphs`` are instead the slower versions that faster
+package code replaced, kept so the two can be compared exactly.
 """
 
 import functools
 import itertools
 
-from graphdiv import Graph, canonical_graph, canonical_key
+from graphdiv import Graph, VertexSet, canonical_graph, canonical_key
 
 
 def subsets(items, size=None):
@@ -193,6 +195,38 @@ def is_two_divisible(g: Graph) -> bool:
         if not ok:
             return False
     return True
+
+
+def is_two_divisible_oracle(g: Graph):
+    """The package's first 2-divisibility oracle, kept as the reference for
+    the current one: the same clique-number table, but every subset with an
+    edge scans its submasks from the top until one splits it. Returns
+    ``(True, None)`` or ``(False, first failing subset)``."""
+    n = g.n
+    adj = g.adj
+    size = 1 << n
+    omega = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        omega[mask] = max(omega[mask ^ low], 1 + omega[mask & adj[v]])
+    for h in range(1, size):
+        oh = omega[h]
+        if oh < 2:
+            continue
+        low = h & -h
+        found = False
+        a = h
+        while True:
+            if a & low and omega[a] < oh and omega[h ^ a] < oh:
+                found = True
+                break
+            if a == 0:
+                break
+            a = (a - 1) & h
+        if not found:
+            return False, VertexSet(n, h)
+    return True, None
 
 
 @functools.cache

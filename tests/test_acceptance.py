@@ -302,9 +302,9 @@ def _preserve_counterexample(payload):
 
 def test_criterion_7_conjecture_necessity(corpus_le8):
     graphs, _ = corpus_le8
-    # the open direction, exhaustively below 8 vertices: an odd-hole-free
+    # the open direction, exhaustively up to 8 vertices: an odd-hole-free
     # graph that fails to 2-divide would falsify the conjecture
-    for n in range(1, 8):
+    for n in range(1, 9):
         for g in graphs[n]:
             if find_odd_hole(g) is not None:
                 continue
@@ -337,7 +337,7 @@ def test_criterion_7_conjecture_necessity(corpus_le8):
         sampled += 1
     _passed(
         7,
-        "2-divisibility matches odd-hole-freeness on all graphs with n <= 7 "
+        "2-divisibility matches odd-hole-freeness on all graphs with n <= 8 "
         "and fails on C5, C7, C9 and 200 sampled odd-hole graphs with n <= 9",
     )
 

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import graphdiv.divisibility
-from graphdiv import complete_graph, cycle_graph, emit_graph6, path_graph, scrub_volatile
+from graphdiv import complete_graph, cycle_graph, emit_graph6, path_graph, random_graph, scrub_volatile
 from graphdiv.cli import (
     EXIT_BUDGET_EXCEEDED,
     EXIT_CLASS_VIOLATION,
@@ -15,6 +16,10 @@ from graphdiv.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+
+
+_C5 = emit_graph6(cycle_graph(5))
+_LONG = "x" * 5000
 
 
 def _write_g6(path, *graphs):
@@ -312,6 +317,34 @@ class TestVerify:
         assert main(["verify", "--division", str(stored)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"graphdiv: {stored} nests JSON too deeply\n"
 
+    @pytest.mark.parametrize(
+        "field, report",
+        [
+            ("mode", {"records": [{"graph6": _C5, "mode": _LONG, "coloring": [0, 1, 0, 1, 2]}]}),
+            ("coloring", {"records": [{"graph6": _C5, "mode": "perfect", "coloring": [0, 1, 0, 1, _LONG]}]}),
+            (
+                "certificate",
+                {"records": [{"graph6": _C5, "mode": "perfect", "coloring": [0, 1, 0, 1, 2], "certificate": _LONG}]},
+            ),
+            ("kind", {"records": [{"graph6": _C5, "division": {"kind": _LONG}}]}),
+            ("schema", {"schema": _LONG, "records": []}),
+        ],
+        ids=["mode", "coloring-entry", "certificate", "division-kind", "schema"],
+    )
+    def test_long_values_are_not_echoed_whole(self, tmp_path, capsys, field, report):
+        stored = tmp_path / "stored.json"
+        stored.write_text(json.dumps(report))
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--division", str(stored), "--out", str(out)])
+        if field == "schema":
+            assert code == EXIT_USAGE
+            message = capsys.readouterr().err
+        else:
+            assert code == EXIT_VERIFY_FAILED
+            message = _load(out)["records"][0]["error"]
+        assert len(message) < 200
+        assert field in message
+
     def test_other_schema_is_a_usage_error(self, tmp_path, capsys):
         stored = tmp_path / "report.json"
         stored.write_text(json.dumps({"schema": 99, "records": []}))
@@ -427,3 +460,50 @@ class TestFuzzedJsonInputs:
         weights.write_text(text)
         argv = ["divide", "--mode", "perfect", "--in", str(src), "--weights", str(weights), "--out", str(tmp_path / "out.json")]
         assert main(argv) in range(7)
+
+
+_graph6_lines = (
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+    | st.text(max_size=6)
+    | st.builds(
+        lambda n, p, seed: emit_graph6(random_graph(n, p, random.Random(seed))),
+        st.integers(0, 12),
+        st.floats(0, 1),
+        st.integers(),
+    )
+)
+_graph6_files = st.lists(_graph6_lines, max_size=3).map("\n".join)
+_dimacs_lines = (
+    st.builds("p edge {} {}".format, st.integers(-1, 40), st.integers(-1, 10))
+    | st.builds("e {} {}".format, st.integers(-1, 12), st.integers(-1, 12))
+    | st.sampled_from(["c comment", "", "p edge", "p col 3 0", "e 1", "e x y"])
+    | st.text(max_size=8)
+)
+_dimacs_files = st.lists(_dimacs_lines, max_size=8).map("\n".join)
+
+
+class TestFuzzedGraphFiles:
+    """Whatever graph6 or DIMACS text a graph file holds, ``classify --in``
+    and ``verify --graph`` end in a documented exit code, never in an
+    exception."""
+
+    def _run(self, tmp_path, name, text):
+        graphs = tmp_path / name
+        graphs.write_text(text, encoding="utf-8")
+        stored = tmp_path / "report.json"
+        stored.write_text(json.dumps({"records": [{"graph6": _C5, "mode": "perfect", "coloring": [0, 1, 0, 1, 2]}]}))
+        out = str(tmp_path / "out.json")
+        assert main(["classify", "--in", str(graphs), "--out", out]) in range(7)
+        assert main(["verify", "--division", str(stored), "--graph", str(graphs), "--out", out]) in range(7)
+
+    @_FUZZ_SETTINGS
+    @given(_graph6_files)
+    def test_graph6(self, tmp_path, text):
+        self._run(tmp_path, "graphs.g6", text)
+
+    @_FUZZ_SETTINGS
+    @given(_dimacs_files)
+    @example("p edge 8000 0")
+    @example("p edge 3000000 0")
+    def test_dimacs(self, tmp_path, text):
+        self._run(tmp_path, "graph.col", text)

@@ -23,6 +23,7 @@ from graphdiv import (
     complete_graph,
     cycle_graph,
     embedding_is_valid,
+    emit_graph6,
     empty_graph,
     find_bull,
     find_c5,
@@ -127,6 +128,31 @@ class TestTwoDivisibleOracle:
         for _ in range(25):
             g = random_graph(rng.randint(1, 6), rng.random(), rng)
             assert is_two_divisible_oracle(g)[0] == naive.is_two_divisible(g)
+
+    # The oracle tries the split carried from h minus its lowest vertex
+    # before scanning; the flag and the first failing subset must equal
+    # those of the scan-only reference.
+    def test_matches_scan_exhaustively(self):
+        for n in range(1, 8):
+            for g in nonisomorphic_graphs(n):
+                assert is_two_divisible_oracle(g) == naive.is_two_divisible_oracle(g), emit_graph6(g)
+
+    def test_matches_scan_on_random_graphs(self):
+        rng = random.Random(4099)
+        for i in range(300):
+            g = random_graph(8 + i % 5, 0.05 + 0.9 * rng.random(), rng)
+            assert is_two_divisible_oracle(g) == naive.is_two_divisible_oracle(g), emit_graph6(g)
+
+    @pytest.mark.parametrize("k", [5, 7, 9])
+    def test_matches_scan_on_relabeled_odd_cycles(self, k):
+        rng = random.Random(k)
+        for _ in range(5):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            g = Graph.from_edges(k, [(perm[u], perm[(u + 1) % k]) for u in range(k)])
+            divisible, counter = is_two_divisible_oracle(g)
+            assert not divisible and counter.mask == (1 << k) - 1
+            assert (divisible, counter) == naive.is_two_divisible_oracle(g)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

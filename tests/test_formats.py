@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphdiv import (
+    CLIQUE_BUDGET,
     Graph,
     ParseError,
     complete_graph,
@@ -139,6 +140,19 @@ class TestDimacs:
         with pytest.raises(ParseError) as err:
             parse_dimacs("p edge 3 2\ne 1 2\n")
         assert err.value.kind == "count"
+
+    def test_declared_size_limit(self):
+        assert parse_dimacs(f"p edge {CLIQUE_BUDGET} 0\n") == empty_graph(CLIQUE_BUDGET)
+        with pytest.raises(ParseError) as err:
+            parse_dimacs(f"p edge {CLIQUE_BUDGET + 1} 0\n")
+        assert err.value.kind == "range"
+        assert str(err.value) == f"DIMACS header declares {CLIQUE_BUDGET + 1} vertices, above the limit of {CLIQUE_BUDGET}"
+
+    def test_long_line_is_not_echoed_whole(self):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs("p edge 2 0\n" + "q" * 5000 + "\n")
+        assert str(err.value).startswith("unknown DIMACS line type: 'qqq")
+        assert len(str(err.value)) < 100
 
     def test_unknown_line(self):
         with pytest.raises(ParseError) as err:
