@@ -5,6 +5,7 @@ heavier than the unit tests; run with ``pytest tests/test_acceptance.py -v -s``
 to watch the per-criterion lines.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -495,6 +496,16 @@ def test_invariant_pattern_finders_exhaustive_at_eight(corpus_le8):
             assert (finder(g) is not None) == (key in present), emit_graph6(g)
 
 
+# First 16 hex digits of the sha256 of each scrubbed criterion-9 report.
+# A change that alters what a report says must say why and update these.
+REPORT_DIGESTS = {
+    "classify": "cc322c9a7f6a2fb5",
+    "divide": "8076d92733e6cc50",
+    "color": "7ab40d03c9fe9938",
+    "conjecture": "3ad439e181b197da",
+}
+
+
 def test_criterion_9_report_determinism(tmp_path):
     runs = {
         "classify": ["classify", "--random", "7,0.5,40", "--seed", "17"],
@@ -517,4 +528,10 @@ def test_criterion_9_report_determinism(tmp_path):
             payload = json.loads(out.read_text())
             texts.append(json.dumps(scrub_volatile(payload), sort_keys=True, indent=2))
         assert texts[0] == texts[1], f"{name} report changed between identical runs"
-    _passed(9, "repeated harness runs with identical seeds are byte-identical after timestamp scrubbing")
+        digest = hashlib.sha256(texts[0].encode()).hexdigest()[:16]
+        assert digest == REPORT_DIGESTS[name], f"{name} report differs from the recorded one"
+    _passed(
+        9,
+        "repeated harness runs with identical seeds are byte-identical after timestamp "
+        "scrubbing, and match the recorded digests",
+    )
