@@ -8,22 +8,15 @@ from .core import (
     Graph,
     VertexSet,
     WeightFn,
-    anticomponents,
     chromatic_number_exact,
     clique_number,
     complement,
     complete_graph,
-    components,
     cycle_graph,
     empty_graph,
     induced_subgraph,
-    is_anticomplete_to,
-    is_complete_to,
     max_weight_clique,
-    neighbors,
-    non_neighborhood,
     path_graph,
-    seagull,
 )
 from .errors import (
     BudgetExceededError,
@@ -33,7 +26,7 @@ from .errors import (
     ParseError,
     TheoremViolationError,
 )
-from .formats import emit_dimacs, emit_graph6, parse_dimacs, parse_graph6, parse_graph6_lines
+from .formats import emit_graph6, parse_dimacs, parse_graph6, parse_graph6_lines
 from .recognition import (
     BULL_PATTERN,
     C5_PATTERN,

@@ -3,8 +3,8 @@
 Vertices are dense integers ``0..n-1``. Adjacency rows and vertex sets are
 plain Python integers used as bitmasks, which keeps the set algebra on
 machine words and makes the exhaustive oracles fast enough for the graph
-sizes they are meant for (clique number up to 32 vertices, chromatic
-number up to 16 by default; both limits are arguments).
+sizes they are meant for (clique number up to ``CLIQUE_BUDGET`` = 32
+vertices, chromatic number up to ``CHROMATIC_BUDGET`` = 16).
 """
 
 from dataclasses import dataclass
@@ -72,33 +72,6 @@ class VertexSet:
         self._check_host(other)
         return VertexSet(self.host_size, self.mask | other.mask)
 
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check_host(other)
-        return VertexSet(self.host_size, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check_host(other)
-        return VertexSet(self.host_size, self.mask & ~other.mask)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.host_size, ((1 << self.host_size) - 1) ^ self.mask)
-
-    def add(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.host_size:
-            raise ValueError(f"vertex {v} out of range")
-        return VertexSet(self.host_size, self.mask | (1 << v))
-
-    def remove(self, v: int) -> "VertexSet":
-        return VertexSet(self.host_size, self.mask & ~(1 << v))
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        self._check_host(other)
-        return not self.mask & other.mask
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check_host(other)
-        return self.mask & ~other.mask == 0
-
     def __repr__(self):
         return f"VertexSet({set(self.members()) if self.mask else set()} of {self.host_size})"
 
@@ -146,14 +119,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> list:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if v > u]
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
 
     def has_any_edge(self) -> bool:
         return any(self.adj)
@@ -187,9 +154,6 @@ class WeightFn:
     def __getitem__(self, v: int) -> int:
         return self.weights[v]
 
-    def total(self, mask: int) -> int:
-        return sum(self.weights[v] for v in _bits(mask))
-
 
 @dataclass(frozen=True)
 class CliqueResult:
@@ -197,11 +161,6 @@ class CliqueResult:
 
     value: int
     witness: VertexSet
-
-
-def _check_vertex(g: Graph, v: int):
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for graph on {g.n} vertices")
 
 
 def _check_set(g: Graph, s: VertexSet):
@@ -244,23 +203,6 @@ def induced_subgraph(g: Graph, s: VertexSet):
             row |= 1 << index[u]
         rows.append(row)
     return Graph(len(vmap), tuple(rows)), vmap
-
-
-def neighbors(g: Graph, v: int) -> VertexSet:
-    """The open neighborhood of ``v``."""
-    _check_vertex(g, v)
-    return VertexSet(g.n, g.adj[v])
-
-
-def non_neighborhood(g: Graph, v: int) -> VertexSet:
-    """All vertices distinct from ``v`` and not adjacent to it.
-
-    Together with ``{v}`` and the neighborhood this partitions the
-    vertex set.
-    """
-    _check_vertex(g, v)
-    full = (1 << g.n) - 1
-    return VertexSet(g.n, full & ~g.adj[v] & ~(1 << v))
 
 
 def _mask_components(adj, mask: int) -> list:
@@ -313,71 +255,6 @@ def _mask_anticomponents(adj, mask: int) -> list:
     return out
 
 
-def components(g: Graph, x: VertexSet) -> list:
-    """Maximal connected subsets of ``x``, ordered by smallest member."""
-    _check_set(g, x)
-    return [VertexSet(g.n, m) for m in _mask_components(g.adj, x.mask)]
-
-
-def anticomponents(g: Graph, x: VertexSet) -> list:
-    """Maximal anticonnected subsets of ``x`` (components in the complement)."""
-    _check_set(g, x)
-    return [VertexSet(g.n, m) for m in _mask_anticomponents(g.adj, x.mask)]
-
-
-def _check_disjoint(x: VertexSet, y: VertexSet):
-    x._check_host(y)
-    if x.mask & y.mask:
-        raise ValueError("sets overlap")
-
-
-def is_complete_to(g: Graph, x: VertexSet, y: VertexSet) -> bool:
-    """True when every vertex of ``x`` is adjacent to every vertex of ``y``."""
-    _check_set(g, x)
-    _check_disjoint(x, y)
-    return all(g.adj[u] & y.mask == y.mask for u in _bits(x.mask))
-
-
-def is_anticomplete_to(g: Graph, x: VertexSet, y: VertexSet) -> bool:
-    """True when there are no edges between ``x`` and ``y``."""
-    _check_set(g, x)
-    _check_disjoint(x, y)
-    return all(g.adj[u] & y.mask == 0 for u in _bits(x.mask))
-
-
-def seagull(g: Graph, c: VertexSet, v: int, *, in_complement: bool = False):
-    """Find ``a, b`` in the connected set ``c`` such that v-a-b is a path.
-
-    Requires ``v`` outside ``c`` and mixed on it (neither complete nor
-    anticomplete). With ``in_complement`` the same statement is resolved in
-    the complement graph: the returned pair satisfies v~a, a~b, v!~b there.
-    Precondition violations raise ValueError with a distinct reason
-    ("not connected", "complete", "anticomplete").
-    """
-    _check_set(g, c)
-    _check_vertex(g, v)
-    if v in c:
-        raise ValueError("seagull: v must lie outside c")
-    if not c.mask:
-        raise ValueError("seagull: c is empty, hence not connected")
-    where = "complement" if in_complement else "graph"
-    adj = _co_rows(g.adj, (1 << g.n) - 1) if in_complement else g.adj
-    if len(_mask_components(adj, c.mask)) > 1:
-        raise ValueError(f"seagull: c is not connected in the {where}")
-    inside = adj[v] & c.mask
-    if inside == c.mask:
-        raise ValueError(f"seagull: v is complete to c in the {where}")
-    if inside == 0:
-        raise ValueError(f"seagull: v is anticomplete to c in the {where}")
-    outside = c.mask ^ inside
-    for a in _bits(inside):
-        reach = adj[a] & outside
-        if reach:
-            b = (reach & -reach).bit_length() - 1
-            return a, b
-    raise AssertionError("connected set must join the neighbor and non-neighbor sides")
-
-
 def _max_clique_mask(adj, cand: int):
     """Exact maximum clique within ``cand``: branch and bound with a greedy
     coloring bound. Returns ``(size, clique_mask)``."""
@@ -417,12 +294,12 @@ def _max_clique_mask(adj, cand: int):
     return best_size, best_mask
 
 
-def clique_number(g: Graph, within: VertexSet = None, *, budget: int = CLIQUE_BUDGET) -> CliqueResult:
+def clique_number(g: Graph, within: VertexSet = None) -> CliqueResult:
     """Exact clique number (optionally restricted to ``within``), with witness."""
     mask = _within_mask(g, within)
     count = mask.bit_count()
-    if count > budget:
-        raise BudgetExceededError(f"clique oracle limited to {budget} vertices, asked for {count}")
+    if count > CLIQUE_BUDGET:
+        raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {count}")
     size, wmask = _max_clique_mask(g.adj, mask)
     return CliqueResult(size, VertexSet(g.n, wmask))
 
@@ -468,30 +345,25 @@ def _max_weight_clique_mask(adj, weights, cand: int):
     return best_w, best_mask
 
 
-def _checked_weight_clique(g: Graph, w: WeightFn, within, budget: int):
+def _checked_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None):
     """``_max_weight_clique_mask`` on ``within``, after the weight length
     and budget checks of ``max_weight_clique``."""
     if len(w) != g.n:
         raise ValueError("weight function length does not match the graph")
     mask = _within_mask(g, within)
     count = mask.bit_count()
-    if count > budget:
-        raise BudgetExceededError(f"clique oracle limited to {budget} vertices, asked for {count}")
+    if count > CLIQUE_BUDGET:
+        raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {count}")
     return _max_weight_clique_mask(g.adj, w.weights, mask)
 
 
-def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None, *, budget: int = CLIQUE_BUDGET) -> CliqueResult:
+def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None) -> CliqueResult:
     """Exact maximum total weight over cliques (the empty clique counts as 0)."""
-    value, wmask = _checked_weight_clique(g, w, within, budget)
+    value, wmask = _checked_weight_clique(g, w, within)
     return CliqueResult(value, VertexSet(g.n, wmask))
 
 
-def _max_clique_weight(g: Graph, w: WeightFn, within: VertexSet = None) -> int:
-    """``max_weight_clique(g, w, within).value``, without building the witness."""
-    return _checked_weight_clique(g, w, within, CLIQUE_BUDGET)[0]
-
-
-def chromatic_number_exact(g: Graph, within: VertexSet = None, *, budget: int = CHROMATIC_BUDGET):
+def chromatic_number_exact(g: Graph, within: VertexSet = None):
     """Exact chromatic number of ``g[within]`` (all of ``g`` by default),
     with a proper coloring witness indexed by vertex of ``g``; vertices
     outside ``within`` get -1.
@@ -502,8 +374,8 @@ def chromatic_number_exact(g: Graph, within: VertexSet = None, *, budget: int = 
     """
     mask = _within_mask(g, within)
     n = mask.bit_count()
-    if n > budget:
-        raise BudgetExceededError(f"coloring oracle limited to {budget} vertices, asked for {n}")
+    if n > CHROMATIC_BUDGET:
+        raise BudgetExceededError(f"coloring oracle limited to {CHROMATIC_BUDGET} vertices, asked for {n}")
     adj = [row & mask for row in g.adj]
     lower = clique_number(g, within).value
     order = sorted(_bits(mask), key=lambda v: (-adj[v].bit_count(), v))

@@ -13,8 +13,8 @@ from .core import (
     VertexSet,
     WeightFn,
     _bits,
+    _checked_weight_clique,
     _mask_components,
-    _max_clique_weight,
     _within_mask,
     clique_number,
 )
@@ -170,8 +170,8 @@ def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: V
         return False, "parts do not cover the vertex set"
     if not is_perfect(g, d.p):
         return False, "P side is not perfect"
-    top = _max_clique_weight(g, w, within)
-    side = _max_clique_weight(g, w, d.w_side)
+    top = _checked_weight_clique(g, w, within)[0]
+    side = _checked_weight_clique(g, w, d.w_side)[0]
     if top > 0 and side >= top:
         return False, f"maximum clique weight of W is {side}, not below {top}"
     return True, None
@@ -327,7 +327,7 @@ def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: Ver
         raise ValueError("x is not a homogeneous set of g")
     rep = x.members()[0]
     q_weights = list(w.weights)
-    q_weights[rep] = _max_clique_weight(g, w, x)
+    q_weights[rep] = _checked_weight_clique(g, w, x)[0]
     return QuotientStep(
         original=g,
         original_weights=w,

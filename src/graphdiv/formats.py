@@ -1,4 +1,4 @@
-"""graph6 and DIMACS .col readers/writers.
+"""graph6 reader and writer, and a DIMACS .col reader.
 
 Both formats follow their public conventions bit for bit: graph6 packs the
 upper triangle column by column into 6-bit printable bytes offset by 63;
@@ -8,7 +8,7 @@ oracle budget; graph6 needs no such limit, because the work its reader
 does is bounded by the length of the string.
 """
 
-from .core import CLIQUE_BUDGET, Graph, _bits
+from .core import CLIQUE_BUDGET, Graph
 from .errors import ParseError, echo
 
 _G6_HEADER = ">>graph6<<"
@@ -169,12 +169,3 @@ def parse_dimacs(text: str) -> Graph:
         )
     return Graph(n, tuple(adj))
 
-
-def emit_dimacs(g: Graph) -> str:
-    """DIMACS .col encoding of ``g``."""
-    lines = [f"p edge {g.n} {g.edge_count()}"]
-    for u in range(g.n):
-        for v in _bits(g.adj[u]):
-            if v > u:
-                lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"

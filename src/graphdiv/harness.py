@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass
 
 from .coloring import BOUND_KIND, _certified, color_via_perfect_division, color_via_two_division
-from .core import Graph, VertexSet, WeightFn
+from .core import CLIQUE_BUDGET, Graph, VertexSet, WeightFn
 from .corpus import EXHAUSTIVE_LIMIT, nonisomorphic_graphs, random_graph
 from .divisibility import (
     PerfectDivision,
@@ -58,11 +58,13 @@ class CorpusSpec:
     """Where a corpus comes from and how it is filtered.
 
     ``kind`` is "exhaustive" (all isomorphism classes on ``n`` vertices),
-    "random" (``count`` seeded draws at ``edge_prob``), or "file" (graph6
-    lines, or DIMACS for .col paths). ``filters`` is a conjunction of
-    class flags; random draws that fail it are rejected and redrawn, with
-    per-attempt sub-seeds so the stream is stable under count changes, up
-    to ``MAX_ATTEMPTS_FACTOR`` draws per requested graph.
+    "random" (``count`` seeded draws at ``edge_prob``, on at most
+    ``CLIQUE_BUDGET`` vertices, above which no subcommand gives an ok
+    record), or "file" (graph6 lines, or DIMACS for .col paths).
+    ``filters`` is a conjunction of class flags; random draws that fail it
+    are rejected and redrawn, with per-attempt sub-seeds so the stream is
+    stable under count changes, up to ``MAX_ATTEMPTS_FACTOR`` draws per
+    requested graph.
     """
 
     kind: str
@@ -80,6 +82,8 @@ class CorpusSpec:
         elif self.kind == "random":
             if self.n is None or self.n < 0:
                 raise ValueError("random corpora need a vertex count")
+            if self.n > CLIQUE_BUDGET:
+                raise ValueError(f"random corpora allow at most {CLIQUE_BUDGET} vertices, not {echo(self.n)}")
             if self.edge_prob is None or not 0.0 <= self.edge_prob <= 1.0:
                 raise ValueError("random corpora need an edge probability in [0, 1]")
             if self.count is None or self.count < 1:

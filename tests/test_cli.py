@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -63,6 +64,16 @@ class TestClassify:
         assert main(["classify", "--in", str(src), "--out", str(out)]) == EXIT_OK
         record = _load(out)["records"][0]
         assert record["class"]["c5_free"] is False
+
+    def test_random_above_the_clique_budget_is_a_usage_error(self, tmp_path, capsys):
+        # refused from the spec alone, before any graph is drawn
+        start = time.perf_counter()
+        assert main(["classify", "--random", "6000,0.5,1"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert "at most 32 vertices, not 6000" in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        assert main(["classify", "--random", "32,0.5,1", "--out", str(out)]) == EXIT_BUDGET_EXCEEDED
+        assert _load(out)["summary"]["total"] == 1
 
     def test_parse_failure_exit(self, tmp_path, capsys):
         src = tmp_path / "bad.g6"

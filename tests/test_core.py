@@ -6,27 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 import naive
 from graphdiv import (
+    CHROMATIC_BUDGET,
+    CLIQUE_BUDGET,
     BudgetExceededError,
     Graph,
     VertexSet,
     WeightFn,
-    anticomponents,
     chromatic_number_exact,
     clique_number,
     complement,
     complete_graph,
-    components,
     cycle_graph,
     empty_graph,
     induced_subgraph,
-    is_anticomplete_to,
-    is_complete_to,
     max_weight_clique,
-    neighbors,
-    non_neighborhood,
     path_graph,
-    seagull,
 )
+from graphdiv.core import _mask_anticomponents, _mask_components
 
 
 @st.composite
@@ -117,152 +113,37 @@ class TestInducedSubgraph:
             induced_subgraph(cycle_graph(5), VertexSet.of(4, [0]))
 
 
-class TestNeighborhoods:
-    def test_cycle_neighbors(self):
-        assert neighbors(cycle_graph(5), 0).members() == (1, 4)
-
-    def test_complete_neighbors(self):
-        assert neighbors(complete_graph(4), 1).members() == (0, 2, 3)
-
-    def test_edgeless_neighbors(self):
-        assert neighbors(empty_graph(3), 0).members() == ()
-
-    def test_cycle_non_neighborhood(self):
-        assert non_neighborhood(cycle_graph(5), 0).members() == (2, 3)
-
-    def test_complete_non_neighborhood(self):
-        assert non_neighborhood(complete_graph(4), 2).members() == ()
-
-    def test_bull_pendant_non_neighborhood(self, bull):
-        # x is adjacent only to a, so b, c, y remain
-        assert non_neighborhood(bull, 0).members() == (2, 3, 4)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            neighbors(cycle_graph(5), 5)
-        with pytest.raises(ValueError):
-            non_neighborhood(cycle_graph(5), -1)
-
-    @given(graphs(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_partition_property(self, g, data):
-        if g.n == 0:
-            return
-        v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-        ns = neighbors(g, v)
-        ms = non_neighborhood(g, v)
-        assert ns.mask & ms.mask == 0
-        assert not v in ns and not v in ms
-        assert ns.mask | ms.mask | (1 << v) == (1 << g.n) - 1
-
-
 class TestComponents:
     def test_cycle_subset(self):
-        got = components(cycle_graph(5), VertexSet.of(5, [0, 1, 3]))
-        assert [c.members() for c in got] == [(0, 1), (3,)]
+        assert _mask_components(cycle_graph(5).adj, 0b01011) == [0b00011, 0b01000]
 
     def test_empty_set(self):
-        assert components(cycle_graph(5), VertexSet(5)) == []
+        assert _mask_components(cycle_graph(5).adj, 0) == []
 
     def test_bull_non_neighborhood_is_connected(self, bull):
-        got = components(bull, VertexSet.of(5, [2, 3, 4]))
-        assert [c.members() for c in got] == [(2, 3, 4)]
+        assert _mask_components(bull.adj, 0b11100) == [0b11100]
 
     def test_anticomponents_of_complete(self):
-        got = anticomponents(complete_graph(4), VertexSet.full(4))
-        assert [c.members() for c in got] == [(0,), (1,), (2,), (3,)]
+        assert _mask_anticomponents(complete_graph(4).adj, 0b1111) == [0b0001, 0b0010, 0b0100, 0b1000]
 
     def test_anticomponents_of_edgeless(self):
-        got = anticomponents(empty_graph(3), VertexSet.full(3))
-        assert [c.members() for c in got] == [(0, 1, 2)]
+        assert _mask_anticomponents(empty_graph(3).adj, 0b111) == [0b111]
 
     def test_anticomponents_cycle_subset(self):
-        got = anticomponents(cycle_graph(5), VertexSet.of(5, [0, 1, 2]))
-        assert [c.members() for c in got] == [(0, 2), (1,)]
+        assert _mask_anticomponents(cycle_graph(5).adj, 0b00111) == [0b00101, 0b00010]
 
     @given(graphs(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_components_partition_and_match_complement(self, g, data):
         members = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)) if g.n else st.nothing()))
-        x = VertexSet.of(g.n, [v for v in members if v < g.n])
-        comps = components(g, x)
+        x = VertexSet.of(g.n, [v for v in members if v < g.n]).mask
+        comps = _mask_components(g.adj, x)
         union = 0
         for c in comps:
-            assert union & c.mask == 0
-            union |= c.mask
-        assert union == x.mask
-        anti = anticomponents(g, x)
-        via_complement = components(complement(g), x)
-        assert [c.mask for c in anti] == [c.mask for c in via_complement]
-
-
-class TestCompleteAnticomplete:
-    def test_complete_in_k4(self):
-        g = complete_graph(4)
-        assert is_complete_to(g, VertexSet.of(4, [0]), VertexSet.of(4, [1, 2]))
-
-    def test_anticomplete_in_cycle(self):
-        g = cycle_graph(5)
-        assert is_anticomplete_to(g, VertexSet.of(5, [0]), VertexSet.of(5, [2, 3]))
-
-    def test_not_complete_in_cycle(self):
-        g = cycle_graph(5)
-        assert not is_complete_to(g, VertexSet.of(5, [0]), VertexSet.of(5, [1, 2]))
-
-    def test_empty_sides_are_vacuous(self):
-        g = cycle_graph(5)
-        assert is_complete_to(g, VertexSet(5), VertexSet.of(5, [1]))
-        assert is_anticomplete_to(g, VertexSet.of(5, [1]), VertexSet(5))
-
-    def test_overlap_rejected(self):
-        g = cycle_graph(5)
-        with pytest.raises(ValueError):
-            is_complete_to(g, VertexSet.of(5, [0, 1]), VertexSet.of(5, [1]))
-
-
-class TestSeagull:
-    def test_forced_on_p3(self):
-        g = path_graph(3)  # 0-1-2
-        assert seagull(g, VertexSet.of(3, [1, 2]), 0) == (1, 2)
-
-    def test_cycle_example(self):
-        got = seagull(cycle_graph(5), VertexSet.of(5, [1, 2, 3]), 0)
-        assert got == (1, 2)
-
-    def test_complement_flag(self):
-        # triangle 0,1,2 plus isolated 3,4; work in the complement
-        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2)])
-        c = VertexSet.of(5, [0, 3])
-        a, b = seagull(g, c, 1, in_complement=True)
-        assert a in c and b in c and a != b
-        assert not g.has_edge(1, a) and not g.has_edge(a, b) and g.has_edge(1, b)
-
-    def test_error_reasons_are_distinct(self):
-        g = cycle_graph(5)
-        with pytest.raises(ValueError, match="not connected"):
-            seagull(g, VertexSet.of(5, [1, 3]), 0)
-        with pytest.raises(ValueError, match="complete"):
-            seagull(g, VertexSet.of(5, [1]), 0)
-        with pytest.raises(ValueError, match="anticomplete"):
-            seagull(g, VertexSet.of(5, [2, 3]), 0)
-        with pytest.raises(ValueError, match="outside"):
-            seagull(g, VertexSet.of(5, [0, 1]), 0)
-
-    @given(graphs(), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_postcondition(self, g, data):
-        if g.n < 3:
-            return
-        v = data.draw(st.integers(0, g.n - 1))
-        others = [u for u in range(g.n) if u != v]
-        members = data.draw(st.sets(st.sampled_from(others), min_size=2))
-        c = VertexSet.of(g.n, members)
-        try:
-            a, b = seagull(g, c, v)
-        except ValueError:
-            return
-        assert a in c and b in c
-        assert g.has_edge(v, a) and g.has_edge(a, b) and not g.has_edge(v, b)
+            assert union & c == 0
+            union |= c
+        assert union == x
+        assert _mask_anticomponents(g.adj, x) == _mask_components(complement(g).adj, x)
 
 
 class TestCliqueOracles:
@@ -295,9 +176,11 @@ class TestCliqueOracles:
         assert clique_number(g, VertexSet.of(5, [0, 2, 4])).value == 3
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        assert clique_number(empty_graph(CLIQUE_BUDGET)).value == 1
+        with pytest.raises(BudgetExceededError, match="clique oracle limited to 32 vertices, asked for 40"):
             clique_number(empty_graph(40))
-        assert clique_number(empty_graph(40), budget=64).value == 1
+        with pytest.raises(BudgetExceededError, match="clique oracle limited to 32 vertices, asked for 33"):
+            max_weight_clique(empty_graph(33), WeightFn.unit(33))
 
 
 class TestMaxWeightClique:
@@ -371,6 +254,6 @@ class TestChromatic:
             assert k == naive.chromatic_number(g)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        assert chromatic_number_exact(empty_graph(CHROMATIC_BUDGET))[0] == 1
+        with pytest.raises(BudgetExceededError, match="coloring oracle limited to 16 vertices, asked for 17"):
             chromatic_number_exact(empty_graph(17))
-        assert chromatic_number_exact(empty_graph(17), budget=20)[0] == 1

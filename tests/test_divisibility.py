@@ -35,7 +35,6 @@ from graphdiv import (
     is_perfect,
     is_two_divisible_oracle,
     max_weight_clique,
-    non_neighborhood,
     path_graph,
     perfect_divide,
     quotient_by_homogeneous_set,
@@ -270,7 +269,8 @@ class TestPerfectNonNeighborhoodVertex:
                 continue
             v = find_perfect_nonneighborhood_vertex(g)
             assert v is not None
-            sub, _ = induced_subgraph(g, non_neighborhood(g, v))
+            full = (1 << g.n) - 1
+            sub, _ = induced_subgraph(g, VertexSet(g.n, full & ~g.adj[v] & ~(1 << v)))
             assert is_perfect(sub)
             break
         else:
