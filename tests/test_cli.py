@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -6,7 +7,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import graphdiv.divisibility
-from graphdiv import complete_graph, cycle_graph, emit_graph6, path_graph, random_graph, scrub_volatile
+import graphdiv.harness
+from graphdiv import (
+    canonical_graph,
+    canonical_key,
+    complete_graph,
+    cycle_graph,
+    emit_graph6,
+    path_graph,
+    random_graph,
+    scrub_volatile,
+)
 from graphdiv.cli import (
     EXIT_BUDGET_EXCEEDED,
     EXIT_CLASS_VIOLATION,
@@ -223,6 +234,22 @@ class TestColor:
         assert code == EXIT_BUDGET_EXCEEDED
         assert lines[1] == f"{emit_graph6(cycle_graph(4))},2,2,2,2,0"
 
+    # First 16 hex digits of the sha256 of the CSV bytes, and the line count.
+    @pytest.mark.parametrize(
+        "mode, flags, digest, lines",
+        [
+            ("two", "p5free,c5free", "f63759af46711e6e", 131),
+            ("perfect", "bullfree,p5free", "7c1f811aad8b4875", 122),
+        ],
+    )
+    def test_csv_golden_digest(self, tmp_path, mode, flags, digest, lines):
+        out = tmp_path / "table.csv"
+        code = main(["color", "--mode", mode, "--exhaustive", "6", "--filter", flags, "--format", "csv", "--out", str(out)])
+        assert code == EXIT_OK
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+        assert len(data.splitlines()) == lines
+
     def test_csv_chi_blank_above_its_budget(self, tmp_path):
         # only chi's 16-vertex oracle budget is exceeded; the coloring is ok
         k17 = complete_graph(17)
@@ -395,6 +422,31 @@ class TestConjectureCommand:
         assert code == EXIT_OK
         report = _load(out)
         assert report["summary"]["counterexamples"] == []
+
+    def _sweep(self, tmp_path):
+        out = tmp_path / "conjecture.json"
+        code = main(["conjecture", "--max-n", "5", "--out", str(out)])
+        return code, _load(out)["summary"]
+
+    def test_counterexample_exit(self, tmp_path, monkeypatch):
+        # with no odd hole found anywhere, C5 reads as odd-hole-free but not 2-divisible
+        monkeypatch.setattr(graphdiv.harness, "find_odd_hole", lambda *args: None)
+        code, summary = self._sweep(tmp_path)
+        assert code == EXIT_VERIFY_FAILED
+        assert summary["counterexamples"] == [emit_graph6(canonical_graph(canonical_key(cycle_graph(5))))]
+        assert summary["necessity_violations"] == []
+
+    def test_necessity_violation_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphdiv.harness, "is_two_divisible_oracle", lambda *args: (True, None))
+        code, summary = self._sweep(tmp_path)
+        assert code == EXIT_THEOREM_VIOLATION
+        assert summary["necessity_violations"] == [emit_graph6(canonical_graph(canonical_key(cycle_graph(5))))]
+        assert summary["counterexamples"] == []
+
+    def test_max_n_above_the_limit_fails_at_once(self):
+        started = time.perf_counter()
+        assert main(["conjecture", "--max-n", "10"]) == EXIT_USAGE
+        assert time.perf_counter() - started < 1.0
 
 
 class TestExitPrecedence:
