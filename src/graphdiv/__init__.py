@@ -77,7 +77,7 @@ from .corpus import (
     random_graph,
     twin_substitute,
 )
-from .harness import CorpusSpec, conjecture_search, generate, graphs_with_ids
+from .harness import CorpusSpec, generate, graphs_with_ids
 from .report import build_report, report_to_json, scrub_volatile
 
 __version__ = "0.1.0"

@@ -1,15 +1,18 @@
 """Command-line interface.
 
-Subcommands: classify | divide | color | verify | conjecture. Input graphs
-come from --in (graph6 lines, or DIMACS for .col files), --exhaustive N
-(all isomorphism classes on N vertices), or --random N,P,COUNT; --filter
-keeps only graphs whose class flags all hold. --weights applies to
-divide --mode perfect only. Reports are versioned JSON; color --format csv
-renders the same color records as the table id,omega,chi,used,bound,slack,
-with the same statuses, --budget-ms handling and exit codes (chi is blank
-above 16 vertices, and a record whose coloring failed is the row id,,,,,).
-verify rejects a report of another schema version, and fails a record
-whose graph6 string does not parse without stopping the others.
+Subcommands: classify | divide | color | verify | conjecture, each run as
+corpus, records, report, and an exit code from the record statuses. Input
+graphs come from --in (graph6 lines, or DIMACS for .col files),
+--exhaustive N or --random N,P,COUNT; --filter keeps only graphs whose
+class flags all hold; --budget-ms takes a number >= 0. --weights applies
+to divide --mode perfect only. Reports are versioned JSON; color --format
+csv renders the same records as the table id,omega,chi,used,bound,slack
+(chi is computed from the record's graph6 and blank above 16 vertices; a
+failed coloring is the row id,,,,,). conjecture sweeps 1..--max-n
+vertices; a counterexample is verify-failed, and a 2-divisible graph with
+an odd hole is theorem-violation. verify rejects a report of another
+schema version, and fails a record whose graph6 string does not parse
+without stopping the others.
 
 Exit codes: 0 ok; 1 verification failure; 2 usage error (an --out file
 that cannot be written included); 3 an input file that cannot be read or
@@ -20,14 +23,16 @@ import argparse
 import json
 import sys
 
-from .errors import GraphDivError, ParseError
+from .corpus import EXHAUSTIVE_LIMIT
+from .errors import GraphDivError, ParseError, echo
+from .formats import emit_graph6
 from .harness import (
     CorpusSpec,
-    conjecture_search,
     generate,
     graphs_with_ids,
     run_classify,
     run_color,
+    run_conjecture,
     run_divide,
     run_verify,
 )
@@ -51,49 +56,38 @@ EXIT_THEOREM_VIOLATION = 5
 EXIT_BUDGET_EXCEEDED = 6
 
 
-def _add_input_flags(parser):
-    source = parser.add_mutually_exclusive_group(required=True)
+def build_parser() -> argparse.ArgumentParser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[out])
+    source = inputs.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="in_path", metavar="FILE", help="graph6 lines, or DIMACS if FILE ends in .col")
     source.add_argument("--exhaustive", type=int, metavar="N", help="all isomorphism classes on N vertices")
     source.add_argument("--random", metavar="N,P,COUNT", help="COUNT seeded draws of G(N, P)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random corpora (default 0)")
-    parser.add_argument("--filter", default="", metavar="FLAGS", help="comma-separated class flags: p5free, c5free, bullfree, oddholefree, perfect")
-    parser.add_argument("--budget-ms", type=float, default=None, metavar="M", help="flag records slower than M milliseconds as budget-exceeded")
+    inputs.add_argument("--seed", type=int, default=0, help="seed for random corpora (default 0)")
+    inputs.add_argument("--filter", default="", metavar="FLAGS", help="comma-separated class flags: p5free, c5free, bullfree, oddholefree, perfect")
+    inputs.add_argument("--budget-ms", type=float, default=None, metavar="M", help="flag records slower than M >= 0 milliseconds as budget-exceeded")
 
-
-def _add_output_flags(parser, formats=("json",)):
-    parser.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=formats, default="json")
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphdiv", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="class membership flags with witnesses")
-    _add_input_flags(p_classify)
-    _add_output_flags(p_classify)
+    sub.add_parser("classify", parents=[inputs], help="class membership flags with witnesses")
 
-    p_divide = sub.add_parser("divide", help="run and verify a division")
-    _add_input_flags(p_divide)
-    _add_output_flags(p_divide)
+    p_divide = sub.add_parser("divide", parents=[inputs], help="run and verify a division")
     p_divide.add_argument("--mode", choices=("two", "perfect"), default="two")
     p_divide.add_argument("--weights", default="unit", metavar="FILE|unit", help="JSON weight list (flat, or one list per graph); default unit")
 
-    p_color = sub.add_parser("color", help="division coloring with bound certificates")
-    _add_input_flags(p_color)
-    _add_output_flags(p_color, formats=("json", "csv"))
+    p_color = sub.add_parser("color", parents=[inputs], help="division coloring with bound certificates")
+    p_color.add_argument("--format", choices=("json", "csv"), default="json")
     p_color.add_argument("--mode", choices=("two", "perfect"), default="two")
 
-    p_verify = sub.add_parser("verify", help="re-check the divisions/colorings in a stored report")
+    p_verify = sub.add_parser("verify", parents=[out], help="re-check the divisions/colorings in a stored report")
     p_verify.add_argument("--division", required=True, metavar="FILE", help="report produced by divide or color")
     p_verify.add_argument("--graph", metavar="FILE", help="restrict to graphs appearing in this file")
-    _add_output_flags(p_verify)
 
-    p_conj = sub.add_parser("conjecture", help="sweep small graphs for 2-divisibility vs odd-hole-freeness")
+    p_conj = sub.add_parser("conjecture", parents=[out], help="sweep small graphs for 2-divisibility vs odd-hole-freeness")
     p_conj.add_argument("--max-n", type=int, required=True, metavar="N")
     p_conj.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p_conj)
 
     return parser
 
@@ -103,6 +97,8 @@ def _parse_filters(text: str):
 
 
 def _corpus_spec(args) -> CorpusSpec:
+    if args.budget_ms is not None and not args.budget_ms >= 0:
+        raise ValueError(f"--budget-ms must be a number >= 0, not {echo(args.budget_ms)}")
     filters = _parse_filters(args.filter)
     if args.in_path is not None:
         return CorpusSpec(kind="file", path=args.in_path, filters=filters, seed=args.seed)
@@ -171,49 +167,48 @@ def _options_of(args, *names) -> dict:
 
 
 def _run(args):
-    """Run one batch subcommand: the graphs it read (None when verify has
-    no --graph), its records in input order and its report options."""
+    """Run one subcommand: its records in input order and its report
+    options."""
     if args.command == "verify":
         stored = _read_json(args.division)
         graphs = None
         if args.graph:
             graphs = graphs_with_ids(generate(CorpusSpec(kind="file", path=args.graph)))
-        return graphs, run_verify(stored, graphs), _options_of(args, "division", "graph")
+        return run_verify(stored, graphs), _options_of(args, "division", "graph")
+    if args.command == "conjecture":
+        if not 1 <= args.max_n <= EXHAUSTIVE_LIMIT:
+            raise ValueError(f"--max-n must be between 1 and {EXHAUSTIVE_LIMIT}, not {echo(args.max_n)}")
+        # lazily: a list of every (graph6, Graph) pair adds 17 MB at n <= 9
+        graphs = (g for n in range(1, args.max_n + 1) for g in generate(CorpusSpec(kind="exhaustive", n=n)))
+        return run_conjecture((emit_graph6(g), g) for g in graphs), _options_of(args, "max_n")
     if args.command == "divide":
         weights_spec = None
         if args.weights != "unit":
             if args.mode != "perfect":
                 raise ValueError("--weights applies to --mode perfect only")
             weights_spec = _read_json(args.weights)
-        graphs = _load_graphs(args)
-        records = run_divide(graphs, mode=args.mode, weights_spec=weights_spec)
-        return graphs, records, _options_of(args, "mode", "filter", "weights")
+        records = run_divide(_load_graphs(args), mode=args.mode, weights_spec=weights_spec)
+        return records, _options_of(args, "mode", "filter", "weights")
     graphs = _load_graphs(args)
     if args.command == "color":
-        return graphs, run_color(graphs, mode=args.mode), _options_of(args, "mode", "filter")
-    return graphs, run_classify(graphs), _options_of(args, "filter")
+        return run_color(graphs, mode=args.mode), _options_of(args, "mode", "filter")
+    return run_classify(graphs), _options_of(args, "filter")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "conjecture":
-            report = conjecture_search(args.max_n, seed=args.seed)
-            _write(report_to_json(report), args.out)
-            summary = report["summary"]
-            if summary["necessity_violations"]:
-                return EXIT_THEOREM_VIOLATION
-            if summary["counterexamples"]:
-                return EXIT_VERIFY_FAILED
-            return _exit_code(report["records"])
-
-        graphs, records, options = _run(args)
+        records, options = _run(args)
         _apply_time_budget(records, getattr(args, "budget_ms", None))
-        if args.format == "csv":
-            text = color_csv(records, graphs)
+        if getattr(args, "format", "json") == "csv":
+            text = color_csv(records)
         else:
-            text = report_to_json(build_report(args.command, records, seed=getattr(args, "seed", None), options=options))
+            report = build_report(args.command, records, seed=getattr(args, "seed", None), options=options)
+            if args.command == "conjecture":
+                for key, status in (("counterexamples", STATUS_VERIFY_FAILED), ("necessity_violations", STATUS_THEOREM_VIOLATION)):
+                    report["summary"][key] = [record["graph6"] for record in records if record["status"] == status]
+            text = report_to_json(report)
         _write(text, args.out)
         return _exit_code(records)
     except ParseError as exc:

@@ -231,28 +231,9 @@ def _mask_components(adj, mask: int) -> list:
 
 def _mask_anticomponents(adj, mask: int) -> list:
     """Anticomponents of the subgraph induced on ``mask`` (as masks): the
-    components of its complement, grown from ``adj`` without building
-    complement rows.
-
-    Ordered by smallest member, like ``_mask_components``.
-    """
-    out = []
-    rest = mask
-    while rest:
-        comp = rest & -rest
-        rest ^= comp
-        frontier = comp
-        while frontier and rest:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown |= rest & ~adj[low.bit_length() - 1]
-            rest ^= grown
-            comp |= grown
-            frontier = grown
-        out.append(comp)
-    return out
+    components of its complement, ordered by smallest member like
+    ``_mask_components``."""
+    return _mask_components(_co_rows(adj, mask), mask)
 
 
 def _max_clique_mask(adj, cand: int):

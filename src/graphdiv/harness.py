@@ -38,7 +38,6 @@ from .report import (
     STATUS_OK,
     STATUS_THEOREM_VIOLATION,
     STATUS_VERIFY_FAILED,
-    build_report,
 )
 
 # Each class filter runs only the finder its flag needs.
@@ -338,22 +337,19 @@ def run_verify(stored_report: dict, graphs=None) -> list:
     return _drive(stored_records, body)
 
 
-def conjecture_search(max_n: int, *, seed: int = 0) -> dict:
-    """Sweep all isomorphism classes up to ``max_n`` against the conjecture
-    that 2-divisibility coincides with odd-hole-freeness.
+def run_conjecture(graphs) -> list:
+    """Check every graph against Hoàng & McDiarmid's conjecture that
+    2-divisibility coincides with odd-hole-freeness.
 
-    Odd-hole-free graphs must come out 2-divisible (a failure here would be
-    a counterexample to the open direction and lands in the summary);
-    graphs with an odd hole must come out non-2-divisible (that direction
-    is forced, so a failure would be a bug).
+    A record is ok when the two verdicts agree. An odd-hole-free graph
+    that is not 2-divisible would be a counterexample to the open
+    direction (verify-failed); a graph with an odd hole that comes out
+    2-divisible contradicts the forced direction, so it is a bug
+    (theorem-violation).
     """
-    if max_n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"conjecture sweep limited to n <= {EXHAUSTIVE_LIMIT}")
-    counterexamples = []
-    necessity_violations = []
 
-    def body(record, g):
-        g6 = emit_graph6(g)
+    def body(record, item):
+        g6, g = item
         record.update(graph6=g6, n=g.n)
         odd_hole_free = find_odd_hole(g, None) is None
         record["odd_hole_free"] = odd_hole_free
@@ -363,18 +359,12 @@ def conjecture_search(max_n: int, *, seed: int = 0) -> dict:
             record["counterexample_subgraph"] = list(counter.members())
         agrees = divisible == odd_hole_free
         record["agrees"] = agrees
-        record["status"] = STATUS_OK if agrees else STATUS_VERIFY_FAILED
-        if not agrees and odd_hole_free:
-            counterexamples.append(g6)
-        elif not agrees:
-            necessity_violations.append(g6)
+        if agrees:
+            record["status"] = STATUS_OK
+        else:
+            record["status"] = STATUS_VERIFY_FAILED if odd_hole_free else STATUS_THEOREM_VIOLATION
 
-    graphs = (g for n in range(1, max_n + 1) for g in nonisomorphic_graphs(n))
-    records = _drive(graphs, body)
-    report = build_report("conjecture", records, seed=seed, options={"max_n": max_n})
-    report["summary"]["counterexamples"] = counterexamples
-    report["summary"]["necessity_violations"] = necessity_violations
-    return report
+    return _drive(graphs, body)
 
 
 def graphs_with_ids(graphs) -> list:

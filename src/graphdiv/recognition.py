@@ -425,8 +425,8 @@ def find_homogeneous_set(g: Graph, within: VertexSet = None):
     the unique minimal candidate containing the pair: any vertex with both
     a neighbor and a non-neighbor inside must join. The first pair whose
     closure stays proper yields the answer, which makes the choice
-    deterministic; the result is re-checked against the definition before
-    being returned.
+    deterministic. The closure stops growing only when no outside vertex
+    splits it, so a proper closure is homogeneous by construction.
     """
     full = _within_mask(g, within)
     if full.bit_count() <= 2:
@@ -445,10 +445,7 @@ def find_homogeneous_set(g: Graph, within: VertexSet = None):
                         x |= 1 << w
                         changed = True
             if x != full:
-                found = VertexSet(g.n, x)
-                if not is_homogeneous(g, found, within):
-                    raise AssertionError("homogeneous-set closure produced an invalid set")
-                return found
+                return VertexSet(g.n, x)
     return None
 
 

@@ -13,6 +13,7 @@ import json
 import time
 
 from .core import CHROMATIC_BUDGET, chromatic_number_exact
+from .formats import parse_graph6
 
 SCHEMA_VERSION = 1
 VOLATILE_KEYS = frozenset({"timestamp", "elapsed_ms"})
@@ -83,24 +84,26 @@ def report_to_json(report: dict) -> str:
 COLOR_CSV_HEADER = "id,omega,chi,used,bound,slack"
 
 
-def color_csv(records, graphs) -> str:
-    """The color records as a table, one row per record, in the order of
-    ``graphs``, the (graph6, Graph) pairs the records were made from.
+def color_csv(records) -> str:
+    """The color records as a table, one row per record, in their order.
 
-    Every column but ``chi`` comes from the record's certificate; ``chi``
-    is the graph's exact chromatic number, blank above
+    Record ids must be graph6 strings, as every driver's are. Every column
+    but ``chi`` comes from the record's certificate; ``chi`` is the exact
+    chromatic number of the graph parsed from the id, blank above
     ``CHROMATIC_BUDGET`` vertices. A record without a certificate (its
     coloring failed) is the row ``id,,,,,``.
     """
     lines = [COLOR_CSV_HEADER]
-    for record, (_, g) in zip(records, graphs):
+    for record in records:
+        g6 = record["graph6"]
         certificate = record.get("certificate")
         if certificate is None:
-            lines.append(f"{record['graph6']},,,,,")
+            lines.append(f"{g6},,,,,")
             continue
+        g = parse_graph6(g6)
         chi = chromatic_number_exact(g)[0] if g.n <= CHROMATIC_BUDGET else ""
         omega, used, bound = certificate["omega"], certificate["used"], certificate["bound"]
-        lines.append(f"{record['graph6']},{omega},{chi},{used},{bound},{bound - used}")
+        lines.append(f"{g6},{omega},{chi},{used},{bound},{bound - used}")
     return "\n".join(lines) + "\n"
 
 

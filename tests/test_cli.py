@@ -178,6 +178,12 @@ class TestDivide:
         assert code == EXIT_BUDGET_EXCEEDED
         assert _load(out)["records"][0]["status"] == "budget-exceeded"
 
+    @pytest.mark.parametrize("value, shown", [("-5", "-5.0"), ("nan", "nan")])
+    def test_budget_ms_below_zero_or_nan_is_a_usage_error(self, capsys, value, shown):
+        code = main(["divide", "--mode", "two", "--exhaustive", "4", "--budget-ms", value])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"graphdiv: --budget-ms must be a number >= 0, not {shown}\n"
+
 
 class TestColor:
     def test_perfect_mode_sweep(self, tmp_path):
@@ -447,6 +453,10 @@ class TestConjectureCommand:
         started = time.perf_counter()
         assert main(["conjecture", "--max-n", "10"]) == EXIT_USAGE
         assert time.perf_counter() - started < 1.0
+
+    def test_max_n_zero_is_a_usage_error(self, capsys):
+        assert main(["conjecture", "--max-n", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "graphdiv: --max-n must be between 1 and 9, not 0\n"
 
 
 class TestExitPrecedence:

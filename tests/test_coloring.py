@@ -14,11 +14,13 @@ from graphdiv import (
     color_via_two_division,
     complete_graph,
     cycle_graph,
+    emit_graph6,
     empty_graph,
     find_bull,
     find_c5,
     find_odd_hole,
     find_p5,
+    graphs_with_ids,
     induced_subgraph,
     is_perfect,
     path_graph,
@@ -176,25 +178,26 @@ class TestPerfectDivisionColoring:
                 assert cert.bound_value == quadratic_bound(cert.omega)
 
 
-def _table(mode, corpus):
-    """The CSV lines of ``color --mode mode`` over (id, graph) pairs."""
-    return color_csv(run_color(corpus, mode=mode), corpus).splitlines()
+def _table(mode, graphs):
+    """The CSV lines of ``color --mode mode`` over ``graphs``."""
+    return color_csv(run_color(graphs_with_ids(graphs), mode=mode)).splitlines()
 
 
 class TestAuditBounds:
     def test_rows_for_named_graphs(self, c5):
-        assert _table("perfect", [("c5", c5)])[1] == "c5,2,3,3,3,0"
-        assert _table("two", [("c4", cycle_graph(4))])[1] == "c4,2,2,2,2,0"
-        assert _table("two", [("k3", complete_graph(3))])[1] == "k3,3,3,3,4,1"
+        assert _table("perfect", [c5])[1] == f"{emit_graph6(c5)},2,3,3,3,0"
+        assert _table("two", [cycle_graph(4)])[1] == f"{emit_graph6(cycle_graph(4))},2,2,2,2,0"
+        assert _table("two", [complete_graph(3)])[1] == f"{emit_graph6(complete_graph(3))},3,3,3,4,1"
 
     def test_out_of_class_rows_record_errors(self, c5):
         corpus = [("c5", c5), ("p4", path_graph(4))]
         assert [r["status"] for r in run_color(corpus, mode="two")] == ["class-violation", "ok"]
-        assert _table("two", corpus)[1:] == ["c5,,,,,", "p4,2,2,2,2,0"]
+        assert _table("two", [c5, path_graph(4)])[1:] == [f"{emit_graph6(c5)},,,,,", f"{emit_graph6(path_graph(4))},2,2,2,2,0"]
 
     def test_csv_shape(self, c5):
-        lines = _table("perfect", [("c5", c5), ("k3", complete_graph(3))])
-        assert lines == ["id,omega,chi,used,bound,slack", "c5,2,3,3,3,0", "k3,3,3,3,6,3"]
+        lines = _table("perfect", [c5, complete_graph(3)])
+        k3 = emit_graph6(complete_graph(3))
+        assert lines == ["id,omega,chi,used,bound,slack", f"{emit_graph6(c5)},2,3,3,3,0", f"{k3},3,3,3,6,3"]
 
     def test_json_shape(self, c5):
         # the JSON color record carries every CSV column but chi and slack
@@ -206,7 +209,7 @@ class TestAuditBounds:
         for n in range(1, 6):
             for g in nonisomorphic_graphs(n):
                 if find_p5(g) is None and find_c5(g) is None:
-                    corpus.append((f"g{len(corpus)}", g))
+                    corpus.append(g)
         rows = _table("two", corpus)[1:]
         assert len(rows) == len(corpus)
         for row in rows:

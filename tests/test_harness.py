@@ -7,7 +7,6 @@ import graphdiv.harness
 from graphdiv import (
     CorpusSpec,
     GraphDivError,
-    conjecture_search,
     cycle_graph,
     path_graph,
     emit_graph6,
@@ -17,7 +16,8 @@ from graphdiv import (
     twin_substitute,
 )
 from graphdiv.corpus import EXHAUSTIVE_LIMIT
-from graphdiv.harness import run_classify, run_color, run_divide, run_verify
+from graphdiv.cli import main
+from graphdiv.harness import run_classify, run_color, run_conjecture, run_divide, run_verify
 from graphdiv.report import build_report, report_to_json
 
 
@@ -273,11 +273,17 @@ class TestWeightPayloads:
         assert records[1]["division"]["weights"] == [0, 1, 0, 1]
 
 
+def _conjecture_report(tmp_path, max_n):
+    out = tmp_path / "conjecture.json"
+    assert main(["conjecture", "--max-n", str(max_n), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
 class TestConjecture:
-    def test_max_n_5(self):
+    def test_max_n_5(self, tmp_path):
         from graphdiv import canonical_graph, canonical_key
 
-        report = conjecture_search(5)
+        report = _conjecture_report(tmp_path, 5)
         assert report["summary"]["counterexamples"] == []
         assert report["summary"]["necessity_violations"] == []
         c5_g6 = emit_graph6(canonical_graph(canonical_key(cycle_graph(5))))
@@ -286,8 +292,8 @@ class TestConjecture:
         assert row["two_divisible"] is False
         assert row["agrees"] is True
 
-    def test_max_n_1_trivial(self):
-        report = conjecture_search(1)
+    def test_max_n_1_trivial(self, tmp_path):
+        report = _conjecture_report(tmp_path, 1)
         assert report["summary"]["total"] == 1
         assert report["summary"]["counterexamples"] == []
 
@@ -319,7 +325,7 @@ class TestReportEnvelope:
             divided,
             build_report("color", run_color(graphs, mode="perfect")),
             build_report("verify", run_verify(divided)),
-            conjecture_search(4),
+            build_report("conjecture", run_conjecture(graphs)),
             build_report("classify", []),
         ]
         for report in reports:
