@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from graphdiv import (
     complement,
     complete_graph,
     cycle_graph,
+    emit_graph6,
     empty_graph,
     find_homogeneous_set,
     is_homogeneous,
@@ -25,6 +27,18 @@ from graphdiv import (
 # published counts of isomorphism classes of simple graphs
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# First 16 hex digits of the sha256 of the graph6 ids of
+# nonisomorphic_graphs(n), one per line in enumeration order.
+ENUMERATION_DIGESTS = {
+    1: "ecf5de1a2ecc66a1",
+    2: "b7cd2a004ade8613",
+    3: "1d237c0da1c599bb",
+    4: "ff58e30b5ad404ae",
+    5: "42791b6090cbec70",
+    6: "d61d2c7071ee9858",
+    7: "3c23d24996116bab",
+    8: "c744a3c2b989fe91",
+}
 
 
 def _to_nx(g: Graph) -> nx.Graph:
@@ -79,6 +93,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
     def test_published_counts(self, n, count):
         assert len(nonisomorphic_graphs(n)) == count
+
+    @pytest.mark.parametrize("n,digest", sorted(ENUMERATION_DIGESTS.items()))
+    def test_enumeration_digest(self, n, digest):
+        # pins the classes, their canonical labelings and their order
+        text = "".join(emit_graph6(g) + "\n" for g in nonisomorphic_graphs(n))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_connected_counts(self):
         from graphdiv.core import _mask_components
