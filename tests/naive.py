@@ -2,15 +2,17 @@
 
 Most of it is written against plain lists and sets, deliberately avoiding
 the bitmask machinery of the package under test, so the two routes only
-share the input graphs. ``is_two_divisible_oracle`` and
-``nonisomorphic_graphs`` are instead the slower versions that faster
-package code replaced, kept so the two can be compared exactly.
+share the input graphs. ``is_two_divisible_oracle``, ``_canonical_key``
+(with ``_refined_colors``) and ``nonisomorphic_graphs`` are instead the
+slower versions that faster package code replaced, kept so the two can be
+compared exactly.
 """
 
 import functools
 import itertools
 
-from graphdiv import Graph, VertexSet, canonical_graph, canonical_key
+from graphdiv import Graph, VertexSet, canonical_graph
+from graphdiv.core import _bits
 
 
 def subsets(items, size=None):
@@ -229,17 +231,86 @@ def is_two_divisible_oracle(g: Graph):
     return True, None
 
 
+def _refined_colors(n: int, adj):
+    """Stable vertex colors under iterated neighbor-multiset refinement."""
+    degrees = [adj[v].bit_count() for v in range(n)]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colors = [rank[d] for d in degrees]
+    while True:
+        signatures = [
+            (colors[v], tuple(sorted(colors[u] for u in _bits(adj[v])))) for v in range(n)
+        ]
+        order = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        refined = [order[s] for s in signatures]
+        if refined == colors:
+            return tuple(colors)
+        colors = refined
+
+
+def _canonical_key(n: int, adj):
+    """The package's first canonical key of the graph on ``0..n-1`` with the
+    rows ``adj``, kept as the reference for the current one: the same
+    placements, twin skipping and minimum, but each chunk is built by
+    scanning the placed vertices and each prefix is compared by slicing."""
+    if n <= 1:
+        return (n, (0,) * n)
+    colors = _refined_colors(n, adj)
+    position_colors = sorted(colors)
+    by_color = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+
+    best = None
+    placed = []
+    cur = []
+    used = 0
+
+    def is_twin(u, v):
+        return adj[u] == adj[v] or (adj[u] ^ (1 << v)) == (adj[v] ^ (1 << u))
+
+    def rec(p):
+        nonlocal best, used
+        if p == n:
+            if best is None or cur < best:
+                best = cur.copy()
+            return
+        tried = []
+        for v in by_color[position_colors[p]]:
+            if used >> v & 1:
+                continue
+            if any(is_twin(v, u) for u in tried):
+                continue
+            tried.append(v)
+            row = adj[v]
+            chunk = 0
+            for i, u in enumerate(placed):
+                if row >> u & 1:
+                    chunk |= 1 << i
+            cur.append(chunk)
+            if best is None or cur <= best[: len(cur)]:
+                placed.append(v)
+                used |= 1 << v
+                rec(p + 1)
+                placed.pop()
+                used ^= 1 << v
+            cur.pop()
+
+    rec(0)
+    return (n, tuple(best))
+
+
 @functools.cache
 def nonisomorphic_graphs(n: int):
     """The classes on ``n`` vertices, in canonical labeling and sorted by
     canonical key, found the slow way: every class on n-1 vertices gets a
     new vertex with every possible neighborhood, and every extension is
-    canonicalized. Shares only the canonical key with the package."""
+    canonicalized by the reference ``_canonical_key``. Shares only ``Graph``,
+    ``_bits`` and the key decoder ``canonical_graph`` with the package."""
     if n <= 1:
         return (Graph(n, (0,) * n),)
     keys = set()
     for base in nonisomorphic_graphs(n - 1):
         for neighborhood in subsets(range(n - 1)):
             edges = list(base.edges()) + [(u, n - 1) for u in neighborhood]
-            keys.add(canonical_key(Graph.from_edges(n, edges)))
+            keys.add(_canonical_key(n, Graph.from_edges(n, edges).adj))
     return tuple(canonical_graph(k) for k in sorted(keys))

@@ -89,6 +89,86 @@ class TestCanonicalKey:
             assert canonical_key(g) == canonical_key(h)
 
 
+def _colors(n, classes):
+    """The color of each vertex, from the classes of ``_refined_classes``."""
+    colors = [None] * n
+    for color, cls in enumerate(classes):
+        for v in range(n):
+            if cls >> v & 1:
+                colors[v] = color
+    return tuple(colors)
+
+
+def _relabel(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + [(i, 5 + i) for i in range(5)])
+
+
+SYMMETRIC = {
+    "empty": empty_graph(8),
+    "complete": complete_graph(8),
+    "c8": cycle_graph(8),
+    "k44": Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)]),
+    "cube": Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]),
+    "three-triangles": Graph.from_edges(
+        9, [(3 * k + i, 3 * k + j) for k in range(3) for i, j in ((0, 1), (0, 2), (1, 2))]
+    ),
+    "petersen": _petersen(),
+}
+
+
+class TestReferenceKernel:
+    """The refinement and canonical key agree with the first versions kept
+    in ``naive``: same colors, same keys."""
+
+    @staticmethod
+    def _assert_same(n, adj):
+        assert _colors(n, corpus._refined_classes(n, adj)) == naive._refined_colors(n, adj)
+        assert corpus._canonical_key(n, adj) == naive._canonical_key(n, adj)
+
+    def test_every_enumeration_input_to_seven(self, monkeypatch):
+        inputs = []
+        key = corpus._canonical_key
+
+        def recorded(n, adj):
+            inputs.append((n, tuple(adj)))
+            return key(n, adj)
+
+        monkeypatch.setattr(corpus, "_canonical_key", recorded)
+        monkeypatch.setattr(corpus, "_NONISO_CACHE", {})
+        nonisomorphic_graphs(7)
+        monkeypatch.undo()
+        assert len(inputs) == 3689
+        for n, adj in inputs:
+            self._assert_same(n, adj)
+
+    def test_relabeled_eight_vertex_classes(self):
+        rng = random.Random(12)
+        for g in nonisomorphic_graphs(8)[::40]:
+            perm = list(range(8))
+            rng.shuffle(perm)
+            h = _relabel(g, perm)
+            self._assert_same(8, h.adj)
+            assert canonical_key(h) == canonical_key(g)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_symmetric_graphs(self, name):
+        # ties survive refinement and twins are skipped
+        g = SYMMETRIC[name]
+        self._assert_same(g.n, g.adj)
+        rng = random.Random(name)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            self._assert_same(g.n, _relabel(g, perm).adj)
+        assert len(corpus._refined_classes(g.n, g.adj)) == 1
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
     def test_published_counts(self, n, count):
