@@ -20,6 +20,7 @@ parsed; 4 class violation; 5 theorem violation; 6 budget exceeded.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -27,9 +28,9 @@ from .corpus import EXHAUSTIVE_LIMIT
 from .errors import GraphDivError, ParseError, echo
 from .formats import emit_graph6
 from .harness import (
-    CorpusSpec,
-    generate,
-    graphs_with_ids,
+    exhaustive_corpus,
+    file_corpus,
+    random_corpus,
     run_classify,
     run_color,
     run_conjecture,
@@ -92,33 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_filters(text: str):
-    return tuple(token.strip() for token in text.split(",") if token.strip())
+def _with_ids(graphs):
+    return ((emit_graph6(g), g) for g in graphs)
 
 
-def _corpus_spec(args) -> CorpusSpec:
+def _corpus(args):
+    """The subcommand's (graph6, Graph) pairs, produced lazily."""
     if args.budget_ms is not None and not args.budget_ms >= 0:
         raise ValueError(f"--budget-ms must be a number >= 0, not {echo(args.budget_ms)}")
-    filters = _parse_filters(args.filter)
+    filters = tuple(token.strip() for token in args.filter.split(",") if token.strip())
     if args.in_path is not None:
-        return CorpusSpec(kind="file", path=args.in_path, filters=filters, seed=args.seed)
+        return _with_ids(file_corpus(args.in_path, filters))
     if args.exhaustive is not None:
-        return CorpusSpec(kind="exhaustive", n=args.exhaustive, filters=filters, seed=args.seed)
+        return _with_ids(exhaustive_corpus(args.exhaustive, filters))
     parts = args.random.split(",")
     if len(parts) != 3:
         raise ValueError("--random expects N,P,COUNT")
-    return CorpusSpec(
-        kind="random",
-        n=int(parts[0]),
-        edge_prob=float(parts[1]),
-        count=int(parts[2]),
-        filters=filters,
-        seed=args.seed,
-    )
-
-
-def _load_graphs(args) -> list:
-    return graphs_with_ids(generate(_corpus_spec(args)))
+    return _with_ids(random_corpus(int(parts[0]), float(parts[1]), int(parts[2]), args.seed, filters))
 
 
 def _apply_time_budget(records, budget_ms):
@@ -171,25 +162,22 @@ def _run(args):
     options."""
     if args.command == "verify":
         stored = _read_json(args.division)
-        graphs = None
-        if args.graph:
-            graphs = graphs_with_ids(generate(CorpusSpec(kind="file", path=args.graph)))
+        graphs = _with_ids(file_corpus(args.graph)) if args.graph else None
         return run_verify(stored, graphs), _options_of(args, "division", "graph")
     if args.command == "conjecture":
         if not 1 <= args.max_n <= EXHAUSTIVE_LIMIT:
             raise ValueError(f"--max-n must be between 1 and {EXHAUSTIVE_LIMIT}, not {echo(args.max_n)}")
-        # lazily: a list of every (graph6, Graph) pair adds 17 MB at n <= 9
-        graphs = (g for n in range(1, args.max_n + 1) for g in generate(CorpusSpec(kind="exhaustive", n=n)))
-        return run_conjecture((emit_graph6(g), g) for g in graphs), _options_of(args, "max_n")
+        graphs = itertools.chain.from_iterable(exhaustive_corpus(n) for n in range(1, args.max_n + 1))
+        return run_conjecture(_with_ids(graphs)), _options_of(args, "max_n")
     if args.command == "divide":
         weights_spec = None
         if args.weights != "unit":
             if args.mode != "perfect":
                 raise ValueError("--weights applies to --mode perfect only")
             weights_spec = _read_json(args.weights)
-        records = run_divide(_load_graphs(args), mode=args.mode, weights_spec=weights_spec)
+        records = run_divide(_corpus(args), mode=args.mode, weights_spec=weights_spec)
         return records, _options_of(args, "mode", "filter", "weights")
-    graphs = _load_graphs(args)
+    graphs = _corpus(args)
     if args.command == "color":
         return run_color(graphs, mode=args.mode), _options_of(args, "mode", "filter")
     return run_classify(graphs), _options_of(args, "filter")

@@ -1,9 +1,19 @@
 """Constructive clique-number divisions, their oracles, and verifiers.
 
-The two constructions here never trust their own guarantees: every
-division is re-checked with the exact oracles before it is returned, and a
-failed check raises ``TheoremViolationError`` carrying the derivation log,
-so the package doubles as a proof checker at the sizes it handles.
+The two constructions never trust their own guarantees, so the package
+doubles as a proof checker at the sizes it handles. Verification policy:
+
+- ``two_divide`` checks its result with ``verify_two_division``; each
+  ``recombine`` checks its merge on the quotient plus the contracted set;
+  ``perfect_divide`` checks the final division, unless the last
+  recombination already covered all of ``within``; the colorings check
+  each finished coloring once, in ``coloring._certified``.
+- A failed self-check raises ``TheoremViolationError`` with the
+  derivation log. A class precondition raises ``NotInClassError`` or
+  ``DegenerateCliqueError``, an oracle limit ``BudgetExceededError``, and
+  malformed caller input ``ValueError``.
+- ``harness.run_divide`` and ``harness.run_color`` never check again;
+  ``harness.run_verify`` trusts nothing in a stored record.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +35,6 @@ from .errors import (
     TheoremViolationError,
 )
 from .recognition import (
-    BULL_PATTERN,
     Embedding,
     embedding_is_valid,
     find_bull,
@@ -35,7 +44,7 @@ from .recognition import (
     find_p5,
     is_homogeneous,
     is_perfect,
-    P5_PATTERN,
+    pattern_for_name,
 )
 
 ORACLE_BUDGET = 12
@@ -479,8 +488,8 @@ def classify_against_c5(g: Graph, c, v: int) -> C5Classification:
     sequence of five vertices with consecutive adjacency). Outside
     vertices of a (P5, bull)-free graph always land in one of the four
     named categories; any other attachment forces an induced P5 or bull,
-    which is returned as the violation witness. Indices are 0-based
-    positions in ``c``.
+    which is returned as the violation witness (``TheoremViolationError``
+    if it is no induced copy). Indices are 0-based positions in ``c``.
     """
     cs = tuple(c.vertices) if isinstance(c, Embedding) else tuple(c)
     if len(cs) != 5 or len(set(cs)) != 5:
@@ -508,10 +517,7 @@ def classify_against_c5(g: Graph, c, v: int) -> C5Classification:
     if k == 1:
         i = nbr[0]
         path = (v, cs[i], cs[(i + 1) % 5], cs[(i + 2) % 5], cs[(i + 3) % 5])
-        witness = Embedding("P5", path)
-        if not embedding_is_valid(g, P5_PATTERN, witness):
-            raise AssertionError("constructed P5 witness is invalid")
-        return C5Classification("violation", witness=witness)
+        return _violation(g, "P5", path)
     if k == 2:
         i, j = nbr
         gap = (j - i) % 5
@@ -519,7 +525,9 @@ def classify_against_c5(g: Graph, c, v: int) -> C5Classification:
             mid = (i + 1) % 5 if gap == 2 else (j + 1) % 5
             return C5Classification("clone", index=mid)
         first = i if gap == 1 else j
-        return C5Classification("violation", witness=_bull_at(g, cs, v, first))
+        # triangle: v and the pair; pendants: the pair's other cycle neighbors
+        bull = (cs[first], cs[(first + 1) % 5], v, cs[(first - 1) % 5], cs[(first + 2) % 5])
+        return _violation(g, "bull", bull)
     # k == 3: classify by the two non-neighbors
     non = [i for i in range(5) if i not in nbr]
     i, j = non
@@ -529,21 +537,13 @@ def classify_against_c5(g: Graph, c, v: int) -> C5Classification:
         return C5Classification("clone", index=(first + 3) % 5)
     start = i if gap == 2 else j
     triangle = (cs[(start + 3) % 5], cs[(start + 4) % 5], v, cs[(start + 2) % 5], cs[start])
-    witness = Embedding("bull", triangle)
-    if not embedding_is_valid(g, BULL_PATTERN, witness):
-        raise AssertionError("constructed bull witness is invalid")
+    return _violation(g, "bull", triangle)
+
+
+def _violation(g: Graph, name: str, vertices: tuple) -> C5Classification:
+    """The violation that the induced ``name`` pattern on ``vertices``
+    witnesses; a constructed witness that is no induced copy is a bug."""
+    witness = Embedding(name, vertices)
+    if not embedding_is_valid(g, pattern_for_name(name), witness):
+        raise TheoremViolationError(f"constructed {name} witness is invalid")
     return C5Classification("violation", witness=witness)
-
-
-def _bull_at(g: Graph, cs, v: int, first: int) -> Embedding:
-    """Bull forced by v being adjacent to exactly the consecutive pair
-    cs[first], cs[first+1]: that pair plus v is the triangle, the cycle
-    neighbors on each side are the pendants."""
-    t0 = cs[first]
-    t1 = cs[(first + 1) % 5]
-    q0 = cs[(first - 1) % 5]
-    q1 = cs[(first + 2) % 5]
-    witness = Embedding("bull", (t0, t1, v, q0, q1))
-    if not embedding_is_valid(g, BULL_PATTERN, witness):
-        raise AssertionError("constructed bull witness is invalid")
-    return witness

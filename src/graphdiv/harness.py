@@ -1,12 +1,15 @@
-"""Corpus specs and the batch drivers behind the CLI subcommands.
+"""Corpora and the batch drivers behind the CLI subcommands.
 
-Every driver produces JSON-ready records that embed the graph6 string of
-the graph they describe, so a stored report can be re-verified on its own.
+Each corpus function (exhaustive, random, file) checks its arguments when
+called and returns a lazy iterator of graphs; generation errors surface as
+it is consumed. Every driver produces JSON-ready records that embed the
+graph6 string of the graph they describe, so a stored report can be
+re-verified on its own.
 """
 
+import itertools
 import random
 import time
-from dataclasses import dataclass
 
 from .coloring import BOUND_KIND, _certified, color_via_perfect_division, color_via_two_division
 from .core import CLIQUE_BUDGET, Graph, VertexSet, WeightFn
@@ -52,89 +55,63 @@ FILTER_FLAGS = {
 MAX_ATTEMPTS_FACTOR = 1000
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Where a corpus comes from and how it is filtered.
-
-    ``kind`` is "exhaustive" (all isomorphism classes on ``n`` vertices),
-    "random" (``count`` seeded draws at ``edge_prob``, on at most
-    ``CLIQUE_BUDGET`` vertices, above which no subcommand gives an ok
-    record), or "file" (graph6 lines, or DIMACS for .col paths).
-    ``filters`` is a conjunction of class flags; random draws that fail it
-    are rejected and redrawn, with per-attempt sub-seeds so the stream is
-    stable under count changes, up to ``MAX_ATTEMPTS_FACTOR`` draws per
-    requested graph.
-    """
-
-    kind: str
-    n: int = None
-    edge_prob: float = None
-    count: int = None
-    path: str = None
-    filters: tuple = ()
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind == "exhaustive":
-            if self.n is None or not 0 <= self.n <= EXHAUSTIVE_LIMIT:
-                raise ValueError(f"exhaustive corpora need 0 <= n <= {EXHAUSTIVE_LIMIT}")
-        elif self.kind == "random":
-            if self.n is None or self.n < 0:
-                raise ValueError("random corpora need a vertex count")
-            if self.n > CLIQUE_BUDGET:
-                raise ValueError(f"random corpora allow at most {CLIQUE_BUDGET} vertices, not {echo(self.n)}")
-            if self.edge_prob is None or not 0.0 <= self.edge_prob <= 1.0:
-                raise ValueError("random corpora need an edge probability in [0, 1]")
-            if self.count is None or self.count < 1:
-                raise ValueError("random corpora need count >= 1")
-        elif self.kind == "file":
-            if not self.path:
-                raise ValueError("file corpora need a path")
-        else:
-            raise ValueError(f"unknown corpus kind: {self.kind}")
-        for flag in self.filters:
-            if flag not in FILTER_FLAGS:
-                raise ValueError(f"unknown class filter: {flag}")
+def _filtered(graphs, filters):
+    """``graphs`` that pass every class flag in ``filters``, lazily; an
+    unknown flag raises ValueError at once."""
+    for flag in filters:
+        if flag not in FILTER_FLAGS:
+            raise ValueError(f"unknown class filter: {flag}")
+    tests = [FILTER_FLAGS[flag] for flag in filters]
+    return (g for g in graphs if all(test(g) for test in tests))
 
 
-def passes_filters(g: Graph, filters) -> bool:
-    return all(FILTER_FLAGS[flag](g) for flag in filters)
+def exhaustive_corpus(n: int, filters=()):
+    """All isomorphism classes on ``n`` vertices that pass ``filters``, a
+    conjunction of ``FILTER_FLAGS`` names."""
+    if not 0 <= n <= EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive corpora need 0 <= n <= {EXHAUSTIVE_LIMIT}")
+    return _filtered(nonisomorphic_graphs(n), filters)
 
 
-def generate(spec: CorpusSpec):
-    """Yield the corpus a spec describes, deterministically."""
-    if spec.kind == "exhaustive":
-        for g in nonisomorphic_graphs(spec.n):
-            if passes_filters(g, spec.filters):
-                yield g
-    elif spec.kind == "random":
-        produced = 0
-        attempts = 0
-        limit = spec.count * MAX_ATTEMPTS_FACTOR
-        while produced < spec.count:
-            if attempts >= limit:
-                raise GraphDivError(
-                    f"class filter rejected every draw within {limit} attempts"
-                )
-            rng = random.Random(f"{spec.seed}/{attempts}")
-            attempts += 1
-            g = random_graph(spec.n, spec.edge_prob, rng)
-            if passes_filters(g, spec.filters):
-                produced += 1
-                yield g
-    else:
-        with open(spec.path, "rb") as handle:
+def random_corpus(n: int, edge_prob: float, count: int, seed: int = 0, filters=()):
+    """``count`` seeded draws of G(n, edge_prob) that pass ``filters``, on
+    at most ``CLIQUE_BUDGET`` vertices (no subcommand gives a larger graph
+    an ok record). Rejected draws are redrawn with per-attempt sub-seeds,
+    so the stream is stable under count changes, up to
+    ``MAX_ATTEMPTS_FACTOR`` draws per requested graph."""
+    if n < 0:
+        raise ValueError("random corpora need a vertex count")
+    if n > CLIQUE_BUDGET:
+        raise ValueError(f"random corpora allow at most {CLIQUE_BUDGET} vertices, not {echo(n)}")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError("random corpora need an edge probability in [0, 1]")
+    if count < 1:
+        raise ValueError("random corpora need count >= 1")
+
+    def draws():
+        limit = count * MAX_ATTEMPTS_FACTOR
+        for attempt in range(limit):
+            yield random_graph(n, edge_prob, random.Random(f"{seed}/{attempt}"))
+        raise GraphDivError(f"class filter rejected every draw within {limit} attempts")
+
+    return itertools.islice(_filtered(draws(), filters), count)
+
+
+def file_corpus(path: str, filters=()):
+    """The graphs in ``path`` that pass ``filters``: graph6 lines, or
+    DIMACS when the name ends in .col."""
+    if not path:
+        raise ValueError("file corpora need a path")
+
+    def graphs():
+        with open(path, "rb") as handle:
             data = handle.read()
         if not data.isascii():
-            raise ParseError(f"{spec.path} holds a byte outside ASCII", kind="range")
+            raise ParseError(f"{path} holds a byte outside ASCII", kind="range")
         text = data.decode("ascii")
-        if spec.path.endswith(".col"):
-            graphs = [parse_dimacs(text)]
-        else:
-            graphs = parse_graph6_lines(text)
-        for g in graphs:
-            if passes_filters(g, spec.filters):
-                yield g
+        yield from [parse_dimacs(text)] if path.endswith(".col") else parse_graph6_lines(text)
+
+    return _filtered(graphs(), filters)
 
 
 def _failure(record: dict, exc: Exception):
@@ -179,28 +156,36 @@ def run_classify(graphs) -> list:
     return _drive(graphs, body)
 
 
-def _weights_for(g: Graph, index: int, weights_spec):
-    """Resolve the weight payload for one graph: None is unit weights, a
-    flat list of integers applies to every graph, a list of lists is
-    per-graph. Any other payload raises ValueError."""
+def _weight_lookup(weights_spec):
+    """Read a weight payload's shape once and return the lookup from a
+    graph's index to its weights: None is unit weights, a flat list of
+    integers applies to every graph, a list of lists is per-graph. Any
+    other payload raises ValueError."""
     if weights_spec is None:
-        return None
+        return lambda index: None
     if not isinstance(weights_spec, list):
         raise ValueError("weights must be a JSON list")
     per_graph = [isinstance(x, list) for x in weights_spec]
     if not any(per_graph):
-        return WeightFn.of(weights_spec)
+        shared = WeightFn.of(weights_spec)
+        return lambda index: shared
     if not all(per_graph):
         raise ValueError("weights mix numbers and per-graph lists")
-    if index >= len(weights_spec):
-        raise ValueError(f"weights give {len(weights_spec)} per-graph lists, too few for graph {index + 1}")
-    return WeightFn.of(weights_spec[index])
+
+    def per_graph_weights(index):
+        if index >= len(weights_spec):
+            raise ValueError(f"weights give {len(weights_spec)} per-graph lists, too few for graph {index + 1}")
+        return WeightFn.of(weights_spec[index])
+
+    return per_graph_weights
 
 
 def run_divide(graphs, mode: str = "two", weights_spec=None) -> list:
     """Divide every graph. The division verifies itself before it returns
     (a failure raises ``TheoremViolationError`` with the log), so
-    ``verified`` is true on every ok record."""
+    ``verified`` is true on every ok record. ``weights_spec`` is read in
+    mode "perfect" only."""
+    weights_for = _weight_lookup(weights_spec) if mode == "perfect" else None
 
     def body(record, item):
         index, (g6, g) = item
@@ -208,7 +193,7 @@ def run_divide(graphs, mode: str = "two", weights_spec=None) -> list:
         if mode == "two":
             division = two_divide(g)
         else:
-            division = perfect_divide(g, _weights_for(g, index, weights_spec))
+            division = perfect_divide(g, weights_for(index))
         record["division"] = division.to_json()
         record["log"] = list(division.log)
         record["verified"] = True

@@ -77,7 +77,7 @@ class TestClassify:
         assert record["class"]["c5_free"] is False
 
     def test_random_above_the_clique_budget_is_a_usage_error(self, tmp_path, capsys):
-        # refused from the spec alone, before any graph is drawn
+        # refused from the arguments alone, before any graph is drawn
         start = time.perf_counter()
         assert main(["classify", "--random", "6000,0.5,1"]) == EXIT_USAGE
         assert time.perf_counter() - start < 1.0
@@ -85,6 +85,16 @@ class TestClassify:
         out = tmp_path / "report.json"
         assert main(["classify", "--random", "32,0.5,1", "--out", str(out)]) == EXIT_BUDGET_EXCEEDED
         assert _load(out)["summary"]["total"] == 1
+
+    def test_starving_filter_mid_drive_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the corpus is drawn while records are driven, so its failure
+        # arrives after the run has started and must still write nothing
+        monkeypatch.setattr(graphdiv.harness, "MAX_ATTEMPTS_FACTOR", 0)
+        out = tmp_path / "report.json"
+        code = main(["classify", "--random", "5,1.0,2", "--filter", "oddholefree", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "class filter rejected every draw within 0 attempts" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_failure_exit(self, tmp_path, capsys):
         src = tmp_path / "bad.g6"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import graphdiv.divisibility
 import naive
 from graphdiv import (
     BULL_PATTERN,
@@ -599,6 +600,14 @@ class TestClassifyAgainstC5:
         g = _c5_host_with_attachment(0b11111)
         emb = find_c5(g)
         assert classify_against_c5(g, emb, 5).kind == "center"
+
+    @pytest.mark.parametrize("mask, pattern", [(0b00001, "P5"), (0b00011, "bull"), (0b01011, "bull")])
+    def test_invalid_constructed_witness_is_a_theorem_violation(self, monkeypatch, mask, pattern):
+        # one attachment per place a violation witness is built: a P5, a
+        # bull on an adjacent neighbor pair, a bull on three neighbors
+        monkeypatch.setattr(graphdiv.divisibility, "embedding_is_valid", lambda *args: False)
+        with pytest.raises(TheoremViolationError, match=f"constructed {pattern} witness is invalid"):
+            classify_against_c5(_c5_host_with_attachment(mask), tuple(range(5)), 5)
 
     def test_rejects_bad_cycle(self):
         g = _c5_host_with_attachment(0)

@@ -5,47 +5,51 @@ import pytest
 import graphdiv.divisibility
 import graphdiv.harness
 from graphdiv import (
-    CorpusSpec,
     GraphDivError,
     cycle_graph,
     path_graph,
     emit_graph6,
-    generate,
     graphs_with_ids,
     scrub_volatile,
     twin_substitute,
 )
 from graphdiv.corpus import EXHAUSTIVE_LIMIT
 from graphdiv.cli import main
-from graphdiv.harness import run_classify, run_color, run_conjecture, run_divide, run_verify
+from graphdiv.harness import (
+    exhaustive_corpus,
+    file_corpus,
+    random_corpus,
+    run_classify,
+    run_color,
+    run_conjecture,
+    run_divide,
+    run_verify,
+)
 from graphdiv.report import build_report, report_to_json
 
 
 class TestCorpusSpec:
+    """The three corpus functions and the arguments they check."""
+
     def test_exhaustive_n4_has_eleven_graphs(self):
-        spec = CorpusSpec(kind="exhaustive", n=4)
-        assert len(list(generate(spec))) == 11
+        assert len(list(exhaustive_corpus(4))) == 11
 
     def test_exhaustive_limit(self):
         with pytest.raises(ValueError):
-            CorpusSpec(kind="exhaustive", n=EXHAUSTIVE_LIMIT + 1)
+            exhaustive_corpus(EXHAUSTIVE_LIMIT + 1)
 
     def test_random_stream_is_seed_deterministic(self):
-        spec = CorpusSpec(kind="random", n=6, edge_prob=0.5, count=30, seed=9)
-        first = [emit_graph6(g) for g in generate(spec)]
-        second = [emit_graph6(g) for g in generate(spec)]
+        first = [emit_graph6(g) for g in random_corpus(6, 0.5, 30, seed=9)]
+        second = [emit_graph6(g) for g in random_corpus(6, 0.5, 30, seed=9)]
         assert first == second
 
     def test_random_stream_stable_under_count_growth(self):
-        small = CorpusSpec(kind="random", n=6, edge_prob=0.5, count=10, seed=9)
-        large = CorpusSpec(kind="random", n=6, edge_prob=0.5, count=25, seed=9)
-        first = [emit_graph6(g) for g in generate(small)]
-        second = [emit_graph6(g) for g in generate(large)]
+        first = [emit_graph6(g) for g in random_corpus(6, 0.5, 10, seed=9)]
+        second = [emit_graph6(g) for g in random_corpus(6, 0.5, 25, seed=9)]
         assert second[: len(first)] == first
 
     def test_filters_are_conjunctive(self):
-        spec = CorpusSpec(kind="exhaustive", n=5, filters=("p5free", "c5free"))
-        graphs = list(generate(spec))
+        graphs = list(exhaustive_corpus(5, filters=("p5free", "c5free")))
         assert graphs
         from graphdiv import find_c5, find_p5
 
@@ -54,29 +58,26 @@ class TestCorpusSpec:
 
     def test_unknown_filter(self):
         with pytest.raises(ValueError):
-            CorpusSpec(kind="exhaustive", n=4, filters=("triangles",))
+            exhaustive_corpus(4, filters=("triangles",))
 
     def test_starving_filter_raises(self, monkeypatch):
         # every draw at p = 0 or 1 passes every filter, so no filter can
-        # starve a real spec; a zero attempt limit starves any
-        spec = CorpusSpec(kind="random", n=5, edge_prob=1.0, count=1, filters=("oddholefree",), seed=0)
-        assert len(list(generate(spec))) == 1
+        # starve a real corpus; a zero attempt limit starves any
+        assert len(list(random_corpus(5, 1.0, 1, seed=0, filters=("oddholefree",)))) == 1
         monkeypatch.setattr(graphdiv.harness, "MAX_ATTEMPTS_FACTOR", 0)
         with pytest.raises(GraphDivError):
-            list(generate(spec))
+            list(random_corpus(5, 1.0, 1, seed=0, filters=("oddholefree",)))
 
     def test_file_source_graph6(self, tmp_path):
         path = tmp_path / "graphs.g6"
         path.write_text("Ch\nDhc\n")
-        spec = CorpusSpec(kind="file", path=str(path))
-        graphs = list(generate(spec))
+        graphs = list(file_corpus(str(path)))
         assert [g.n for g in graphs] == [4, 5]
 
     def test_file_source_dimacs(self, tmp_path):
         path = tmp_path / "c5.col"
         path.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n")
-        spec = CorpusSpec(kind="file", path=str(path))
-        assert list(generate(spec)) == [cycle_graph(5)]
+        assert list(file_corpus(str(path))) == [cycle_graph(5)]
 
 
 class TestDrivers:
@@ -100,6 +101,19 @@ class TestDrivers:
         records = run_divide(graphs_with_ids([c5]), mode="perfect", weights_spec=[1, 1, 1, 1, 1])
         assert records[0]["status"] == "ok"
         assert records[0]["division"]["p"] == [0, 2, 3]
+
+    def test_per_graph_weights_are_scanned_once_per_run(self, c5):
+        class CountedList(list):
+            scans = 0
+
+            def __iter__(self):
+                self.scans += 1
+                return super().__iter__()
+
+        payload = CountedList([[1, 1, 1, 1, 1]] * 5)
+        records = run_divide(graphs_with_ids([c5] * 5), mode="perfect", weights_spec=payload)
+        assert [r["status"] for r in records] == ["ok"] * 5
+        assert payload.scans == 1
 
     def test_divide_reports_a_failed_self_check(self, monkeypatch):
         graphs = graphs_with_ids([cycle_graph(4)])
