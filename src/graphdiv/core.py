@@ -205,8 +205,10 @@ def induced_subgraph(g: Graph, s: VertexSet):
     return Graph(len(vmap), tuple(rows)), vmap
 
 
-def _mask_components(adj, mask: int) -> list:
-    """Connected components of the subgraph induced on ``mask`` (as masks).
+def _mask_components(adj, mask: int, flip: int = 0) -> list:
+    """Connected components of the subgraph induced on ``mask`` (as masks),
+    or of its complement when ``flip`` is -1 (each row is read as
+    ``row ^ flip``).
 
     Ordered by smallest member, which keeps every caller deterministic.
     """
@@ -220,7 +222,7 @@ def _mask_components(adj, mask: int) -> list:
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
-                grown |= adj[low.bit_length() - 1]
+                grown |= adj[low.bit_length() - 1] ^ flip
             grown &= mask & ~comp
             comp |= grown
             frontier = grown
@@ -233,7 +235,7 @@ def _mask_anticomponents(adj, mask: int) -> list:
     """Anticomponents of the subgraph induced on ``mask`` (as masks): the
     components of its complement, ordered by smallest member like
     ``_mask_components``."""
-    return _mask_components(_co_rows(adj, mask), mask)
+    return _mask_components(adj, mask, -1)
 
 
 def _max_clique_mask(adj, cand: int):

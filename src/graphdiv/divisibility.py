@@ -19,12 +19,14 @@ doubles as a proof checker at the sizes it handles. Verification policy:
 from dataclasses import dataclass, field
 
 from .core import (
+    CLIQUE_BUDGET,
     Graph,
     VertexSet,
     WeightFn,
     _bits,
     _checked_weight_clique,
     _mask_components,
+    _max_weight_clique_mask,
     _within_mask,
     clique_number,
 )
@@ -35,11 +37,15 @@ from .errors import (
     TheoremViolationError,
 )
 from .recognition import (
+    PARALLEL,
+    SERIES,
     Embedding,
+    Module,
+    _decompose,
+    _homogeneous_split,
     embedding_is_valid,
     find_bull,
     find_c5,
-    find_homogeneous_set,
     find_odd_hole,
     find_p5,
     is_homogeneous,
@@ -326,17 +332,36 @@ def is_two_divisible_oracle(g: Graph):
     return True, None
 
 
+def _module_weight(adj, weights, node: Module) -> int:
+    """Maximum clique weight inside the module ``node``, read off its
+    decomposition: the sum of its children's values at a series node, their
+    maximum at a parallel node, and at a prime node the maximum weight of a
+    clique of representatives, one per child, each weighing its child's
+    value."""
+    if not node.children:
+        return weights[node.mask.bit_length() - 1]
+    values = [_module_weight(adj, weights, child) for child in node.children]
+    if node.kind == SERIES:
+        return sum(values)
+    if node.kind == PARALLEL:
+        return max(values)
+    if len(values) > CLIQUE_BUDGET:
+        raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {len(values)}")
+    reps = {(child.mask & -child.mask).bit_length() - 1: value for child, value in zip(node.children, values)}
+    return _max_weight_clique_mask(adj, reps, sum(1 << v for v in reps))[0]
+
+
 def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: VertexSet = None) -> QuotientStep:
     """Contract the homogeneous set ``x`` of ``g[within]`` (all of ``g`` by
     default) to its smallest member, whose new weight is the maximum clique
-    weight inside ``x``."""
+    weight inside ``x``, read off the modular decomposition of ``g[x]``."""
     if len(w) != g.n:
         raise ValueError("weight function length does not match the graph")
     if not is_homogeneous(g, x, within):
         raise ValueError("x is not a homogeneous set of g")
     rep = x.members()[0]
     q_weights = list(w.weights)
-    q_weights[rep] = _checked_weight_clique(g, w, x)[0]
+    q_weights[rep] = _module_weight(g.adj, w.weights, _decompose(g.adj, x.mask))
     return QuotientStep(
         original=g,
         original_weights=w,
@@ -408,9 +433,11 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, ch
     strictly smaller maximum clique weight.
 
     The work happens inside the set U of positively weighted vertices
-    (zero-weight vertices join the W side for free). If the graph induced
-    on U has a homogeneous set, it is contracted, both the quotient and the
-    contracted part are divided recursively, and the results recombined.
+    (zero-weight vertices join the W side for free), on one modular
+    decomposition of U. If the graph induced on U has a homogeneous set, it
+    is contracted, both the quotient and the contracted part are divided
+    recursively, and the results recombined; their decompositions are the
+    tree with the set contracted and the set's own subtree.
     Otherwise the graph is prime and the smallest vertex v with a perfect
     non-neighborhood yields the split (M(v) + v, N(v)). Every recombination
     and the final result are verified, once each; ``w`` None means unit
@@ -430,7 +457,7 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, ch
     log = [_step("restrict", positive=_members(u_mask), zero=_members(full & ~u_mask))]
     p_mask = 0
     if u_mask:
-        p_mask = _divide_all_positive(g, effective, VertexSet(g.n, u_mask), log).p.mask
+        p_mask = _divide_all_positive(g, effective, _decompose(g.adj, u_mask), log).p.mask
     division = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, log=tuple(log))
     # ``recombine`` has verified a division of all of ``within`` that ends in it
     if u_mask != full or log[-1]["kind"] != "recombination":
@@ -440,10 +467,12 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, ch
     return division
 
 
-def _divide_all_positive(g: Graph, w: WeightFn, within: VertexSet, log: list) -> PerfectDivision:
-    """Divide ``g[within]``, all of whose weights are positive."""
-    x = find_homogeneous_set(g, within)
-    if x is None:
+def _divide_all_positive(g: Graph, w: WeightFn, tree: Module, log: list) -> PerfectDivision:
+    """Divide the subgraph that ``tree`` decomposes, all of whose weights
+    are positive."""
+    within = VertexSet(g.n, tree.mask)
+    split = _homogeneous_split(tree)
+    if split is None:
         v = find_perfect_nonneighborhood_vertex(g, within)
         if v is None:
             raise TheoremViolationError(
@@ -464,6 +493,8 @@ def _divide_all_positive(g: Graph, w: WeightFn, within: VertexSet, log: list) ->
             )
         )
         return PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, w_mask), weight=w)
+    x_tree, q_tree = split
+    x = VertexSet(g.n, x_tree.mask)
     step = quotient_by_homogeneous_set(g, w, x, within)
     log.append(
         _step(
@@ -474,8 +505,8 @@ def _divide_all_positive(g: Graph, w: WeightFn, within: VertexSet, log: list) ->
             quotient=_members(step.quotient.mask),
         )
     )
-    q_division = _divide_all_positive(g, step.quotient_weights, step.quotient, log)
-    i_division = _divide_all_positive(g, w, x, log)
+    q_division = _divide_all_positive(g, step.quotient_weights, q_tree, log)
+    i_division = _divide_all_positive(g, w, x_tree, log)
     combined = recombine(step, q_division, i_division)
     log.extend(combined.log)
     return combined

@@ -18,14 +18,27 @@ Both return the witness of a plain scan in the same order: the
 lexicographically smallest image tuple, and the first odd cycle among the
 shortest, in ``itertools.combinations`` order.
 
-Hole, antihole and perfection search and homogeneous sets take a ``within``
-set of the input graph and are cached on ``(g, within)``. ``lru_cache``
-keys ``f(g)`` and ``f(g, None)`` apart, so the package always passes
-``within`` positionally, None included.
+Homogeneous sets and perfection are read off the modular decomposition
+of the subgraph (``_decompose``). ``find_homogeneous_set`` returns the set
+that the lexicographic pair-closure rule picks. ``is_perfect`` searches
+only the quotients at the prime nodes, one representative per child, with
+the hole and antihole search: a graph is perfect iff every such quotient
+is (Lovász, Discrete Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds its
+largest prime quotient, while the witness finders (``find_odd_hole``,
+``find_odd_antihole``, ``imperfection_witness``, ``classify``) count the
+whole ``within`` set against it.
+
+Hole, antihole and homogeneous-set search take a ``within`` set of the
+input graph and are cached on ``(g, within)``. ``lru_cache`` keys ``f(g)``
+and ``f(g, None)`` apart, so the package always passes ``within``
+positionally, None included. ``find_p5``, ``find_c5`` and ``find_bull``
+remember the last graph only, so a class check right after ``classify``
+of the same graph does not search again.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     Graph,
@@ -148,15 +161,18 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     return None
 
 
+@lru_cache(maxsize=1)
 def find_p5(g: Graph):
     return find_induced(g, P5_PATTERN, "P5")
 
 
+@lru_cache(maxsize=1)
 def find_c5(g: Graph):
     """First induced 5-cycle; the image tuple is in cycle order."""
     return find_induced(g, C5_PATTERN, "C5")
 
 
+@lru_cache(maxsize=1)
 def find_bull(g: Graph):
     return find_induced(g, BULL_PATTERN, "bull")
 
@@ -396,9 +412,200 @@ def imperfection_witness(g: Graph, within: VertexSet = None):
     return find_odd_antihole(g, within)
 
 
+LEAF = "leaf"
+PARALLEL = "parallel"
+SERIES = "series"
+PRIME = "prime"
+
+
+class Module(NamedTuple):
+    """A node of a modular decomposition: a strong module, its kind, and
+    its children's nodes ordered by smallest member.
+
+    A parallel node's children are its components, a series node's its
+    anticomponents, and a prime node's its maximal proper modules, between
+    which the node's quotient (one representative per child) is prime.
+    """
+
+    kind: str
+    mask: int
+    children: tuple = ()
+
+
+def _module_closure(adj, mask: int, v: int, x: int) -> int:
+    """The smallest module of the subgraph on ``mask`` that holds ``v``
+    and the vertices of ``x``: a vertex that tells some member apart from
+    ``v`` must join."""
+    row = adj[v]
+    inside = x | (1 << v)
+    todo = x
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        grow = (adj[low.bit_length() - 1] ^ row) & mask & ~inside
+        inside |= grow
+        todo |= grow
+    return inside
+
+
+def _maximal_modules(adj, mask: int) -> list:
+    """The maximal proper modules of the subgraph on ``mask``, which must
+    be connected and anticonnected, ordered by smallest member; they
+    partition ``mask`` (Gallai, 1967).
+
+    With v the smallest member, the maximal modules without v are the
+    coarsest partition of the rest into modules: split v's neighbours from
+    the others, then split each part by its members' rows outside it until
+    every part is a module. The module holding v is everything that cannot
+    force its way to a vertex u whose smallest module with v is the whole
+    set, where w forces z when z tells w apart from v; the other maximal
+    modules are the parts outside it.
+    """
+    low = mask & -mask
+    v = low.bit_length() - 1
+    rest = mask ^ low
+    parts = []
+    todo = [p for p in (rest & adj[v], rest & ~adj[v]) if p]
+    while todo:
+        part = todo.pop()
+        if part & (part - 1):
+            out = mask & ~part
+            groups = {}
+            for x in _bits(part):
+                key = adj[x] & out
+                groups[key] = groups.get(key, 0) | (1 << x)
+            if len(groups) > 1:
+                todo.extend(groups.values())
+                continue
+        parts.append(part)
+    inside = low
+    for part in parts:
+        if part & inside:
+            continue
+        closure = _module_closure(adj, mask, v, part & -part)
+        if closure != mask:
+            inside |= closure
+            continue
+        outside = part
+        todo = part
+        while todo:
+            z = todo & -todo
+            todo ^= z
+            row = adj[z.bit_length() - 1]
+            forcing = (~row if row & low else row) & rest & ~outside
+            outside |= forcing
+            todo |= forcing
+        return sorted([mask & ~outside] + [p for p in parts if p & outside], key=lambda p: p & -p)
+    raise AssertionError("the subgraph is connected and anticonnected, so it is not one module")
+
+
+def _split(adj, mask: int, parent: str = None):
+    """The kind of the top node of the decomposition of the subgraph on
+    ``mask`` (two or more vertices), and its children's masks. A child of a
+    parallel node is connected and a child of a series node anticonnected,
+    so the ``parent`` kind skips that test."""
+    if parent is not PARALLEL:
+        parts = _mask_components(adj, mask)
+        if len(parts) > 1:
+            return PARALLEL, parts
+    if parent is not SERIES:
+        parts = _mask_anticomponents(adj, mask)
+        if len(parts) > 1:
+            return SERIES, parts
+    return PRIME, _maximal_modules(adj, mask)
+
+
+def _decompose(adj, mask: int, parent: str = None) -> Module:
+    """The modular decomposition of the subgraph on ``mask``, under a node
+    of kind ``parent`` if one is given."""
+    rest = mask & (mask - 1)
+    if not rest:
+        return Module(LEAF, mask)
+    if not rest & (rest - 1):
+        low = mask ^ rest
+        kind = SERIES if adj[low.bit_length() - 1] & rest else PARALLEL
+        return Module(kind, mask, (Module(LEAF, low), Module(LEAF, rest)))
+    kind, parts = _split(adj, mask, parent)
+    return Module(kind, mask, tuple([_decompose(adj, p, kind) for p in parts]))
+
+
+def _with_child(node: Module, i: int, child: Module, x: int) -> Module:
+    """``node`` with its i-th child replaced by ``child``, which has the
+    module ``x`` contracted to its smallest member."""
+    return Module(node.kind, (node.mask & ~x) | (x & -x), node.children[:i] + (child,) + node.children[i + 1 :])
+
+
+def _contract(node: Module, b: int):
+    """``(x's tree, node's tree with x contracted to its smallest member)``,
+    where x is the smallest module holding the two smallest members of
+    ``node``: the smallest one and the bit ``b``.
+
+    Children are ordered by smallest member, so the two lie in the first
+    child, or in the first two. At a prime node x is the whole node; at a
+    series or parallel node it is those two children, or the whole node
+    when it has only two.
+    """
+    first = node.children[0]
+    if first.mask & b:
+        x_tree, inner = _contract(first, b)
+        return x_tree, _with_child(node, 0, inner, x_tree.mask)
+    if node.kind == PRIME or len(node.children) == 2:
+        return node, Module(LEAF, node.mask & -node.mask)
+    x_tree = Module(node.kind, first.mask | node.children[1].mask, node.children[:2])
+    leaf = Module(LEAF, first.mask & -first.mask)
+    return x_tree, Module(node.kind, (node.mask & ~x_tree.mask) | leaf.mask, (leaf,) + node.children[2:])
+
+
+def _second(mask: int) -> int:
+    """The bit of the second smallest member of ``mask``."""
+    rest = mask & (mask - 1)
+    return rest & -rest
+
+
+def _homogeneous_split(root: Module):
+    """The homogeneous set that the lexicographic pair-closure rule picks
+    in the decomposition ``root``, as ``(x's tree, the tree with x
+    contracted to its smallest member)``; None when there is none.
+
+    The rule grows the smallest module holding each vertex pair, in
+    lexicographic order, and takes the first that is proper. Under a
+    series or parallel root with three or more children that is the
+    smallest module holding the two smallest vertices. Otherwise a pair is
+    proper only inside one child of the root, and the first such pair is
+    the two smallest vertices of the first child with two or more.
+    """
+    if root.kind != PRIME and len(root.children) >= 3:
+        return _contract(root, _second(root.mask))
+    for i, child in enumerate(root.children):
+        if child.children:
+            x_tree, inner = _contract(child, _second(child.mask))
+            return x_tree, _with_child(root, i, inner, x_tree.mask)
+    return None
+
+
 def is_perfect(g: Graph, within: VertexSet = None) -> bool:
-    """Perfection of ``g``, or of the subgraph induced on ``within``."""
-    return imperfection_witness(g, within) is None
+    """Perfection of ``g``, or of the subgraph induced on ``within``.
+
+    A graph is perfect iff the quotient at every prime node of its modular
+    decomposition is (substitution keeps perfection, and an odd hole or
+    antihole, being prime, lies inside one child or meets each child of
+    some prime node at most once). So only the prime quotients with 5 or
+    more representatives are searched, and the budget counts the largest
+    of them; a degenerate quotient is complete or edgeless.
+    """
+    adj = g.adj
+    todo = [_within_mask(g, within)]
+    while todo:
+        mask = todo.pop()
+        if mask.bit_count() < 5:
+            continue
+        kind, parts = _split(adj, mask)
+        if kind == PRIME and len(parts) >= 5:
+            quotient = VertexSet(g.n, sum(p & -p for p in parts))
+            if find_odd_hole(g, quotient) is not None or find_odd_antihole(g, quotient) is not None:
+                return False
+        todo.extend(parts)
+    return True
 
 
 def is_homogeneous(g: Graph, x: VertexSet, within: VertexSet = None) -> bool:
@@ -418,35 +625,17 @@ def is_homogeneous(g: Graph, x: VertexSet, within: VertexSet = None) -> bool:
 
 @lru_cache(maxsize=1 << 18)
 def find_homogeneous_set(g: Graph, within: VertexSet = None):
-    """Some homogeneous set of ``g[within]`` (all of ``g`` by default), or
-    None when that subgraph is prime.
+    """The first homogeneous set of ``g[within]`` (all of ``g`` by
+    default) under the lexicographic pair-closure rule, or None when that
+    subgraph is prime.
 
-    For each vertex pair of ``within`` (in lexicographic order) this grows
-    the unique minimal candidate containing the pair: any vertex with both
-    a neighbor and a non-neighbor inside must join. The first pair whose
-    closure stays proper yields the answer, which makes the choice
-    deterministic. The closure stops growing only when no outside vertex
-    splits it, so a proper closure is homogeneous by construction.
+    For each vertex pair of ``within`` in lexicographic order, the rule
+    takes the smallest module holding the pair; the first one that is
+    proper is the answer. It is read off the modular decomposition
+    (``_homogeneous_split``).
     """
-    full = _within_mask(g, within)
-    if full.bit_count() <= 2:
-        return None
-    adj = g.adj
-    members = list(_bits(full))
-    for i, u in enumerate(members[:-1]):
-        for v in members[i + 1 :]:
-            x = (1 << u) | (1 << v)
-            changed = True
-            while changed and x != full:
-                changed = False
-                for w in _bits(full & ~x):
-                    inside = adj[w] & x
-                    if inside != 0 and inside != x:
-                        x |= 1 << w
-                        changed = True
-            if x != full:
-                return VertexSet(g.n, x)
-    return None
+    split = _homogeneous_split(_decompose(g.adj, _within_mask(g, within)))
+    return None if split is None else VertexSet(g.n, split[0].mask)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Most of it is written against plain lists and sets, deliberately avoiding
 the bitmask machinery of the package under test, so the two routes only
 share the input graphs. ``is_two_divisible_oracle``, ``_canonical_key``
-(with ``_refined_colors``) and ``nonisomorphic_graphs`` are instead the
+(with ``_refined_colors``), ``nonisomorphic_graphs``,
+``first_homogeneous_set`` and ``perfect_division_log`` are instead the
 slower versions that faster package code replaced, kept so the two can be
 compared exactly.
 """
@@ -174,6 +175,92 @@ def homogeneous_sets(g: Graph) -> list:
         if good:
             found.append(frozenset(s))
     return found
+
+
+def first_homogeneous_set(g: Graph, within: VertexSet = None):
+    """The package's first homogeneous-set search, kept as the reference
+    for the one read off the modular decomposition: for each vertex pair
+    of ``within`` (all of ``g`` by default) in lexicographic order, grow
+    the pair until no outside vertex has both a neighbor and a non-neighbor
+    inside, and return the first closure that is proper, or None."""
+    full = (1 << g.n) - 1 if within is None else within.mask
+    if full.bit_count() <= 2:
+        return None
+    adj = g.adj
+    members = list(_bits(full))
+    for i, u in enumerate(members[:-1]):
+        for v in members[i + 1 :]:
+            x = (1 << u) | (1 << v)
+            changed = True
+            while changed and x != full:
+                changed = False
+                for w in _bits(full & ~x):
+                    inside = adj[w] & x
+                    if inside != 0 and inside != x:
+                        x |= 1 << w
+                        changed = True
+            if x != full:
+                return VertexSet(g.n, x)
+    return None
+
+
+def perfect_division_log(g: Graph, weights, within: VertexSet = None) -> list:
+    """The derivation log of the package's first perfect division, kept as
+    the reference for the one that runs on a modular decomposition: every
+    step finds its homogeneous set with ``first_homogeneous_set``, lifts
+    the representative's weight by branch and bound over the contracted
+    set, and tests perfection by the exact hole and antihole search on the
+    whole non-neighborhood. Nothing is verified."""
+    from graphdiv import WeightFn, imperfection_witness, max_weight_clique
+
+    n = g.n
+    full = (1 << n) - 1 if within is None else within.mask
+    log = []
+
+    def members(mask):
+        return list(_bits(mask))
+
+    def divide(w, mask):
+        x = first_homogeneous_set(g, VertexSet(n, mask))
+        if x is None:
+            for v in _bits(mask):
+                if imperfection_witness(g, VertexSet(n, mask & ~g.adj[v] & ~(1 << v))) is None:
+                    break
+            else:
+                raise AssertionError("prime graph has no vertex with perfect non-neighborhood")
+            p, rest = mask & ~g.adj[v], mask & g.adj[v]
+            log.append(
+                {
+                    "kind": "base-partition",
+                    "rule": "perfect-non-neighborhood",
+                    "chosen": v,
+                    "rejected": members(mask & ((1 << v) - 1)),
+                    "p": members(p),
+                    "w": members(rest),
+                }
+            )
+            return p, rest
+        rep = x.members()[0]
+        lifted = list(w)
+        lifted[rep] = max_weight_clique(g, WeightFn.of(w), x).value
+        quotient = (mask & ~x.mask) | (1 << rep)
+        log.append(
+            {"kind": "quotient", "x": members(x.mask), "representative": rep, "lifted_weight": lifted[rep], "quotient": members(quotient)}
+        )
+        q_p, q_w = divide(lifted, quotient)
+        i_p, i_w = divide(w, x.mask)
+        if q_w >> rep & 1:
+            case, p, rest = "xhat-in-w", q_p, q_w | x.mask
+        else:
+            case, p, rest = "xhat-in-p", (q_p & ~(1 << rep)) | i_p, q_w | i_w
+        log.append({"kind": "recombination", "case": case, "x": members(x.mask), "p": members(p), "w": members(rest)})
+        return p, rest
+
+    positive = sum(1 << v for v in _bits(full) if weights[v] > 0)
+    log.append({"kind": "restrict", "positive": members(positive), "zero": members(full & ~positive)})
+    if positive:
+        divide(list(weights), positive)
+    return log
 
 
 def is_two_divisible(g: Graph) -> bool:

@@ -21,6 +21,7 @@ from graphdiv import (
     classify_against_c5,
     clique_number,
     color_via_perfect_division,
+    color_via_two_division,
     complete_graph,
     cycle_graph,
     embedding_is_valid,
@@ -46,6 +47,7 @@ from graphdiv import (
     verify_two_division,
 )
 from graphdiv.corpus import nonisomorphic_graphs, random_graph
+from test_recognition import _family_graphs
 
 
 class TestTwoDivide:
@@ -197,6 +199,16 @@ class TestQuotient:
         step = quotient_by_homogeneous_set(g, WeightFn.of([3, 1, 4, 1, 5]), x, VertexSet.of(5, [0, 1, 2, 3]))
         assert step.quotient.members() == (0, 1, 3)
         assert step.quotient_weights.weights == (4, 1, 4, 1, 5)
+
+    def test_lifting_budget_counts_the_largest_prime_node(self):
+        # P33 plus a vertex seeing all of it: the lift needs a weighted
+        # clique over 33 representatives; an edgeless 33-set needs none
+        path = Graph.from_edges(34, [(i, i + 1) for i in range(32)] + [(i, 33) for i in range(33)])
+        x = VertexSet.of(34, range(33))
+        with pytest.raises(BudgetExceededError, match="asked for 33"):
+            quotient_by_homogeneous_set(path, WeightFn.unit(34), x)
+        star = Graph.from_edges(34, [(i, 33) for i in range(33)])
+        assert quotient_by_homogeneous_set(star, WeightFn.unit(34), x).quotient_weights[0] == 1
 
 
 class TestRecombine:
@@ -447,6 +459,84 @@ class TestOddHoleCache:
             perfect_divide(g, check_class=check_class)
             misses.append(find_odd_hole.cache_info().misses - before)
         assert misses[0] == misses[1]
+
+
+class TestClassCheckCache:
+    def test_class_checks_after_classify_do_not_search_again(self, monkeypatch):
+        # find_p5, find_c5 and find_bull remember the last graph, so the
+        # class checks of two_divide and the coloring reuse classify's
+        g = twin_substitute(cycle_graph(4), 0, adjacent=True)
+        calls = []
+        original = graphdiv.recognition.find_induced
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(graphdiv.recognition, "find_induced", counted)
+        for finder in (find_p5, find_c5, find_bull):
+            finder.cache_clear()
+        classify(g)
+        two_divide(g)
+        color_via_two_division(g)
+        assert calls == ["P5", "C5", "bull"]
+
+
+def _lifts(g, weights, mask):
+    """Every quotient step that ``perfect_divide``'s recursion takes on
+    ``g[mask]`` with ``weights``: the contracted set, the weights it is
+    lifted under, and the lifted weight."""
+    x = find_homogeneous_set(g, VertexSet(g.n, mask))
+    if x is None:
+        return
+    step = quotient_by_homogeneous_set(g, WeightFn.of(weights), x, VertexSet(g.n, mask))
+    yield x, weights, step.quotient_weights[step.representative]
+    yield from _lifts(g, step.quotient_weights.weights, step.quotient.mask)
+    yield from _lifts(g, weights, x.mask)
+
+
+class TestDecompositionDivision:
+    """Lifted weights and derivation logs of the division that runs on one
+    modular decomposition agree with the slow code they replace."""
+
+    def test_lifted_weights_match_subset_enumeration(self):
+        rng = random.Random("decomposition/lifts")
+        lifts = 0
+        for g in _family_graphs(rng, 240, 3, 12):
+            weights = [rng.randint(0, 5) for _ in range(g.n)]
+            for mask in ((1 << g.n) - 1, rng.getrandbits(g.n) | rng.getrandbits(g.n)):
+                for x, at, lifted in _lifts(g, weights, mask):
+                    sub, vmap = induced_subgraph(g, x)
+                    assert lifted == naive.max_weight_clique(sub, [at[v] for v in vmap]), (g.adj, mask, x)
+                    lifts += 1
+        assert lifts > 1000
+
+    def test_logs_match_reference_on_the_criterion_3_graphs(self):
+        checked = quotients = 0
+        for n in range(1, 9):
+            for g in nonisomorphic_graphs(n):
+                if find_bull(g) is not None or (find_odd_hole(g) is not None and find_p5(g) is not None):
+                    continue
+                rng = random.Random(f"decomposition/{emit_graph6(g)}")
+                weights = [rng.randint(0, 5) for _ in range(n)]
+                log = list(perfect_divide(g, WeightFn.of(weights), check_class=False).log)
+                assert log == naive.perfect_division_log(g, weights), emit_graph6(g)
+                quotients += any(step["kind"] == "quotient" for step in log)
+                checked += 1
+        assert checked == 4367 and quotients > 2000
+
+    def test_logs_match_reference_on_16_vertex_families(self):
+        rng = random.Random("decomposition/reach")
+        checked = 0
+        for g in _family_graphs(rng, 40, 16, 16):
+            if find_bull(g) is not None or (find_odd_hole(g) is not None and find_p5(g) is not None):
+                continue
+            weights = [rng.randint(0, 5) for _ in range(g.n)]
+            for w in (None, weights):
+                log = list(perfect_divide(g, None if w is None else WeightFn.of(w), check_class=False).log)
+                assert log == naive.perfect_division_log(g, w or [1] * g.n), emit_graph6(g)
+                checked += 1
+        assert checked >= 40
 
 
 class TestRelabeling:

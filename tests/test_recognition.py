@@ -33,7 +33,8 @@ from graphdiv import (
     path_graph,
     pattern_for_name,
 )
-from graphdiv.corpus import random_graph, twin_substitute
+from graphdiv.corpus import nonisomorphic_graphs, random_graph, twin_substitute
+from graphdiv.recognition import PERFECTION_BUDGET, _decompose, _homogeneous_split
 
 
 def _rand(n, p, seed):
@@ -219,6 +220,24 @@ def _c5_blowup(n, rng):
     return Graph(n, tuple(rows))
 
 
+def _twin_substituted(n, rng):
+    """A random graph with twins substituted into it until it has ``n``
+    vertices."""
+    g = random_graph(rng.randint(max(1, n // 2), max(1, n - 1)), rng.random(), rng)
+    while g.n < n:
+        g = twin_substitute(g, rng.randrange(g.n), adjacent=rng.random() < 0.5)
+    return g
+
+
+def _family_graphs(rng, count, low, high):
+    """``count`` random bipartite graphs, cographs, C5 blow-ups and twin
+    substitutions in turn, each with ``low`` to ``high`` vertices (C5
+    blow-ups at least 5) and relabeled at random."""
+    makers = (_random_bipartite, _random_cograph, lambda n, rng: _c5_blowup(max(n, 5), rng), _twin_substituted)
+    for i in range(count):
+        yield _relabel(makers[i % 4](rng.randint(low, high), rng), rng)
+
+
 def _graph_with_hole(rng):
     """A random graph on 5 to 8 vertices, half of the time with an odd
     cycle of length 5 or 7 laid over its first vertices."""
@@ -395,6 +414,74 @@ class TestHomogeneousSets:
         g = cycle_graph(4)
         assert not is_homogeneous(g, VertexSet.of(4, [1]))
         assert not is_homogeneous(g, VertexSet.full(4))
+
+
+def _agrees_with_slow_search(g, mask):
+    """On ``g[mask]``, the homogeneous set read off the modular
+    decomposition is the pair-closure reference's, the trees of that set
+    and of the quotient are the decompositions of their vertex sets, and
+    ``is_perfect`` agrees with the exact witness search. True when there
+    is a homogeneous set."""
+    within = VertexSet(g.n, mask)
+    got = find_homogeneous_set(g, within)
+    assert got == naive.first_homogeneous_set(g, within), (g.adj, mask)
+    split = _homogeneous_split(_decompose(g.adj, mask))
+    assert (split is None) == (got is None)
+    if split is not None:
+        x_tree, q_tree = split
+        x = x_tree.mask
+        assert x_tree == _decompose(g.adj, x), (g.adj, mask)
+        assert q_tree == _decompose(g.adj, (mask & ~x) | (x & -x)), (g.adj, mask)
+    if mask.bit_count() <= PERFECTION_BUDGET:
+        assert is_perfect(g, within) == (imperfection_witness(g, within) is None), (g.adj, mask)
+    return got is not None
+
+
+class TestModularDecomposition:
+    """Homogeneous sets, the contracted trees and perfection read off the
+    modular decomposition agree with the slow searches they replace."""
+
+    def test_every_mask_up_to_six_vertices(self):
+        cases = found = 0
+        for n in range(7):
+            for g in nonisomorphic_graphs(n):
+                for mask in range(1 << n):
+                    found += _agrees_with_slow_search(g, mask)
+                    cases += 1
+        assert cases == 11291 and found > 3000
+
+    def test_sampled_masks_on_seven_and_eight_vertices(self):
+        rng = random.Random("decomposition/sampled")
+        cases = found = 0
+        for n, per_graph, graphs in ((7, 4, None), (8, 1, 1000)):
+            corpus = nonisomorphic_graphs(n)
+            for g in corpus if graphs is None else rng.sample(corpus, graphs):
+                for mask in [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(per_graph)]:
+                    found += _agrees_with_slow_search(g, mask)
+                    cases += 1
+        assert cases == 1044 * 5 + 1000 * 2 and found > 3000
+
+    def test_relabeled_families(self):
+        rng = random.Random("decomposition/families")
+        cases = found = imperfect = 0
+        for g in _family_graphs(rng, 400, 3, 16):
+            for mask in ((1 << g.n) - 1, rng.getrandbits(g.n) | rng.getrandbits(g.n)):
+                found += _agrees_with_slow_search(g, mask)
+                imperfect += not is_perfect(g, VertexSet(g.n, mask))
+                cases += 1
+        assert found > 400 and imperfect > 100
+
+    def test_perfection_budget_counts_the_largest_prime_quotient(self):
+        # K_{2x10}: 20 vertices, but every quotient is complete or edgeless
+        cocktail = Graph(20, tuple(((1 << 20) - 1) & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(20)))
+        assert is_perfect(cocktail)
+        with pytest.raises(BudgetExceededError, match="asked for 20"):
+            find_odd_hole(cocktail)
+        with pytest.raises(BudgetExceededError, match="asked for 20"):
+            imperfection_witness(cocktail)
+        # P17 is prime, so its quotient is all 17 vertices
+        with pytest.raises(BudgetExceededError, match="asked for 17"):
+            is_perfect(path_graph(17))
 
 
 class TestClassify:
