@@ -50,7 +50,6 @@ from .recognition import (
 from .divisibility import (
     C5Classification,
     PerfectDivision,
-    QuotientStep,
     TwoDivision,
     classify_against_c5,
     find_perfect_nonneighborhood_vertex,

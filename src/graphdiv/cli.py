@@ -106,10 +106,12 @@ def _corpus(args):
         return _with_ids(file_corpus(args.in_path, filters))
     if args.exhaustive is not None:
         return _with_ids(exhaustive_corpus(args.exhaustive, filters))
-    parts = args.random.split(",")
-    if len(parts) != 3:
-        raise ValueError("--random expects N,P,COUNT")
-    return _with_ids(random_corpus(int(parts[0]), float(parts[1]), int(parts[2]), args.seed, filters))
+    try:
+        n, p, count = args.random.split(",")
+        n, p, count = int(n), float(p), int(count)
+    except ValueError:
+        raise ValueError(f"--random expects N,P,COUNT, not {echo(args.random)}") from None
+    return _with_ids(random_corpus(n, p, count, args.seed, filters))
 
 
 def _apply_time_budget(records, budget_ms):

@@ -4,12 +4,14 @@ The two constructions never trust their own guarantees, so the package
 doubles as a proof checker at the sizes it handles. Verification policy:
 
 - ``two_divide`` checks its result with ``verify_two_division``; each
-  ``recombine`` checks its merge on the quotient plus the contracted set;
-  ``perfect_divide`` checks the final division, unless the last
-  recombination already covered all of ``within``; the colorings check
-  each finished coloring once, in ``coloring._certified``.
+  ``recombine`` checks its merge on the ``within`` it is given, the
+  quotient plus the contracted set; ``perfect_divide`` checks the final
+  division, unless the last recombination already covered all of
+  ``within``; the colorings check each finished coloring once, in
+  ``coloring._certified``.
 - A failed self-check raises ``TheoremViolationError`` with the
-  derivation log. A class precondition raises ``NotInClassError`` or
+  derivation log up to the failed step, that step included where it has
+  one. A class precondition raises ``NotInClassError`` or
   ``DegenerateCliqueError``, an oracle limit ``BudgetExceededError``, and
   malformed caller input ``ValueError``.
 - ``harness.run_divide`` and ``harness.run_color`` never check again;
@@ -90,25 +92,6 @@ class PerfectDivision:
             "w": list(self.w_side.members()),
             "weights": list(self.weight.weights) if self.weight is not None else None,
         }
-
-
-@dataclass(frozen=True)
-class QuotientStep:
-    """Contraction of a homogeneous set ``x`` to its smallest member.
-
-    ``quotient`` is the rest of the divided set plus that representative,
-    whose neighbors there are the common neighbors of ``x``.
-    ``quotient_weights`` is host-length: the representative carries the
-    maximum clique weight of the part it replaced, every other vertex its
-    original weight.
-    """
-
-    original: Graph
-    original_weights: WeightFn
-    x: VertexSet
-    representative: int
-    quotient: VertexSet
-    quotient_weights: WeightFn
 
 
 @dataclass(frozen=True)
@@ -351,56 +334,59 @@ def _module_weight(adj, weights, node: Module) -> int:
     return _max_weight_clique_mask(adj, reps, sum(1 << v for v in reps))[0]
 
 
-def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: VertexSet = None) -> QuotientStep:
-    """Contract the homogeneous set ``x`` of ``g[within]`` (all of ``g`` by
-    default) to its smallest member, whose new weight is the maximum clique
-    weight inside ``x``, read off the modular decomposition of ``g[x]``."""
+def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: VertexSet = None) -> WeightFn:
+    """The weights of the quotient that contracts the homogeneous set ``x``
+    of ``g[within]`` (all of ``g`` by default) to its smallest member, the
+    quotient being ``within`` minus ``x`` plus that member. They are
+    host-length: the representative carries the maximum clique weight
+    inside ``x``, read off the modular decomposition of ``g[x]``, and every
+    other vertex its weight in ``w``."""
     if len(w) != g.n:
         raise ValueError("weight function length does not match the graph")
     if not is_homogeneous(g, x, within):
         raise ValueError("x is not a homogeneous set of g")
-    rep = x.members()[0]
     q_weights = list(w.weights)
-    q_weights[rep] = _module_weight(g.adj, w.weights, _decompose(g.adj, x.mask))
-    return QuotientStep(
-        original=g,
-        original_weights=w,
-        x=x,
-        representative=rep,
-        quotient=VertexSet(g.n, (_within_mask(g, within) & ~x.mask) | (1 << rep)),
-        quotient_weights=WeightFn(tuple(q_weights)),
-    )
+    q_weights[x.members()[0]] = _module_weight(g.adj, w.weights, _decompose(g.adj, x.mask))
+    return WeightFn(tuple(q_weights))
 
 
-def recombine(step: QuotientStep, quotient_division: PerfectDivision, inner_division: PerfectDivision) -> PerfectDivision:
-    """Merge a division of the quotient with a division of the contracted
-    part into a division of the set they came from.
+def recombine(
+    g: Graph,
+    w: WeightFn,
+    x: VertexSet,
+    quotient_division: PerfectDivision,
+    inner_division: PerfectDivision,
+    within: VertexSet = None,
+) -> PerfectDivision:
+    """Merge a division of the quotient that contracts ``x`` to its
+    smallest member with a division of ``x`` into a division of ``within``
+    (all of ``g`` by default).
 
     If the representative landed on the W side, the whole contracted set
     joins W. If it landed on the P side, it is replaced by the perfect
     part of the inner division, and the inner W part joins W. The merged
-    division is verified (including perfection of the combined P side)
-    before being returned.
+    division is verified on ``within`` under ``w`` (including perfection
+    of the combined P side) before being returned.
     """
-    g = step.original
-    w = step.original_weights
-    x = step.x.mask
-    if quotient_division.p | quotient_division.w_side != step.quotient:
+    full = _within_mask(g, within)
+    rep_bit = x.mask & -x.mask
+    if not rep_bit or x.mask & ~full:
+        raise ValueError("x is not a non-empty subset of within")
+    if quotient_division.p | quotient_division.w_side != VertexSet(g.n, (full & ~x.mask) | rep_bit):
         raise ValueError("quotient division does not cover the quotient")
-    if inner_division.p | inner_division.w_side != step.x:
+    if inner_division.p | inner_division.w_side != x:
         raise ValueError("inner division does not cover the contracted part")
-    rep_bit = 1 << step.representative
     if quotient_division.w_side.mask & rep_bit:
         case = "xhat-in-w"
         p = quotient_division.p.mask
-        w_side = quotient_division.w_side.mask | x
+        w_side = quotient_division.w_side.mask | x.mask
     else:
         case = "xhat-in-p"
         p = (quotient_division.p.mask & ~rep_bit) | inner_division.p.mask
         w_side = quotient_division.w_side.mask | inner_division.w_side.mask
-    log = (_step("recombination", case=case, x=_members(x), p=_members(p), w=_members(w_side)),)
+    log = (_step("recombination", case=case, x=_members(x.mask), p=_members(p), w=_members(w_side)),)
     division = PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, log=log)
-    ok, reason = verify_perfect_division(g, w, division, VertexSet(g.n, step.quotient.mask | x))
+    ok, reason = verify_perfect_division(g, w, division, within)
     if not ok:
         raise TheoremViolationError(f"recombination failed verification: {reason}", log=list(log))
     return division
@@ -475,11 +461,7 @@ def _divide_all_positive(g: Graph, w: WeightFn, tree: Module, log: list) -> Perf
     if split is None:
         v = find_perfect_nonneighborhood_vertex(g, within)
         if v is None:
-            raise TheoremViolationError(
-                "prime graph has no vertex with perfect non-neighborhood",
-                log=log,
-                context={"vertices": list(within.members())},
-            )
+            raise TheoremViolationError(f"prime graph on {_members(within.mask)} has no vertex with perfect non-neighborhood", log=log)
         p_mask = within.mask & ~g.adj[v]
         w_mask = within.mask & g.adj[v]
         log.append(
@@ -495,19 +477,18 @@ def _divide_all_positive(g: Graph, w: WeightFn, tree: Module, log: list) -> Perf
         return PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, w_mask), weight=w)
     x_tree, q_tree = split
     x = VertexSet(g.n, x_tree.mask)
-    step = quotient_by_homogeneous_set(g, w, x, within)
+    rep = x.members()[0]
+    q_weights = quotient_by_homogeneous_set(g, w, x, within)
     log.append(
-        _step(
-            "quotient",
-            x=_members(x.mask),
-            representative=step.representative,
-            lifted_weight=step.quotient_weights[step.representative],
-            quotient=_members(step.quotient.mask),
-        )
+        _step("quotient", x=_members(x.mask), representative=rep, lifted_weight=q_weights[rep], quotient=_members(q_tree.mask))
     )
-    q_division = _divide_all_positive(g, step.quotient_weights, q_tree, log)
+    q_division = _divide_all_positive(g, q_weights, q_tree, log)
     i_division = _divide_all_positive(g, w, x_tree, log)
-    combined = recombine(step, q_division, i_division)
+    try:
+        combined = recombine(g, w, x, q_division, i_division, within)
+    except TheoremViolationError as exc:
+        exc.log[:0] = log
+        raise
     log.extend(combined.log)
     return combined
 

@@ -61,7 +61,6 @@ class TheoremViolationError(GraphDivError):
     carries the derivation log accumulated up to the failure.
     """
 
-    def __init__(self, message: str, log=None, context=None):
+    def __init__(self, message: str, log=None):
         super().__init__(message)
         self.log = list(log or [])
-        self.context = dict(context or {})

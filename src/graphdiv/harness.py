@@ -60,7 +60,7 @@ def _filtered(graphs, filters):
     unknown flag raises ValueError at once."""
     for flag in filters:
         if flag not in FILTER_FLAGS:
-            raise ValueError(f"unknown class filter: {flag}")
+            raise ValueError(f"unknown class filter: {echo(flag)}")
     tests = [FILTER_FLAGS[flag] for flag in filters]
     return (g for g in graphs if all(test(g) for test in tests))
 

@@ -86,6 +86,30 @@ class TestClassify:
         assert main(["classify", "--random", "32,0.5,1", "--out", str(out)]) == EXIT_BUDGET_EXCEEDED
         assert _load(out)["summary"]["total"] == 1
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["--exhaustive", "4", "--filter", _LONG], "unknown class filter"),
+            (["--random", f"5,{_LONG},2"], "--random"),
+            (["--random", f"{_LONG},0.5,2"], "--random"),
+            (["--random", f"5,0.5,{_LONG}"], "--random"),
+            (["--random", f"5,0.5,2,{_LONG}"], "--random"),
+        ],
+        ids=["filter", "random-p", "random-n", "random-count", "random-fourth-field"],
+    )
+    def test_long_corpus_values_are_not_echoed_whole(self, capsys, argv, shown):
+        assert main(["classify", *argv]) == EXIT_USAGE
+        message = capsys.readouterr().err
+        assert len(message) < 200
+        assert shown in message
+
+    @pytest.mark.parametrize("option", ["--seed", "--budget-ms", "--mode"])
+    def test_argparse_quotes_its_own_type_and_choice_errors_whole(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["divide", "--exhaustive", "4", option, _LONG])
+        assert exc.value.code == EXIT_USAGE
+        assert _LONG in capsys.readouterr().err
+
     def test_starving_filter_mid_drive_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         # the corpus is drawn while records are driven, so its failure
         # arrives after the run has started and must still write nothing

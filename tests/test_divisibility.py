@@ -164,27 +164,22 @@ class TestTwoDivisibleOracle:
 class TestQuotient:
     def test_c4_quotient_is_star(self):
         g = cycle_graph(4)
-        step = quotient_by_homogeneous_set(g, WeightFn.unit(4), VertexSet.of(4, [0, 2]))
-        assert step.representative == 0
-        assert step.quotient.members() == (0, 1, 3)
-        assert len(step.quotient_weights) == 4  # host-length
-        assert step.quotient_weights[0] == 1  # stable pair
-        # the representative keeps the common neighbors, which stay non-adjacent
-        assert g.adj[0] & step.quotient.mask == 0b1010
+        weights = quotient_by_homogeneous_set(g, WeightFn.unit(4), VertexSet.of(4, [0, 2]))
+        assert len(weights) == 4  # host-length
+        assert weights[0] == 1  # stable pair
+        # the representative 0 keeps the common neighbors, which stay non-adjacent
+        assert g.adj[0] & 0b1011 == 0b1010
         assert not g.has_edge(1, 3)
 
     def test_true_twin_pair_lifts_weight_two(self):
         g = complete_graph(3)
-        step = quotient_by_homogeneous_set(g, WeightFn.unit(3), VertexSet.of(3, [0, 1]))
-        assert step.quotient.members() == (0, 2)
-        assert step.quotient_weights.weights == (2, 1, 1)
+        assert quotient_by_homogeneous_set(g, WeightFn.unit(3), VertexSet.of(3, [0, 1])).weights == (2, 1, 1)
 
     def test_anticomponent_pair_in_near_clique(self):
         # K4 minus the edge {2,3}: the non-adjacent pair lifts weight 1
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        step = quotient_by_homogeneous_set(g, WeightFn.unit(4), VertexSet.of(4, [2, 3]))
-        assert step.representative == 2
-        assert step.quotient_weights[2] == 1
+        weights = quotient_by_homogeneous_set(g, WeightFn.of([1, 1, 2, 3]), VertexSet.of(4, [2, 3]))
+        assert weights.weights == (1, 1, 3, 3)
 
     def test_rejects_non_homogeneous_set(self, c5):
         with pytest.raises(ValueError):
@@ -196,9 +191,8 @@ class TestQuotient:
         x = VertexSet.of(5, [0, 2])
         with pytest.raises(ValueError):
             quotient_by_homogeneous_set(g, WeightFn.unit(5), x)
-        step = quotient_by_homogeneous_set(g, WeightFn.of([3, 1, 4, 1, 5]), x, VertexSet.of(5, [0, 1, 2, 3]))
-        assert step.quotient.members() == (0, 1, 3)
-        assert step.quotient_weights.weights == (4, 1, 4, 1, 5)
+        weights = quotient_by_homogeneous_set(g, WeightFn.of([3, 1, 4, 1, 5]), x, VertexSet.of(5, [0, 1, 2, 3]))
+        assert weights.weights == (4, 1, 4, 1, 5)
 
     def test_lifting_budget_counts_the_largest_prime_node(self):
         # P33 plus a vertex seeing all of it: the lift needs a weighted
@@ -208,31 +202,29 @@ class TestQuotient:
         with pytest.raises(BudgetExceededError, match="asked for 33"):
             quotient_by_homogeneous_set(path, WeightFn.unit(34), x)
         star = Graph.from_edges(34, [(i, 33) for i in range(33)])
-        assert quotient_by_homogeneous_set(star, WeightFn.unit(34), x).quotient_weights[0] == 1
+        assert quotient_by_homogeneous_set(star, WeightFn.unit(34), x)[0] == 1
+
+
+def _c4_recombine(q, inner):
+    """Recombine divisions of the C4's quotient by x = {0, 2}, the path
+    1 - 0 - 3 with 0 standing for x, and of x itself."""
+    return recombine(cycle_graph(4), WeightFn.unit(4), VertexSet.of(4, [0, 2]), q, inner)
 
 
 class TestRecombine:
-    def _c4_step(self):
-        return quotient_by_homogeneous_set(
-            cycle_graph(4), WeightFn.unit(4), VertexSet.of(4, [0, 2])
-        )
-
     def test_replacement_on_w_side(self):
-        step = self._c4_step()
-        # the quotient is the path 1 - 0 - 3, with 0 standing for {0, 2}
-        q = PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet.of(4, [0]), weight=step.quotient_weights)
+        q = PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet.of(4, [0]), weight=WeightFn.unit(4))
         inner = PerfectDivision(VertexSet.of(4, [0, 2]), VertexSet(4), weight=WeightFn.unit(4))
-        d = recombine(step, q, inner)
+        d = _c4_recombine(q, inner)
         assert d.p.members() == (1, 3)
         assert d.w_side.members() == (0, 2)
         assert d.log[0]["case"] == "xhat-in-w"
         assert verify_perfect_division(cycle_graph(4), WeightFn.unit(4), d)[0]
 
     def test_replacement_on_p_side_with_empty_inner_w(self):
-        step = self._c4_step()
-        q = PerfectDivision(VertexSet.of(4, [0]), VertexSet.of(4, [1, 3]), weight=step.quotient_weights)
+        q = PerfectDivision(VertexSet.of(4, [0]), VertexSet.of(4, [1, 3]), weight=WeightFn.unit(4))
         inner = PerfectDivision(VertexSet.of(4, [0, 2]), VertexSet(4), weight=WeightFn.unit(4))
-        d = recombine(step, q, inner)
+        d = _c4_recombine(q, inner)
         # the contracted part is perfect, so its W share is empty
         assert d.p.members() == (0, 2)
         assert d.w_side.members() == (1, 3)
@@ -240,30 +232,43 @@ class TestRecombine:
 
     def test_twin_pair_replacement_on_p_side(self):
         g = complete_graph(3)
-        step = quotient_by_homogeneous_set(g, WeightFn.unit(3), VertexSet.of(3, [0, 1]))
-        q = PerfectDivision(VertexSet.of(3, [0]), VertexSet.of(3, [2]), weight=step.quotient_weights)
+        x = VertexSet.of(3, [0, 1])
+        q_weights = quotient_by_homogeneous_set(g, WeightFn.unit(3), x)
+        q = PerfectDivision(VertexSet.of(3, [0]), VertexSet.of(3, [2]), weight=q_weights)
         inner = PerfectDivision(VertexSet.of(3, [0]), VertexSet.of(3, [1]), weight=WeightFn.unit(3))
-        d = recombine(step, q, inner)
+        d = recombine(g, WeightFn.unit(3), x, q, inner)
         assert d.p.members() == (0,)
         assert d.w_side.members() == (1, 2)
 
     def test_invalid_inputs_fail_verification(self):
-        step = self._c4_step()
         # everything on the W side: the recombined W keeps the full clique
         # weight, so the output cannot verify
-        q = PerfectDivision(VertexSet(4), VertexSet.of(4, [0, 1, 3]), weight=step.quotient_weights)
+        q = PerfectDivision(VertexSet(4), VertexSet.of(4, [0, 1, 3]), weight=WeightFn.unit(4))
         inner = PerfectDivision(VertexSet(4), VertexSet.of(4, [0, 2]), weight=WeightFn.unit(4))
         with pytest.raises(TheoremViolationError):
-            recombine(step, q, inner)
+            _c4_recombine(q, inner)
 
     def test_divisions_must_cover_their_parts(self):
-        step = self._c4_step()
         inner = PerfectDivision(VertexSet.of(4, [0, 2]), VertexSet(4))
-        with pytest.raises(ValueError):
-            recombine(step, PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet(4)), inner)
+        with pytest.raises(ValueError, match="quotient division"):
+            _c4_recombine(PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet(4)), inner)
         q = PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet.of(4, [0]))
-        with pytest.raises(ValueError):
-            recombine(step, q, PerfectDivision(VertexSet.of(4, [0]), VertexSet(4)))
+        with pytest.raises(ValueError, match="inner division"):
+            _c4_recombine(q, PerfectDivision(VertexSet.of(4, [0]), VertexSet(4)))
+
+    def test_merges_and_verifies_within(self):
+        # C4 plus vertex 4 seeing only 0: the quotient of the C4 by {0, 2}
+        # leaves vertex 4 out, and so does the merged division
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        x, within = VertexSet.of(5, [0, 2]), VertexSet.of(5, [0, 1, 2, 3])
+        q = PerfectDivision(VertexSet.of(5, [1, 3]), VertexSet.of(5, [0]))
+        inner = PerfectDivision(VertexSet.of(5, [0, 2]), VertexSet(5))
+        d = recombine(g, WeightFn.unit(5), x, q, inner, within)
+        assert (d.p.members(), d.w_side.members()) == ((1, 3), (0, 2))
+        with pytest.raises(ValueError, match="quotient division"):
+            recombine(g, WeightFn.unit(5), x, q, inner)
+        with pytest.raises(ValueError, match="subset of within"):
+            recombine(g, WeightFn.unit(5), VertexSet.of(5, [0, 4]), q, inner, within)
 
 
 class TestPerfectNonNeighborhoodVertex:
@@ -489,10 +494,44 @@ def _lifts(g, weights, mask):
     x = find_homogeneous_set(g, VertexSet(g.n, mask))
     if x is None:
         return
-    step = quotient_by_homogeneous_set(g, WeightFn.of(weights), x, VertexSet(g.n, mask))
-    yield x, weights, step.quotient_weights[step.representative]
-    yield from _lifts(g, step.quotient_weights.weights, step.quotient.mask)
+    rep = x.members()[0]
+    lifted = quotient_by_homogeneous_set(g, WeightFn.of(weights), x, VertexSet(g.n, mask))
+    yield x, weights, lifted[rep]
+    yield from _lifts(g, lifted.weights, mask & ~x.mask | 1 << rep)
     yield from _lifts(g, weights, x.mask)
+
+
+def _replay(g, weights, log):
+    """Re-derive every step of the ``perfect_divide`` log of ``g`` under
+    ``weights`` through the public step API: each quotient's ``x`` and
+    lifted weight, each prime split's chosen vertex and sides, and each
+    recombination."""
+    steps = iter(log)
+    restrict = next(steps)
+    u_mask = sum(1 << v for v in restrict["positive"])
+    if u_mask:
+        _replay_set(g, WeightFn.of(weights), u_mask, steps)
+    assert next(steps, None) is None
+
+
+def _replay_set(g, w, mask, steps):
+    within = VertexSet(g.n, mask)
+    step = next(steps)
+    x = find_homogeneous_set(g, within)
+    if x is None:
+        v = find_perfect_nonneighborhood_vertex(g, within)
+        p, w_side = VertexSet(g.n, mask & ~g.adj[v]), VertexSet(g.n, mask & g.adj[v])
+        assert (step["rule"], step["chosen"]) == ("perfect-non-neighborhood", v)
+        assert (step["p"], step["w"]) == (list(p.members()), list(w_side.members()))
+        return PerfectDivision(p, w_side, weight=w)
+    rep = x.members()[0]
+    lifted = quotient_by_homogeneous_set(g, w, x, within)
+    assert (step["kind"], step["x"], step["lifted_weight"]) == ("quotient", list(x.members()), lifted[rep])
+    q_division = _replay_set(g, lifted, mask & ~x.mask | 1 << rep, steps)
+    i_division = _replay_set(g, w, x.mask, steps)
+    combined = recombine(g, w, x, q_division, i_division, within)
+    assert combined.log[0] == next(steps)
+    return combined
 
 
 class TestDecompositionDivision:
@@ -521,6 +560,8 @@ class TestDecompositionDivision:
                 weights = [rng.randint(0, 5) for _ in range(n)]
                 log = list(perfect_divide(g, WeightFn.of(weights), check_class=False).log)
                 assert log == naive.perfect_division_log(g, weights), emit_graph6(g)
+                if n <= 7:
+                    _replay(g, weights, log)
                 quotients += any(step["kind"] == "quotient" for step in log)
                 checked += 1
         assert checked == 4367 and quotients > 2000
@@ -535,6 +576,7 @@ class TestDecompositionDivision:
             for w in (None, weights):
                 log = list(perfect_divide(g, None if w is None else WeightFn.of(w), check_class=False).log)
                 assert log == naive.perfect_division_log(g, w or [1] * g.n), emit_graph6(g)
+                _replay(g, w or [1] * g.n, log)
                 checked += 1
         assert checked >= 40
 

@@ -124,6 +124,40 @@ class TestDrivers:
         assert record["error"] == "two-division failed verification: forced"
         assert record["log"] == log
 
+    def test_failed_recombination_reports_the_log_so_far(self, monkeypatch):
+        # C5 with twins of 0, 2 and 4 takes several quotients; the second
+        # recombination is forced to fail
+        g = cycle_graph(5)
+        for v in (0, 2, 4):
+            g = twin_substitute(g, v, adjacent=v != 2)
+        graphs = graphs_with_ids([g])
+        log = run_divide(graphs, mode="perfect")[0]["log"]
+        original = graphdiv.divisibility.verify_perfect_division
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            return (False, "forced") if len(calls) == 2 else original(*args)
+
+        monkeypatch.setattr(graphdiv.divisibility, "verify_perfect_division", fail_second)
+        record = run_divide(graphs, mode="perfect")[0]
+        assert record["status"] == "theorem-violation"
+        assert record["error"] == "recombination failed verification: forced"
+        kinds = [step["kind"] for step in record["log"]]
+        assert kinds[0] == "restrict" and kinds[-1] == "recombination"
+        assert kinds.count("recombination") == 2 < [step["kind"] for step in log].count("recombination")
+        assert kinds.count("quotient") >= 2
+        assert record["log"] == log[: len(kinds)]
+
+    def test_prime_set_without_a_split_reports_its_vertices(self, monkeypatch):
+        # C5 with a true twin of 0: the quotient by {0, 5} is the prime C5
+        monkeypatch.setattr(graphdiv.divisibility, "find_perfect_nonneighborhood_vertex", lambda *args: None)
+        g = twin_substitute(cycle_graph(5), 0, adjacent=True)
+        record = run_divide(graphs_with_ids([g]), mode="perfect")[0]
+        assert record["status"] == "theorem-violation"
+        assert record["error"] == "prime graph on [0, 1, 2, 3, 4] has no vertex with perfect non-neighborhood"
+        assert [step["kind"] for step in record["log"]] == ["restrict", "quotient"]
+
     @pytest.mark.parametrize("mode", ["two", "perfect"])
     def test_divide_verifies_each_division_once(self, monkeypatch, mode):
         # C4 and C5 have no homogeneous set, so the division's own final
