@@ -328,21 +328,20 @@ def _max_weight_clique_mask(adj, weights, cand: int):
     return best_w, best_mask
 
 
-def _checked_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None):
-    """``_max_weight_clique_mask`` on ``within``, after the weight length
+def _checked_weight_clique(adj, weights, mask: int):
+    """``_max_weight_clique_mask`` on ``mask``, after the weight length
     and budget checks of ``max_weight_clique``."""
-    if len(w) != g.n:
+    if len(weights) != len(adj):
         raise ValueError("weight function length does not match the graph")
-    mask = _within_mask(g, within)
     count = mask.bit_count()
     if count > CLIQUE_BUDGET:
         raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {count}")
-    return _max_weight_clique_mask(g.adj, w.weights, mask)
+    return _max_weight_clique_mask(adj, weights, mask)
 
 
 def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None) -> CliqueResult:
     """Exact maximum total weight over cliques (the empty clique counts as 0)."""
-    value, wmask = _checked_weight_clique(g, w, within)
+    value, wmask = _checked_weight_clique(g.adj, w.weights, _within_mask(g, within))
     return CliqueResult(value, VertexSet(g.n, wmask))
 
 

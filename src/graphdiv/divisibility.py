@@ -4,11 +4,19 @@ The two constructions never trust their own guarantees, so the package
 doubles as a proof checker at the sizes it handles. Verification policy:
 
 - ``two_divide`` checks its result with ``verify_two_division``; each
-  ``recombine`` checks its merge on the ``within`` it is given, the
-  quotient plus the contracted set; ``perfect_divide`` checks the final
+  recombination (``_merge``) checks its merge on its ``within``, the
+  quotient plus the contracted set, and each quotient checks that the
+  contracted set is homogeneous; ``perfect_divide`` checks the final
   division, unless the last recombination already covered all of
   ``within``; the colorings check each finished coloring once, in
   ``coloring._certified``.
+- ``perfect_divide``'s recursion runs on masks, weight tuples and the
+  trees it holds, and checks each merge through ``_verify_perfect_masks``,
+  the mask form of ``verify_perfect_division``; the final check runs on
+  the returned division. ``verify_perfect_division``,
+  ``quotient_by_homogeneous_set`` and ``recombine`` validate their
+  arguments and call the same private steps, so a replay of a log
+  re-derives every step through them.
 - A failed self-check raises ``TheoremViolationError`` with the
   derivation log up to the failed step, that step included where it has
   one. A class precondition raises ``NotInClassError`` or
@@ -26,6 +34,7 @@ from .core import (
     VertexSet,
     WeightFn,
     _bits,
+    _check_set,
     _checked_weight_clique,
     _mask_components,
     _max_weight_clique_mask,
@@ -157,19 +166,24 @@ def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: V
     ``within`` is 0 (all-zero weights) the drop condition is vacuous, since
     no set can go below 0; the division only needs to be a partition then.
     """
-    if w is None:
-        w = WeightFn.unit(g.n)
     full = _within_mask(g, within)
     if d.p.host_size != g.n or d.w_side.host_size != g.n:
         return False, "parts do not belong to this graph"
-    if d.p.mask & d.w_side.mask:
+    weights = (1,) * g.n if w is None else w.weights
+    return _verify_perfect_masks(g, weights, d.p.mask, d.w_side.mask, full)
+
+
+def _verify_perfect_masks(g: Graph, weights: tuple, p_mask: int, w_mask: int, full: int):
+    """``verify_perfect_division`` on masks of ``g`` and a weight tuple,
+    once the parts are known to belong to ``g``."""
+    if p_mask & w_mask:
         return False, "parts overlap"
-    if (d.p.mask | d.w_side.mask) != full:
+    if (p_mask | w_mask) != full:
         return False, "parts do not cover the vertex set"
-    if not is_perfect(g, d.p):
+    if not is_perfect(g, VertexSet(g.n, p_mask)):
         return False, "P side is not perfect"
-    top = _checked_weight_clique(g, w, within)[0]
-    side = _checked_weight_clique(g, w, d.w_side)[0]
+    top = _checked_weight_clique(g.adj, weights, full)[0]
+    side = _checked_weight_clique(g.adj, weights, w_mask)[0]
     if top > 0 and side >= top:
         return False, f"maximum clique weight of W is {side}, not below {top}"
     return True, None
@@ -343,11 +357,18 @@ def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: Ver
     other vertex its weight in ``w``."""
     if len(w) != g.n:
         raise ValueError("weight function length does not match the graph")
-    if not is_homogeneous(g, x, within):
+    _check_set(g, x)  # before ``_decompose`` reads x's rows
+    return WeightFn(_quotient_weights(g, w.weights, _decompose(g.adj, x.mask), within))
+
+
+def _quotient_weights(g: Graph, weights: tuple, x_tree: Module, within: VertexSet) -> tuple:
+    """``quotient_by_homogeneous_set`` on a weight tuple, for the set that
+    ``x_tree`` decomposes."""
+    if not is_homogeneous(g, VertexSet(g.n, x_tree.mask), within):
         raise ValueError("x is not a homogeneous set of g")
-    q_weights = list(w.weights)
-    q_weights[x.members()[0]] = _module_weight(g.adj, w.weights, _decompose(g.adj, x.mask))
-    return WeightFn(tuple(q_weights))
+    lifted = list(weights)
+    lifted[(x_tree.mask & -x_tree.mask).bit_length() - 1] = _module_weight(g.adj, weights, x_tree)
+    return tuple(lifted)
 
 
 def recombine(
@@ -369,27 +390,42 @@ def recombine(
     of the combined P side) before being returned.
     """
     full = _within_mask(g, within)
-    rep_bit = x.mask & -x.mask
-    if not rep_bit or x.mask & ~full:
+    if not x.mask or x.mask & ~full:
         raise ValueError("x is not a non-empty subset of within")
-    if quotient_division.p | quotient_division.w_side != VertexSet(g.n, (full & ~x.mask) | rep_bit):
+    # the masks are checked in ``_merge``; a part of another host fails here
+    if (quotient_division.p | quotient_division.w_side).host_size != g.n:
         raise ValueError("quotient division does not cover the quotient")
-    if inner_division.p | inner_division.w_side != x:
+    if (inner_division.p | inner_division.w_side).host_size != x.host_size:
         raise ValueError("inner division does not cover the contracted part")
-    if quotient_division.w_side.mask & rep_bit:
+    weights = (1,) * g.n if w is None else w.weights
+    quotient = (quotient_division.p.mask, quotient_division.w_side.mask)
+    inner = (inner_division.p.mask, inner_division.w_side.mask)
+    p, w_side, step = _merge(g, weights, x.mask, quotient, inner, full)
+    return PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, log=(step,))
+
+
+def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner: tuple, full: int) -> tuple:
+    """``recombine`` on masks: ``quotient`` and ``inner`` are ``(p, w)``
+    mask pairs. Returns the merged ``(p, w)`` masks and the recombination
+    step, once the merge is verified on ``full``."""
+    rep_bit = x_mask & -x_mask
+    if quotient[0] | quotient[1] != (full & ~x_mask) | rep_bit:
+        raise ValueError("quotient division does not cover the quotient")
+    if inner[0] | inner[1] != x_mask:
+        raise ValueError("inner division does not cover the contracted part")
+    if quotient[1] & rep_bit:
         case = "xhat-in-w"
-        p = quotient_division.p.mask
-        w_side = quotient_division.w_side.mask | x.mask
+        p = quotient[0]
+        w_side = quotient[1] | x_mask
     else:
         case = "xhat-in-p"
-        p = (quotient_division.p.mask & ~rep_bit) | inner_division.p.mask
-        w_side = quotient_division.w_side.mask | inner_division.w_side.mask
-    log = (_step("recombination", case=case, x=_members(x.mask), p=_members(p), w=_members(w_side)),)
-    division = PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, log=log)
-    ok, reason = verify_perfect_division(g, w, division, within)
+        p = (quotient[0] & ~rep_bit) | inner[0]
+        w_side = quotient[1] | inner[1]
+    step = _step("recombination", case=case, x=_members(x_mask), p=_members(p), w=_members(w_side))
+    ok, reason = _verify_perfect_masks(g, weights, p, w_side, full)
     if not ok:
-        raise TheoremViolationError(f"recombination failed verification: {reason}", log=list(log))
-    return division
+        raise TheoremViolationError(f"recombination failed verification: {reason}", log=[step])
+    return p, w_side, step
 
 
 def find_perfect_nonneighborhood_vertex(g: Graph, within: VertexSet = None):
@@ -430,67 +466,68 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, ch
     weights. Class membership is checked on the whole host; heredity then
     covers every ``within``.
     """
-    effective = WeightFn.unit(g.n) if w is None else w
-    if len(effective) != g.n:
+    weights = (1,) * g.n if w is None else w.weights
+    if len(weights) != g.n:
         raise ValueError("weight function length does not match the graph")
     if check_class:
         _require_perfect_divide_class(g)
     full = _within_mask(g, within)
     u_mask = 0
     for v in _bits(full):
-        if effective[v] > 0:
+        if weights[v] > 0:
             u_mask |= 1 << v
     log = [_step("restrict", positive=_members(u_mask), zero=_members(full & ~u_mask))]
     p_mask = 0
     if u_mask:
-        p_mask = _divide_all_positive(g, effective, _decompose(g.adj, u_mask), log).p.mask
+        p_mask = _divide_all_positive(g, weights, _decompose(g.adj, u_mask), log)[0]
     division = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, log=tuple(log))
-    # ``recombine`` has verified a division of all of ``within`` that ends in it
+    # ``_merge`` has verified a division of all of ``within`` that ends in it
     if u_mask != full or log[-1]["kind"] != "recombination":
-        ok, reason = verify_perfect_division(g, effective, division, within)
+        ok, reason = verify_perfect_division(g, w, division, within)
         if not ok:
             raise TheoremViolationError(f"perfect division failed verification: {reason}", log=log)
     return division
 
 
-def _divide_all_positive(g: Graph, w: WeightFn, tree: Module, log: list) -> PerfectDivision:
+def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> tuple:
     """Divide the subgraph that ``tree`` decomposes, all of whose weights
-    are positive."""
-    within = VertexSet(g.n, tree.mask)
+    are positive, into ``(p, w)`` masks."""
+    mask = tree.mask
+    within = VertexSet(g.n, mask)
     split = _homogeneous_split(tree)
     if split is None:
         v = find_perfect_nonneighborhood_vertex(g, within)
         if v is None:
-            raise TheoremViolationError(f"prime graph on {_members(within.mask)} has no vertex with perfect non-neighborhood", log=log)
-        p_mask = within.mask & ~g.adj[v]
-        w_mask = within.mask & g.adj[v]
+            raise TheoremViolationError(f"prime graph on {_members(mask)} has no vertex with perfect non-neighborhood", log=log)
+        p_mask = mask & ~g.adj[v]
+        w_mask = mask & g.adj[v]
         log.append(
             _step(
                 "base-partition",
                 rule="perfect-non-neighborhood",
                 chosen=v,
-                rejected=_members(within.mask & ((1 << v) - 1)),
+                rejected=_members(mask & ((1 << v) - 1)),
                 p=_members(p_mask),
                 w=_members(w_mask),
             )
         )
-        return PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, w_mask), weight=w)
+        return p_mask, w_mask
     x_tree, q_tree = split
-    x = VertexSet(g.n, x_tree.mask)
-    rep = x.members()[0]
-    q_weights = quotient_by_homogeneous_set(g, w, x, within)
+    x_mask = x_tree.mask
+    rep = (x_mask & -x_mask).bit_length() - 1
+    q_weights = _quotient_weights(g, weights, x_tree, within)
     log.append(
-        _step("quotient", x=_members(x.mask), representative=rep, lifted_weight=q_weights[rep], quotient=_members(q_tree.mask))
+        _step("quotient", x=_members(x_mask), representative=rep, lifted_weight=q_weights[rep], quotient=_members(q_tree.mask))
     )
-    q_division = _divide_all_positive(g, q_weights, q_tree, log)
-    i_division = _divide_all_positive(g, w, x_tree, log)
+    quotient = _divide_all_positive(g, q_weights, q_tree, log)
+    inner = _divide_all_positive(g, weights, x_tree, log)
     try:
-        combined = recombine(g, w, x, q_division, i_division, within)
+        p, w_side, step = _merge(g, weights, x_mask, quotient, inner, mask)
     except TheoremViolationError as exc:
         exc.log[:0] = log
         raise
-    log.extend(combined.log)
-    return combined
+    log.append(step)
+    return p, w_side
 
 
 def classify_against_c5(g: Graph, c, v: int) -> C5Classification:

@@ -503,10 +503,16 @@ REPORT_DIGESTS = {
     "divide": "8076d92733e6cc50",
     "color": "7ab40d03c9fe9938",
     "conjecture": "3ad439e181b197da",
+    "divide-weighted": "5f30b92b91551670",
+    "color-perfect": "3a2b41ae61d28624",
 }
 
 
-def test_criterion_9_report_determinism(tmp_path):
+def test_criterion_9_report_determinism(tmp_path, monkeypatch):
+    # the weight file is named relative to the run's directory, because the
+    # report's options quote the name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.json").write_text(json.dumps([1, 2, 3, 0, 2, 1]))
     runs = {
         "classify": ["classify", "--random", "7,0.5,40", "--seed", "17"],
         "divide": [
@@ -518,6 +524,14 @@ def test_criterion_9_report_determinism(tmp_path):
             "--filter", "p5free,c5free", "--seed", "17",
         ],
         "conjecture": ["conjecture", "--max-n", "5", "--seed", "17"],
+        "divide-weighted": [
+            "divide", "--mode", "perfect", "--exhaustive", "6",
+            "--filter", "bullfree,p5free", "--weights", "w.json", "--seed", "17",
+        ],
+        "color-perfect": [
+            "color", "--mode", "perfect", "--exhaustive", "6",
+            "--filter", "bullfree,oddholefree", "--seed", "17",
+        ],
     }
     for name, args in runs.items():
         texts = []

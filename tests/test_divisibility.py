@@ -610,13 +610,20 @@ class TestRelabeling:
         assert two > 20 and perfect > 20
 
 
+def _twin_substituted_c5():
+    """C5 with twins substituted seven times: 12 vertices, bull-free,
+    P5-free and imperfect, with quotients at several depths."""
+    g = cycle_graph(5)
+    for v in range(7):
+        g = twin_substitute(g, v, adjacent=v % 2 == 0)
+    return g
+
+
 class TestNoGraphBelowTheBoundary:
     def test_perfect_division_and_coloring_build_no_graph(self, monkeypatch):
         # a Graph is built and validated where it enters the program; the
         # oracles below work on its rows and a vertex set
-        g = cycle_graph(5)
-        for v in range(7):
-            g = twin_substitute(g, v, adjacent=v % 2 == 0)
+        g = _twin_substituted_c5()
         report = classify(g)
         assert g.n == 12 and report.bull_free and report.p5_free and not report.perfect
         built = []
@@ -631,6 +638,41 @@ class TestNoGraphBelowTheBoundary:
         color_via_perfect_division(g)
         assert any(step["kind"] == "quotient" for step in d.log)
         assert built == []
+
+    @pytest.mark.parametrize("weights", [None, [1, 2, 0, 3, 1, 1, 2, 1, 3, 1, 2, 1]])
+    def test_perfect_division_decomposes_once_and_keeps_its_checks(self, monkeypatch, weights):
+        # the recursion lifts from the tree it holds and builds no weight
+        # function; each quotient still checks its set is homogeneous, each
+        # recombination is verified, and the final check runs when no
+        # recombination covered all of the graph (a zero weight)
+        g = _twin_substituted_c5()
+        w = None if weights is None else WeightFn.of(weights)
+        calls = {"WeightFn": 0}
+        for name in ("_decompose", "_verify_perfect_masks", "is_homogeneous"):
+            original = getattr(graphdiv.divisibility, name)
+            calls[name] = 0
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(graphdiv.divisibility, name, counted)
+        post_init = WeightFn.__post_init__
+
+        def counted_init(self):
+            calls["WeightFn"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(WeightFn, "__post_init__", counted_init)
+        kinds = [step["kind"] for step in perfect_divide(g, w).log]
+        # both divisions end in a recombination; the zero weight leaves
+        # vertex 2 out of it, so only then is the final check new
+        assert kinds[-1] == "recombination"
+        final_is_new = weights is not None
+        assert calls["_decompose"] == 1
+        assert calls["WeightFn"] <= 1
+        assert calls["is_homogeneous"] == kinds.count("quotient") > 2
+        assert calls["_verify_perfect_masks"] == kinds.count("recombination") + final_is_new
 
 
 class TestVerifiers:
@@ -669,6 +711,51 @@ class TestVerifiers:
         d = PerfectDivision(VertexSet.of(5, [0]), VertexSet.of(5, [1, 2, 3, 4]))
         ok, reason = verify_perfect_division(c5, None, d)
         assert not ok and "not below" in reason
+
+    def test_perfect_division_reads_weights_last(self, c5):
+        # partition and perfection are judged before the weights are read,
+        # so wrong-length weights only raise on a division that passes both
+        short = WeightFn.unit(3)
+        overlapping = PerfectDivision(VertexSet.of(5, [0, 1]), VertexSet.of(5, [1, 2, 3, 4]))
+        assert verify_perfect_division(c5, short, overlapping) == (False, "parts overlap")
+        uncovered = PerfectDivision(VertexSet.of(5, [0]), VertexSet.of(5, [1, 2]))
+        assert verify_perfect_division(c5, short, uncovered) == (False, "parts do not cover the vertex set")
+        assert verify_perfect_division(c5, short, PerfectDivision(VertexSet.full(5), VertexSet(5))) == (
+            False,
+            "P side is not perfect",
+        )
+        with pytest.raises(ValueError, match="length"):
+            verify_perfect_division(c5, short, PerfectDivision(VertexSet.of(5, [0, 2, 3]), VertexSet.of(5, [1, 4])))
+
+    def test_perfect_division_matches_naive_on_moved_vertices(self):
+        # each division of a class graph with n <= 6, each division made
+        # from it by moving one vertex to the other side, and the division
+        # with everything on the P side, is judged as the definitions judge it
+        rng = random.Random("verify/moves")
+        verdicts = {}
+        for n in range(1, 7):
+            for g in nonisomorphic_graphs(n):
+                if find_bull(g) is not None or (find_odd_hole(g) is not None and find_p5(g) is not None):
+                    continue
+                for weights in ([1] * n, [rng.randint(0, 3) for _ in range(n)]):
+                    d = perfect_divide(g, WeightFn.of(weights), check_class=False)
+                    top = naive.max_weight_clique(g, weights)
+                    divisions = [(d.p.mask ^ moved, d.w_side.mask ^ moved) for moved in [0] + [1 << v for v in range(n)]]
+                    for p, w_side in divisions + [((1 << n) - 1, 0)]:
+                        p_sub, _ = induced_subgraph(g, VertexSet(n, p))
+                        w_sub, w_map = induced_subgraph(g, VertexSet(n, w_side))
+                        side = naive.max_weight_clique(w_sub, [weights[v] for v in w_map])
+                        if not naive.is_perfect(p_sub):
+                            expected = (False, "P side is not perfect")
+                        elif top > 0 and side >= top:
+                            expected = (False, f"maximum clique weight of W is {side}, not below {top}")
+                        else:
+                            expected = (True, None)
+                        division = PerfectDivision(VertexSet(n, p), VertexSet(n, w_side))
+                        assert verify_perfect_division(g, WeightFn.of(weights), division) == expected, (g.adj, p)
+                        clause = expected[1] and expected[1].split()[0]
+                        verdicts[clause] = verdicts.get(clause, 0) + 1
+        assert verdicts[None] > 2000 and verdicts["maximum"] > 500 and verdicts["P"] >= 12, verdicts
 
 
 def _c5_host_with_attachment(mask):

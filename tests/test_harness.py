@@ -126,20 +126,21 @@ class TestDrivers:
 
     def test_failed_recombination_reports_the_log_so_far(self, monkeypatch):
         # C5 with twins of 0, 2 and 4 takes several quotients; the second
-        # recombination is forced to fail
+        # recombination is forced to fail through the mask-level verifier
+        # that each merge calls
         g = cycle_graph(5)
         for v in (0, 2, 4):
             g = twin_substitute(g, v, adjacent=v != 2)
         graphs = graphs_with_ids([g])
         log = run_divide(graphs, mode="perfect")[0]["log"]
-        original = graphdiv.divisibility.verify_perfect_division
+        original = graphdiv.divisibility._verify_perfect_masks
         calls = []
 
         def fail_second(*args):
             calls.append(args)
             return (False, "forced") if len(calls) == 2 else original(*args)
 
-        monkeypatch.setattr(graphdiv.divisibility, "verify_perfect_division", fail_second)
+        monkeypatch.setattr(graphdiv.divisibility, "_verify_perfect_masks", fail_second)
         record = run_divide(graphs, mode="perfect")[0]
         assert record["status"] == "theorem-violation"
         assert record["error"] == "recombination failed verification: forced"
@@ -182,13 +183,13 @@ class TestDrivers:
         # top level ends in a recombination; with unit weights its check
         # is the final one, with a zero weight the final check is new
         covered = []
-        original = graphdiv.divisibility.verify_perfect_division
+        original = graphdiv.divisibility._verify_perfect_masks
 
-        def counted(g, w, d, within=None):
-            covered.append(d.p.mask | d.w_side.mask)
-            return original(g, w, d, within)
+        def counted(g, weights, p_mask, w_mask, full):
+            covered.append(p_mask | w_mask)
+            return original(g, weights, p_mask, w_mask, full)
 
-        monkeypatch.setattr(graphdiv.divisibility, "verify_perfect_division", counted)
+        monkeypatch.setattr(graphdiv.divisibility, "_verify_perfect_masks", counted)
         g = twin_substitute(cycle_graph(5), 0, adjacent=True)
         record = run_divide(graphs_with_ids([g]), mode="perfect", weights_spec=weights)[0]
         assert record["status"] == "ok"
