@@ -496,6 +496,27 @@ def test_invariant_pattern_finders_exhaustive_at_eight(corpus_le8):
             assert (finder(g) is not None) == (key in present), emit_graph6(g)
 
 
+# How many graphs on n = 1..8 vertices have each class flag of classify;
+# the perfect counts are OEIS A052431.
+CLASS_COUNTS = {
+    "p5_free": [1, 2, 4, 11, 33, 136, 685, 4550],
+    "c5_free": [1, 2, 4, 11, 33, 148, 908, 8911],
+    "bull_free": [1, 2, 4, 11, 33, 136, 650, 3774],
+    "odd_hole_free": [1, 2, 4, 11, 33, 148, 907, 8899],
+    "perfect": [1, 2, 4, 11, 33, 148, 906, 8887],
+}
+
+
+def test_invariant_class_counts_up_to_eight(corpus_le8):
+    graphs, _ = corpus_le8
+    counts = {flag: [] for flag in CLASS_COUNTS}
+    for n in range(1, 9):
+        reports = [classify(g) for g in graphs[n]]
+        for flag, row in counts.items():
+            row.append(sum(getattr(report, flag) for report in reports))
+    assert counts == CLASS_COUNTS
+
+
 # First 16 hex digits of the sha256 of each scrubbed criterion-9 report.
 # A change that alters what a report says must say why and update these.
 REPORT_DIGESTS = {
@@ -505,6 +526,7 @@ REPORT_DIGESTS = {
     "conjecture": "3ad439e181b197da",
     "divide-weighted": "5f30b92b91551670",
     "color-perfect": "3a2b41ae61d28624",
+    "classify-exhaustive": "b737feb96b910528",
 }
 
 
@@ -515,6 +537,7 @@ def test_criterion_9_report_determinism(tmp_path, monkeypatch):
     (tmp_path / "w.json").write_text(json.dumps([1, 2, 3, 0, 2, 1]))
     runs = {
         "classify": ["classify", "--random", "7,0.5,40", "--seed", "17"],
+        "classify-exhaustive": ["classify", "--exhaustive", "7", "--seed", "17"],
         "divide": [
             "divide", "--mode", "perfect", "--exhaustive", "6",
             "--filter", "bullfree,p5free", "--seed", "17",
