@@ -7,7 +7,11 @@ can always re-check a positive answer independently.
 Both searches try only vertices that can extend the partial witness.
 ``find_induced`` keeps one candidate mask per pattern slot; placing a
 vertex narrows the masks of all later slots at once, and a branch ends as
-soon as one of them is empty. The hole and antihole search first splits
+soon as one of them is empty. Where an automorphism of the pattern first
+moves slot p, to slot q, the smallest image holds a smaller vertex in p
+than in q, so placing p keeps only the vertices above it in q. These
+"above" pairs are (0, 4) for P5, (0, 1), (0, 2), (0, 3), (0, 4) and (1, 4)
+for C5, and (0, 1) for the bull. The hole and antihole search first splits
 the set into pieces, by components and anticomponents of its 2-core, and
 keeps only the non-bipartite ones with at least 5 vertices: an odd hole is
 connected, anticonnected and an odd cycle, so it lies inside one of them.
@@ -28,12 +32,18 @@ largest prime quotient, while the witness finders (``find_odd_hole``,
 ``find_odd_antihole``, ``imperfection_witness``, ``classify``) count the
 whole ``within`` set against it.
 
+``classify`` runs the hole search first and reads two answers off it: it
+searches C5 only when the shortest odd hole has 5 vertices, and on a graph
+with no odd hole it starts the antihole search at length 7, since an odd
+antihole of length 5 is a C5.
+
 Hole, antihole and homogeneous-set search take a ``within`` set of the
 input graph and are cached on ``(g, within)``. ``lru_cache`` keys ``f(g)``
 and ``f(g, None)`` apart, so the package always passes ``within``
 positionally, None included. ``find_p5``, ``find_c5`` and ``find_bull``
-remember the last graph only, so a class check right after ``classify``
-of the same graph does not search again.
+remember the last graph only. So a class check right after ``classify`` of
+the same graph does not search P5 or bull again, nor C5 on a graph whose
+shortest odd hole is a C5; on any other graph it searches C5 once.
 """
 
 from dataclasses import dataclass
@@ -103,6 +113,32 @@ def pattern_for_name(name: str) -> Graph:
     raise ValueError(f"unknown pattern name: {name}")
 
 
+def _search_plan(pattern: Graph) -> tuple:
+    """For each slot i of ``pattern``, its later slots j with the rows that
+    narrow slot j once slot i is placed: 0 for rows and 1 for co-rows, plus
+    2 when (i, j) is an above pair.
+
+    (p, q) is an above pair when some automorphism σ fixes the slots before
+    p and moves p to q. The copy with the image of σ(i) in slot i first
+    differs at slot p, so the smallest image tuple holds a smaller vertex
+    in slot p than in slot q (the lex-leader constraint of Crawford,
+    Ginsberg, Luks & Roy, KR 1996).
+    """
+    k, adj = pattern.n, pattern.adj
+
+    def completes(image):
+        i = len(image) - 1
+        if any((adj[i] >> j & 1) != (adj[image[i]] >> image[j] & 1) for j in range(i)):
+            return False
+        return i == k - 1 or any(completes(image + [v]) for v in range(k) if v not in image)
+
+    above = {(p, q) for p in range(k) for q in range(p + 1, k) if completes(list(range(p)) + [q])}
+    return tuple(tuple((j, (not adj[i] >> j & 1) | 2 * ((i, j) in above)) for j in range(i + 1, k)) for i in range(k))
+
+
+_PLANS = {pattern: _search_plan(pattern) for pattern in (P5_PATTERN, C5_PATTERN, BULL_PATTERN)}
+
+
 def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     """First induced copy of ``pattern`` in ``g`` (lexicographically smallest
     image tuple under the vertex order), or None.
@@ -110,11 +146,12 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     Every slot keeps one candidate mask. Placing a vertex in slot i narrows
     the mask of every later slot j, by the vertex's row where the pattern
     has the edge ij and by its co-row where it has not, and a branch ends
-    as soon as some later mask is empty (forward checking). Rows and
-    co-rows leave out the vertex itself, so no vertex is placed twice. Each
-    slot tries the bits of its mask in ascending order, the order of a
-    scan over all vertices minus the rejects, so the first complete image
-    is the smallest.
+    as soon as some later mask is empty (forward checking). For an above
+    pair (i, j) it also keeps only the vertices above the placed one, since
+    the smallest image tuple has them there. Rows and co-rows leave out the
+    vertex itself, so no vertex is placed twice. Each slot tries the bits
+    of its mask in ascending order, the order of a scan over all vertices
+    minus the rejects, so the first complete image is the smallest.
     """
     k = pattern.n
     n = g.n
@@ -122,12 +159,18 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
         return None
     if k == 0:
         return Embedding(name, ())
+    plan = _PLANS.get(pattern) or _search_plan(pattern)
     full = (1 << n) - 1
     adj = g.adj
-    co = _co_rows(adj, full)
+    tables = {0: adj, 1: _co_rows(adj, full)}
     # narrow[i]: each later slot j with the rows through which slot i's
     # vertex narrows it.
-    narrow = [[(j, adj if pattern.adj[i] >> j & 1 else co) for j in range(i + 1, k)] for i in range(k)]
+    narrow = []
+    for slot in plan:
+        for _, t in slot:
+            if t not in tables:
+                tables[t] = [row & -(2 << v) for v, row in enumerate(tables[t & 1])]
+        narrow.append([(j, tables[t]) for j, t in slot])
     # masks[i][j]: slot j's candidates once slots 0 .. i - 1 are placed.
     masks = [[full] * k for _ in range(k)]
     image = [0] * k
@@ -281,9 +324,9 @@ def _can_saturate(adj, later: int, zero: int, one: int) -> bool:
     return True
 
 
-def _first_odd_cycle(kind: str, adj, full: int):
-    """First induced odd cycle of length at least 5 on ``full`` under the
-    rows ``adj``, shortest first, in cycle order.
+def _first_odd_cycle(kind: str, adj, full: int, shortest: int = 5):
+    """First induced odd cycle of length at least ``shortest`` on ``full``
+    under the rows ``adj``, shortest first, in cycle order.
 
     The search runs on the pieces of ``_odd_cycle_pieces``, one of which
     holds every such cycle. For each odd k, shortest first, it adds members
@@ -365,7 +408,7 @@ def _first_odd_cycle(kind: str, adj, full: int):
         return None
 
     longest = max(piece.bit_count() for piece in pieces)
-    for k in range(5, longest + 1, 2):
+    for k in range(shortest, longest + 1, 2):
         rest = spread
         while rest:
             low = rest & -rest
@@ -680,12 +723,18 @@ class ClassReport:
 
 
 def classify(g: Graph) -> ClassReport:
-    """Run all finders and assemble a consistent report."""
-    p5 = find_p5(g)
-    c5 = find_c5(g)
-    bull = find_bull(g)
+    """Run all finders and assemble a consistent report. A C5 is an odd
+    hole and its own complement, so the hole search settles it, and the
+    antihole search of a graph with no odd hole starts at length 7."""
     hole = find_odd_hole(g, None)
-    imperfection = hole if hole is not None else find_odd_antihole(g, None)
+    if hole is None:
+        full = _within_mask(g, None)
+        imperfection = _first_odd_cycle("odd-antihole", _co_rows(g.adj, full), full, 7)
+    else:
+        imperfection = hole
+    p5 = find_p5(g)
+    c5 = find_c5(g) if hole is not None and len(hole.vertices) == 5 else None
+    bull = find_bull(g)
     return ClassReport(
         p5_free=p5 is None,
         c5_free=c5 is None,

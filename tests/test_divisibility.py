@@ -467,10 +467,9 @@ class TestOddHoleCache:
 
 
 class TestClassCheckCache:
-    def test_class_checks_after_classify_do_not_search_again(self, monkeypatch):
-        # find_p5, find_c5 and find_bull remember the last graph, so the
-        # class checks of two_divide and the coloring reuse classify's
-        g = twin_substitute(cycle_graph(4), 0, adjacent=True)
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The pattern name of every ``find_induced`` search, in order."""
         calls = []
         original = graphdiv.recognition.find_induced
 
@@ -481,10 +480,28 @@ class TestClassCheckCache:
         monkeypatch.setattr(graphdiv.recognition, "find_induced", counted)
         for finder in (find_p5, find_c5, find_bull):
             finder.cache_clear()
+        return calls
+
+    def test_class_checks_after_classify_do_not_search_again(self, searches):
+        # find_p5, find_c5 and find_bull remember the last graph, so the
+        # class checks of two_divide and the coloring reuse classify's. This
+        # graph has no odd hole, so classify does not search C5 and the
+        # class check of two_divide searches it once.
+        g = twin_substitute(cycle_graph(4), 0, adjacent=True)
         classify(g)
         two_divide(g)
         color_via_two_division(g)
-        assert calls == ["P5", "C5", "bull"]
+        assert searches == ["P5", "bull", "C5"]
+
+    def test_two_divide_rejects_with_the_c5_of_classify(self, searches):
+        # the shortest odd hole is a C5, so classify searches C5 and the
+        # class check of two_divide reuses its witness
+        g = twin_substitute(cycle_graph(5), 0, adjacent=False)
+        report = classify(g)
+        with pytest.raises(NotInClassError) as err:
+            two_divide(g)
+        assert err.value.witnesses == (report.c5_witness,)
+        assert searches == ["P5", "C5", "bull"]
 
 
 def _lifts(g, weights, mask):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ from graphdiv import (
     pattern_for_name,
 )
 from graphdiv.corpus import nonisomorphic_graphs, random_graph, twin_substitute
-from graphdiv.recognition import PERFECTION_BUDGET, _decompose, _homogeneous_split
+from graphdiv.recognition import PERFECTION_BUDGET, _decompose, _homogeneous_split, _search_plan
 
 
 def _rand(n, p, seed):
@@ -301,23 +302,46 @@ class TestExactWitnesses:
     witness of the plain scans in ``naive``, not just a witness."""
 
     def test_induced_patterns(self):
-        p3, k3 = path_graph(3), complete_graph(3)
-        finders = (
+        others = {
+            "P3": path_graph(3),
+            "K3": complete_graph(3),
+            "claw": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+            "C4": cycle_graph(4),
+            "C6": cycle_graph(6),
+            "K4": complete_graph(4),
+            "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
+            "P4": path_graph(4),
+            # P5 with a vertex on its second edge: no automorphism but the identity
+            "asymmetric": Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)]),
+        }
+        finders = [
             (P5_PATTERN, "P5", find_p5),
             (C5_PATTERN, "C5", find_c5),
             (BULL_PATTERN, "bull", find_bull),
-            (p3, "P3", lambda g: find_induced(g, p3, "P3")),
-            (k3, "K3", lambda g: find_induced(g, k3, "K3")),
-        )
-        found = 0
+        ] + [(pattern, name, lambda g, pattern=pattern, name=name: find_induced(g, pattern, name)) for name, pattern in others.items()]
+        found = Counter()
         for g in _small_and_random_graphs("witness/induced"):
             for pattern, name, finder in finders:
                 got = finder(g)
-                assert _vertices(got) == naive.first_induced(g, pattern)
+                assert _vertices(got) == naive.first_induced(g, pattern), (name, g.adj)
                 if got is not None:
                     assert got.pattern_name == name
-                    found += 1
-        assert found > 1000
+                    found[name] += 1
+            assert find_induced(g, path_graph(g.n + 1)) is None
+        assert all(found[name] > 20 for _, name, _ in finders), found
+        assert sum(found.values()) > 5000
+
+    def test_above_pairs(self):
+        def above(pattern):
+            return [(i, j) for i, slot in enumerate(_search_plan(pattern)) for j, t in slot if t & 2]
+
+        assert above(P5_PATTERN) == [(0, 4)]
+        assert above(C5_PATTERN) == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4)]
+        assert above(BULL_PATTERN) == [(0, 1)]
+        # slot 0 of the claw is its centre, and its leaves are interchangeable
+        assert above(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) == [(1, 2), (1, 3), (2, 3)]
+        assert above(complete_graph(3)) == [(0, 1), (0, 2), (1, 2)]
+        assert above(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])) == []
 
     def test_odd_holes_and_antiholes_within(self):
         rng = random.Random("witness/holes")
@@ -518,6 +542,31 @@ class TestClassify:
             for witness in (report.p5_witness, report.c5_witness, report.bull_witness):
                 if witness is not None:
                     assert embedding_is_valid(g, pattern_for_name(witness.pattern_name), witness)
+
+    def test_equals_its_definition(self):
+        # classify reads C5 off the hole search and starts the antihole
+        # search at length 7 on graphs with no odd hole; its witnesses are
+        # those of the searches it skips
+        rng = random.Random("classify/definition")
+        graphs = [g for n in range(8) for g in nonisomorphic_graphs(n)]
+        graphs += [_relabel(g, rng) for g in rng.sample(nonisomorphic_graphs(8), 500)]
+        graphs += list(_piece_graphs(rng))
+        # twins keep a graph odd-hole-free, so these have only antiholes
+        for k in (7, 9):
+            for _ in range(20):
+                g = complement(cycle_graph(k))
+                for _ in range(rng.randint(0, 16 - k)):
+                    g = twin_substitute(g, rng.randrange(g.n), adjacent=rng.random() < 0.5)
+                graphs.append(_relabel(g, rng))
+        c5s = antiholes = 0
+        for g in graphs:
+            report = classify(g)
+            find_c5.cache_clear()
+            assert report.c5_witness == find_c5(g), g.adj
+            assert report.imperfection == (find_odd_hole(g, None) or find_odd_antihole(g, None)), g.adj
+            c5s += report.c5_witness is not None
+            antiholes += report.odd_hole_free and not report.perfect
+        assert c5s > 200 and antiholes > 20, (c5s, antiholes)
 
     def test_report_json_shape(self, c5):
         payload = classify(c5).to_json()
