@@ -116,7 +116,7 @@ def pattern_for_name(name: str) -> Graph:
 def _search_plan(pattern: Graph) -> tuple:
     """For each slot i of ``pattern``, its later slots j with the rows that
     narrow slot j once slot i is placed: 0 for rows and 1 for co-rows, plus
-    2 when (i, j) is an above pair.
+    2 when (i, j) is an above pair. Then the row kinds above 1 in use.
 
     (p, q) is an above pair when some automorphism σ fixes the slots before
     p and moves p to q. The copy with the image of σ(i) in slot i first
@@ -133,7 +133,8 @@ def _search_plan(pattern: Graph) -> tuple:
         return i == k - 1 or any(completes(image + [v]) for v in range(k) if v not in image)
 
     above = {(p, q) for p in range(k) for q in range(p + 1, k) if completes(list(range(p)) + [q])}
-    return tuple(tuple((j, (not adj[i] >> j & 1) | 2 * ((i, j) in above)) for j in range(i + 1, k)) for i in range(k))
+    slots = tuple(tuple((j, (not adj[i] >> j & 1) | 2 * ((i, j) in above)) for j in range(i + 1, k)) for i in range(k))
+    return slots, tuple({t for slot in slots for _, t in slot if t > 1})
 
 
 _PLANS = {pattern: _search_plan(pattern) for pattern in (P5_PATTERN, C5_PATTERN, BULL_PATTERN)}
@@ -162,15 +163,13 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     plan = _PLANS.get(pattern) or _search_plan(pattern)
     full = (1 << n) - 1
     adj = g.adj
-    tables = {0: adj, 1: _co_rows(adj, full)}
+    slots, above_rows = plan
+    rows = [adj, _co_rows(adj, full), None, None]
+    for t in above_rows:
+        rows[t] = [row & -(2 << v) for v, row in enumerate(rows[t & 1])]
     # narrow[i]: each later slot j with the rows through which slot i's
     # vertex narrows it.
-    narrow = []
-    for slot in plan:
-        for _, t in slot:
-            if t not in tables:
-                tables[t] = [row & -(2 << v) for v, row in enumerate(tables[t & 1])]
-        narrow.append([(j, tables[t]) for j, t in slot])
+    narrow = [[(j, rows[t]) for j, t in slot] for slot in slots]
     # masks[i][j]: slot j's candidates once slots 0 .. i - 1 are placed.
     masks = [[full] * k for _ in range(k)]
     image = [0] * k
@@ -282,21 +281,21 @@ def _is_bipartite(adj, mask: int) -> bool:
     return True
 
 
-def _odd_cycle_pieces(adj, mask: int) -> list:
+def _odd_cycle_pieces(adj, mask: int, shortest: int) -> list:
     """The pieces of ``mask`` that can hold an induced odd cycle of length
-    at least 5, as disjoint masks.
+    at least ``shortest`` (5 or more), as disjoint masks.
 
     Such a cycle is connected and anticonnected, each of its vertices has
     two neighbours on it, and it is an odd cycle. So it lies inside one
-    piece: take the 2-core, drop it if it has fewer than 5 vertices or is
-    bipartite, and split it into components, else into anticomponents,
-    until neither splits.
+    piece: take the 2-core, drop it if it has fewer than ``shortest``
+    vertices or is bipartite, and split it into components, else into
+    anticomponents, until neither splits.
     """
     pieces = []
     todo = [mask]
     while todo:
         part = _two_core(adj, todo.pop())
-        if part.bit_count() < 5 or _is_bipartite(adj, part):
+        if part.bit_count() < shortest or _is_bipartite(adj, part):
             continue
         split = _mask_components(adj, part)
         if len(split) == 1:
@@ -348,7 +347,7 @@ def _first_odd_cycle(kind: str, adj, full: int, shortest: int = 5):
     count = full.bit_count()
     if count > PERFECTION_BUDGET:
         raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
-    pieces = _odd_cycle_pieces(adj, full)
+    pieces = _odd_cycle_pieces(adj, full, shortest)
     if not pieces:
         return None
     home = [0] * len(adj)

@@ -333,7 +333,7 @@ class TestExactWitnesses:
 
     def test_above_pairs(self):
         def above(pattern):
-            return [(i, j) for i, slot in enumerate(_search_plan(pattern)) for j, t in slot if t & 2]
+            return [(i, j) for i, slot in enumerate(_search_plan(pattern)[0]) for j, t in slot if t & 2]
 
         assert above(P5_PATTERN) == [(0, 4)]
         assert above(C5_PATTERN) == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4)]
