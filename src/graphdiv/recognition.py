@@ -116,7 +116,8 @@ def pattern_for_name(name: str) -> Graph:
 def _search_plan(pattern: Graph) -> tuple:
     """For each slot i of ``pattern``, its later slots j with the rows that
     narrow slot j once slot i is placed: 0 for rows and 1 for co-rows, plus
-    2 when (i, j) is an above pair. Then the row kinds above 1 in use.
+    2 when (i, j) is an above pair; and the kinds above 1 that occur, whose
+    rows each search builds.
 
     (p, q) is an above pair when some automorphism σ fixes the slots before
     p and moves p to q. The copy with the image of σ(i) in slot i first
@@ -160,10 +161,9 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
         return None
     if k == 0:
         return Embedding(name, ())
-    plan = _PLANS.get(pattern) or _search_plan(pattern)
+    slots, above_rows = _PLANS.get(pattern) or _search_plan(pattern)
     full = (1 << n) - 1
     adj = g.adj
-    slots, above_rows = plan
     rows = [adj, _co_rows(adj, full), None, None]
     for t in above_rows:
         rows[t] = [row & -(2 << v) for v, row in enumerate(rows[t & 1])]

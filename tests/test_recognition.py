@@ -297,6 +297,11 @@ def _vertices(emb):
     return None if emb is None else emb.vertices
 
 
+CLAW = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+# P5 with a vertex on its second edge: no automorphism but the identity
+ASYMMETRIC = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])
+
+
 class TestExactWitnesses:
     """The candidate-mask and pruned odd-cycle searches return exactly the
     witness of the plain scans in ``naive``, not just a witness."""
@@ -305,20 +310,21 @@ class TestExactWitnesses:
         others = {
             "P3": path_graph(3),
             "K3": complete_graph(3),
-            "claw": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+            "claw": CLAW,
             "C4": cycle_graph(4),
             "C6": cycle_graph(6),
             "K4": complete_graph(4),
             "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
             "P4": path_graph(4),
-            # P5 with a vertex on its second edge: no automorphism but the identity
-            "asymmetric": Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)]),
+            "asymmetric": ASYMMETRIC,
         }
         finders = [
             (P5_PATTERN, "P5", find_p5),
             (C5_PATTERN, "C5", find_c5),
             (BULL_PATTERN, "bull", find_bull),
-        ] + [(pattern, name, lambda g, pattern=pattern, name=name: find_induced(g, pattern, name)) for name, pattern in others.items()]
+        ]
+        for name, pattern in others.items():
+            finders.append((pattern, name, lambda g, pattern=pattern, name=name: find_induced(g, pattern, name)))
         found = Counter()
         for g in _small_and_random_graphs("witness/induced"):
             for pattern, name, finder in finders:
@@ -339,9 +345,9 @@ class TestExactWitnesses:
         assert above(C5_PATTERN) == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4)]
         assert above(BULL_PATTERN) == [(0, 1)]
         # slot 0 of the claw is its centre, and its leaves are interchangeable
-        assert above(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) == [(1, 2), (1, 3), (2, 3)]
+        assert above(CLAW) == [(1, 2), (1, 3), (2, 3)]
         assert above(complete_graph(3)) == [(0, 1), (0, 2), (1, 2)]
-        assert above(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])) == []
+        assert above(ASYMMETRIC) == []
 
     def test_odd_holes_and_antiholes_within(self):
         rng = random.Random("witness/holes")
