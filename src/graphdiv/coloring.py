@@ -4,18 +4,16 @@ Both colorings spend a fresh palette on each side of every division, which
 is exactly the additive accounting behind their bounds: the two-division
 route stays within 2^(omega-1) colors, the perfect-division route within
 omega*(omega+1)/2. Certificates record both numbers so audits are cheap.
+Neither checks its class itself: each division checks its host's class,
+so the first raises ``NotInClassError`` outside the class, and the later
+ones hit the caches of the pattern and hole searches.
 """
 
 from dataclasses import dataclass
 
 from .core import Graph, VertexSet, _bits, chromatic_number_exact, clique_number
 from .errors import TheoremViolationError
-from .divisibility import (
-    _require_p5c5_free,
-    _require_perfect_divide_class,
-    perfect_divide,
-    two_divide,
-)
+from .divisibility import perfect_divide, two_divide
 
 POWER_OF_TWO = "power-of-two"
 QUADRATIC = "quadratic"
@@ -93,7 +91,6 @@ def color_via_two_division(g: Graph):
     parts with clique number at most 1 take a single color. Returns
     ``(Coloring, BoundCertificate)`` with the power-of-two bound.
     """
-    _require_p5c5_free(g)
     assignment = [0] * g.n
 
     def rec(vs: VertexSet, base: int) -> int:
@@ -103,7 +100,7 @@ def color_via_two_division(g: Graph):
             for v in vs:
                 assignment[v] = base
             return 1
-        d = two_divide(g, vs, check_class=False)
+        d = two_divide(g, vs)
         used_a = rec(d.a, base)
         return used_a + rec(d.b, base + used_a)
 
@@ -120,13 +117,12 @@ def color_via_perfect_division(g: Graph):
     palette. Returns ``(Coloring, BoundCertificate)`` with the quadratic
     bound.
     """
-    _require_perfect_divide_class(g)
     assignment = [0] * g.n
 
     def rec(vs: VertexSet, base: int) -> int:
         if not vs:
             return 0
-        d = perfect_divide(g, within=vs, check_class=False)
+        d = perfect_divide(g, within=vs)
         used_p, p_colors = chromatic_number_exact(g, d.p)
         for v in d.p:
             assignment[v] = base + p_colors[v]

@@ -17,6 +17,9 @@ doubles as a proof checker at the sizes it handles. Verification policy:
   ``quotient_by_homogeneous_set`` and ``recombine`` validate their
   arguments and call the same private steps, so a replay of a log
   re-derives every step through them.
+- ``two_divide`` and ``perfect_divide`` always check the class of the
+  whole host, once per call, and the colorings rely on that check: a graph
+  outside the class ends in ``NotInClassError``, never in a failed check.
 - A failed self-check raises ``TheoremViolationError`` with the
   derivation log up to the failed step, that step included where it has
   one. A class precondition raises ``NotInClassError`` or
@@ -189,7 +192,7 @@ def _verify_perfect_masks(g: Graph, weights: tuple, p_mask: int, w_mask: int, fu
     return True, None
 
 
-def two_divide(g: Graph, within: VertexSet = None, *, check_class: bool = True) -> TwoDivision:
+def two_divide(g: Graph, within: VertexSet = None) -> TwoDivision:
     """Split ``g[within]`` (all of ``g`` by default), a (P5, C5)-free graph
     with an edge, into two parts of strictly smaller clique number.
 
@@ -200,11 +203,10 @@ def two_divide(g: Graph, within: VertexSet = None, *, check_class: bool = True) 
     pick the one with the most neighbors in M (smallest id on ties); its
     neighborhood becomes the A side. Edgeless components go wholly into A.
     The union of the per-component sides is verified before being returned.
-    Class membership is checked on the whole host; heredity then covers
-    every ``within``.
+    Class membership is checked on the whole host, once per call, even for
+    a smaller ``within``; heredity then covers every ``within``.
     """
-    if check_class:
-        _require_p5c5_free(g)
+    _require_p5c5_free(g)
     full = _within_mask(g, within)
     adj = g.adj
     if not any(adj[v] & full for v in _bits(full)):
@@ -449,7 +451,7 @@ def _require_perfect_divide_class(g: Graph):
             raise NotInClassError("graph contains both an odd hole and an induced P5", [hole, p5])
 
 
-def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, check_class: bool = True) -> PerfectDivision:
+def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> PerfectDivision:
     """Divide ``g[within]`` (all of ``g`` by default), a bull-free graph
     that is odd-hole-free or P5-free, into a perfect part and a part with
     strictly smaller maximum clique weight.
@@ -463,14 +465,13 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None, *, ch
     Otherwise the graph is prime and the smallest vertex v with a perfect
     non-neighborhood yields the split (M(v) + v, N(v)). Every recombination
     and the final result are verified, once each; ``w`` None means unit
-    weights. Class membership is checked on the whole host; heredity then
-    covers every ``within``.
+    weights. Class membership is checked on the whole host, once per call,
+    even for a smaller ``within``; heredity then covers every ``within``.
     """
     weights = (1,) * g.n if w is None else w.weights
     if len(weights) != g.n:
         raise ValueError("weight function length does not match the graph")
-    if check_class:
-        _require_perfect_divide_class(g)
+    _require_perfect_divide_class(g)
     full = _within_mask(g, within)
     u_mask = 0
     for v in _bits(full):

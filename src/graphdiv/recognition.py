@@ -32,10 +32,10 @@ largest prime quotient, while the witness finders (``find_odd_hole``,
 ``find_odd_antihole``, ``imperfection_witness``, ``classify``) count the
 whole ``within`` set against it.
 
-``classify`` runs the hole search first and reads two answers off it: it
-searches C5 only when the shortest odd hole has 5 vertices, and on a graph
-with no odd hole it starts the antihole search at length 7, since an odd
-antihole of length 5 is a C5.
+``imperfection_witness`` runs the hole search first, and on a graph with no
+odd hole it starts the antihole search at length 7, since an odd antihole
+of length 5 is a C5. ``classify`` reads its odd hole off that witness and
+searches C5 only when the shortest odd hole has 5 vertices.
 
 Hole, antihole and homogeneous-set search take a ``within`` set of the
 input graph and are cached on ``(g, within)``. ``lru_cache`` keys ``f(g)``
@@ -43,7 +43,9 @@ and ``f(g, None)`` apart, so the package always passes ``within``
 positionally, None included. ``find_p5``, ``find_c5`` and ``find_bull``
 remember the last graph only. So a class check right after ``classify`` of
 the same graph does not search P5 or bull again, nor C5 on a graph whose
-shortest odd hole is a C5; on any other graph it searches C5 once.
+shortest odd hole is a C5; on any other graph it searches C5 once. A
+coloring checks the class at each of its divisions, and every check after
+the first is a cache hit.
 """
 
 from dataclasses import dataclass
@@ -446,12 +448,14 @@ def imperfection_witness(g: Graph, within: VertexSet = None):
     default), or None when that subgraph is perfect.
 
     Perfection here is exactly the absence of both, checked by exhaustive
-    search; a C5 is reported once, as a hole.
+    search; a C5 is reported once, as a hole, so the antihole search
+    starts at length 7.
     """
     hole = find_odd_hole(g, within)
     if hole is not None:
         return hole
-    return find_odd_antihole(g, within)
+    full = _within_mask(g, within)
+    return _first_odd_cycle("odd-antihole", _co_rows(g.adj, full), full, 7)
 
 
 LEAF = "leaf"
@@ -722,15 +726,11 @@ class ClassReport:
 
 
 def classify(g: Graph) -> ClassReport:
-    """Run all finders and assemble a consistent report. A C5 is an odd
-    hole and its own complement, so the hole search settles it, and the
-    antihole search of a graph with no odd hole starts at length 7."""
-    hole = find_odd_hole(g, None)
-    if hole is None:
-        full = _within_mask(g, None)
-        imperfection = _first_odd_cycle("odd-antihole", _co_rows(g.adj, full), full, 7)
-    else:
-        imperfection = hole
+    """Run all finders and assemble a consistent report. The odd hole is
+    the imperfection witness when it is a hole, and C5 is searched only
+    when that hole has 5 vertices."""
+    imperfection = imperfection_witness(g, None)
+    hole = imperfection if imperfection is not None and imperfection.pattern_name.startswith("odd-hole") else None
     p5 = find_p5(g)
     c5 = find_c5(g) if hole is not None and len(hole.vertices) == 5 else None
     bull = find_bull(g)

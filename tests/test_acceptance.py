@@ -153,7 +153,7 @@ def test_criterion_3_perfect_division_weighted(perfect_division_corpus):
             rng = _seeded_weights(g6, draw)
             w = WeightFn.of(rng.randint(0, 5) for _ in range(g.n))
             instances += 1
-            division = perfect_divide(g, w, check_class=False)
+            division = perfect_divide(g, w)
             ok, reason = verify_perfect_division(g, w, division)
             if not ok:
                 failures.append((g6, w.weights, reason))
@@ -175,7 +175,7 @@ def test_criterion_3_perfect_division_weighted(perfect_division_corpus):
                 rng = _seeded_weights("twin:" + g6, draw)
                 w = WeightFn.of(rng.randint(0, 5) for _ in range(g.n))
                 twin_instances += 1
-                division = perfect_divide(g, w, check_class=False)
+                division = perfect_divide(g, w)
                 ok, reason = verify_perfect_division(g, w, division)
                 if not ok:
                     failures.append((g6, w.weights, reason))
@@ -454,7 +454,7 @@ def test_invariant_nine_vertex_twin_samples(corpus_le8):
         g = twin_substitute(base, rng.randrange(8), adjacent=rng.random() < 0.5)
         for _ in range(5):
             w = WeightFn.of(rng.randint(0, 5) for _ in range(g.n))
-            division = perfect_divide(g, w, check_class=False)
+            division = perfect_divide(g, w)
             ok, reason = verify_perfect_division(g, w, division)
             assert ok, (emit_graph6(g), w.weights, reason)
 
@@ -471,7 +471,7 @@ def test_invariant_fifty_weight_draws_small(corpus_le8):
             for draw in range(50):
                 rng = random.Random(f"{SEED}/fifty/{g6}/{draw}")
                 w = WeightFn.of(rng.randint(0, 5) for _ in range(g.n))
-                division = perfect_divide(g, w, check_class=False)
+                division = perfect_divide(g, w)
                 ok, reason = verify_perfect_division(g, w, division)
                 assert ok, (g6, w.weights, reason)
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import graphdiv.divisibility
 import graphdiv.harness
 from graphdiv import (
+    BULL_PATTERN,
     canonical_graph,
     canonical_key,
     complete_graph,
@@ -242,6 +243,23 @@ class TestColor:
             certificate = record["certificate"]
             omega = certificate["omega"]
             assert certificate["used"] <= omega * (omega + 1) // 2
+
+    @pytest.mark.parametrize(
+        "mode, graph, witness",
+        [
+            ("two", cycle_graph(5), {"pattern": "C5", "vertices": [0, 1, 2, 3, 4]}),
+            ("perfect", BULL_PATTERN, {"pattern": "bull", "vertices": [0, 1, 2, 3, 4]}),
+        ],
+    )
+    def test_class_violation_exit_and_witness(self, tmp_path, mode, graph, witness):
+        src = tmp_path / "in.g6"
+        _write_g6(src, graph)
+        out = tmp_path / "report.json"
+        code = main(["color", "--mode", mode, "--in", str(src), "--out", str(out)])
+        assert code == EXIT_CLASS_VIOLATION
+        record = _load(out)["records"][0]
+        assert record["status"] == "class-violation"
+        assert record["witnesses"] == [witness]
 
     def test_csv_audit(self, tmp_path):
         out = tmp_path / "audit.csv"

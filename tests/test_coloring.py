@@ -5,6 +5,7 @@ import pytest
 import naive
 from graphdiv import (
     BULL_PATTERN,
+    DegenerateCliqueError,
     NotInClassError,
     TheoremViolationError,
     VertexSet,
@@ -24,6 +25,7 @@ from graphdiv import (
     induced_subgraph,
     is_perfect,
     path_graph,
+    perfect_divide,
     power_of_two_bound,
     quadratic_bound,
     two_divide,
@@ -176,6 +178,38 @@ class TestPerfectDivisionColoring:
                 chi = chromatic_number_exact(g)[0]
                 assert chi <= cert.colors_used <= cert.bound_value
                 assert cert.bound_value == quadratic_bound(cert.omega)
+
+
+def _rejection(fn, g):
+    """The message and witnesses of the ``NotInClassError`` that ``fn``
+    raises, or None when it raises none (an edgeless graph is in both
+    classes, and ``two_divide`` refuses it as degenerate)."""
+    try:
+        fn(g)
+    except NotInClassError as exc:
+        return str(exc), exc.witnesses
+    except DegenerateCliqueError:
+        pass
+    return None
+
+
+class TestClassRejection:
+    @pytest.mark.parametrize(
+        "coloring, divide, rejected",
+        [(color_via_two_division, two_divide, 448), (color_via_perfect_division, perfect_divide, 436)],
+    )
+    def test_colorings_reject_as_their_divisions_do(self, coloring, divide, rejected):
+        # every graph outside the class, with n <= 7: the coloring raises
+        # the same message with the same witnesses as its division
+        count = 0
+        for n in range(1, 8):
+            for g in nonisomorphic_graphs(n):
+                expected = _rejection(divide, g)
+                if expected is None:
+                    continue
+                assert _rejection(coloring, g) == expected, g.adj
+                count += 1
+        assert count == rejected
 
 
 def _table(mode, graphs):

@@ -452,18 +452,28 @@ class TestWithin:
 
 
 class TestOddHoleCache:
-    def test_class_check_reuses_the_classify_search(self):
+    def test_class_check_reuses_the_classify_search(self, monkeypatch):
         # the class check of perfect_divide must hit the hole search that
-        # classify already ran on the same graph
+        # classify already ran on the same graph: no hole or antihole
+        # search runs over the whole vertex set again
         g = twin_substitute(cycle_graph(5), 0, adjacent=True)
-        misses = []
-        for check_class in (False, True):
-            find_odd_hole.cache_clear()
-            classify(g)
-            before = find_odd_hole.cache_info().misses
-            perfect_divide(g, check_class=check_class)
-            misses.append(find_odd_hole.cache_info().misses - before)
-        assert misses[0] == misses[1]
+        whole = []
+        original = graphdiv.recognition._first_odd_cycle
+
+        def counted(kind, adj, full, *rest):
+            whole.append(full == (1 << g.n) - 1)
+            return original(kind, adj, full, *rest)
+
+        monkeypatch.setattr(graphdiv.recognition, "_first_odd_cycle", counted)
+        find_odd_hole.cache_clear()
+        perfect_divide(g)
+        assert whole.count(True) == 1  # the class check's own hole search
+        find_odd_hole.cache_clear()
+        classify(g)
+        whole.clear()
+        perfect_divide(g)
+        color_via_perfect_division(g)
+        assert whole.count(True) == 0
 
 
 class TestClassCheckCache:
@@ -492,6 +502,16 @@ class TestClassCheckCache:
         two_divide(g)
         color_via_two_division(g)
         assert searches == ["P5", "bull", "C5"]
+
+    def test_perfect_class_checks_after_classify_do_not_search_again(self, searches):
+        # a bull-free graph whose shortest odd hole is a C5: classify
+        # searches each pattern once, and the class checks of
+        # perfect_divide and of every division of the coloring reuse them
+        g = twin_substitute(cycle_graph(5), 0, adjacent=True)
+        classify(g)
+        perfect_divide(g)
+        color_via_perfect_division(g)
+        assert searches == ["P5", "C5", "bull"]
 
     def test_two_divide_rejects_with_the_c5_of_classify(self, searches):
         # the shortest odd hole is a C5, so classify searches C5 and the
@@ -575,7 +595,7 @@ class TestDecompositionDivision:
                     continue
                 rng = random.Random(f"decomposition/{emit_graph6(g)}")
                 weights = [rng.randint(0, 5) for _ in range(n)]
-                log = list(perfect_divide(g, WeightFn.of(weights), check_class=False).log)
+                log = list(perfect_divide(g, WeightFn.of(weights)).log)
                 assert log == naive.perfect_division_log(g, weights), emit_graph6(g)
                 if n <= 7:
                     _replay(g, weights, log)
@@ -591,7 +611,7 @@ class TestDecompositionDivision:
                 continue
             weights = [rng.randint(0, 5) for _ in range(g.n)]
             for w in (None, weights):
-                log = list(perfect_divide(g, None if w is None else WeightFn.of(w), check_class=False).log)
+                log = list(perfect_divide(g, None if w is None else WeightFn.of(w)).log)
                 assert log == naive.perfect_division_log(g, w or [1] * g.n), emit_graph6(g)
                 _replay(g, w or [1] * g.n, log)
                 checked += 1
@@ -755,7 +775,7 @@ class TestVerifiers:
                 if find_bull(g) is not None or (find_odd_hole(g) is not None and find_p5(g) is not None):
                     continue
                 for weights in ([1] * n, [rng.randint(0, 3) for _ in range(n)]):
-                    d = perfect_divide(g, WeightFn.of(weights), check_class=False)
+                    d = perfect_divide(g, WeightFn.of(weights))
                     top = naive.max_weight_clique(g, weights)
                     divisions = [(d.p.mask ^ moved, d.w_side.mask ^ moved) for moved in [0] + [1 << v for v in range(n)]]
                     for p, w_side in divisions + [((1 << n) - 1, 0)]:
