@@ -91,10 +91,12 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency must have one row per vertex")
+        if not isinstance(self.adj, tuple) or len(self.adj) != self.n:
+            raise ValueError("adjacency must be a tuple with one row per vertex")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
+            if isinstance(row, bool) or not isinstance(row, int):
+                raise ValueError(f"adjacency row of {v} is not an int")
             if not 0 <= row <= full:
                 raise ValueError(f"adjacency row of {v} mentions vertices out of range")
             if row >> v & 1:

@@ -24,28 +24,30 @@ shortest, in ``itertools.combinations`` order.
 
 Homogeneous sets and perfection are read off the modular decomposition
 of the subgraph (``_decompose``). ``find_homogeneous_set`` returns the set
-that the lexicographic pair-closure rule picks. ``is_perfect`` searches
-only the quotients at the prime nodes, one representative per child, with
-the hole and antihole search: a graph is perfect iff every such quotient
-is (Lovász, Discrete Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds its
-largest prime quotient, while the witness finders (``find_odd_hole``,
-``find_odd_antihole``, ``imperfection_witness``, ``classify``) count the
-whole ``within`` set against it.
+that the lexicographic pair-closure rule picks. One rule decides
+imperfection: ``imperfection_witness`` runs the hole search and, on a set
+with no odd hole, the antihole search from length 7, since an odd
+antihole of length 5 is a C5. ``classify`` asks it of the whole graph,
+reads its odd hole off the witness and searches C5 only when that hole has
+5 vertices. ``is_perfect`` asks it of each prime quotient (one
+representative per child): a graph is perfect iff every such quotient is
+(Lovász, Discrete Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds the
+largest prime quotient there, while the witness finders count the whole
+``within`` set against it.
 
-``imperfection_witness`` runs the hole search first, and on a graph with no
-odd hole it starts the antihole search at length 7, since an odd antihole
-of length 5 is a C5. ``classify`` reads its odd hole off that witness and
-searches C5 only when the shortest odd hole has 5 vertices.
-
-Hole, antihole and homogeneous-set search take a ``within`` set of the
-input graph and are cached on ``(g, within)``. ``lru_cache`` keys ``f(g)``
-and ``f(g, None)`` apart, so the package always passes ``within``
-positionally, None included. ``find_p5``, ``find_c5`` and ``find_bull``
-remember the last graph only. So a class check right after ``classify`` of
-the same graph does not search P5 or bull again, nor C5 on a graph whose
-shortest odd hole is a C5; on any other graph it searches C5 once. A
-coloring checks the class at each of its divisions, and every check after
-the first is a cache hit.
+A cache stays only where traffic hits it (hits / misses in one record
+phase of ``bench/run.py``, seed 1). ``find_odd_hole`` is cached on ``(g,
+within)``: a perfect division asks it of the same prime quotients again
+(3,293 / 1,609 on ``perfect-weighted``, 3,357 / 847 on
+``perfect-reach-n16``). ``find_homogeneous_set`` is cached likewise, with
+no lookups, for the benchmark tracer that reads its ``cache_info()``.
+``lru_cache`` keys ``f(g)`` and ``f(g, None)`` apart, so the package always
+passes ``within`` positionally, None included. ``find_p5``, ``find_c5`` and
+``find_bull`` remember the last graph, which the class checks after
+``classify`` and a coloring's checks after its first one hit (P5 16,018 /
+12,346 and C5 12,152 / 7,301 on ``exhaustive-n8``, bull 2,833 / 600 on
+``perfect-reach-n16``). The antihole search runs only after a hole search
+that found nothing, and is not cached.
 """
 
 from dataclasses import dataclass
@@ -434,23 +436,18 @@ def find_odd_hole(g: Graph, within: VertexSet = None):
     return _first_odd_cycle("odd-hole", g.adj, _within_mask(g, within))
 
 
-@lru_cache(maxsize=1 << 16)
 def find_odd_antihole(g: Graph, within: VertexSet = None):
     """First induced odd antihole of length at least 5 in ``g[within]``
-    (all of ``g`` by default); a C5 counts, since it is its own complement.
-    The image tuple is in complement-cycle order."""
+    (all of ``g`` by default), a C5 included, in complement-cycle order.
+    No package code calls it, so it is not cached."""
     full = _within_mask(g, within)
     return _first_odd_cycle("odd-antihole", _co_rows(g.adj, full), full)
 
 
 def imperfection_witness(g: Graph, within: VertexSet = None):
-    """An odd hole or odd antihole of ``g[within]`` (all of ``g`` by
-    default), or None when that subgraph is perfect.
-
-    Perfection here is exactly the absence of both, checked by exhaustive
-    search; a C5 is reported once, as a hole, so the antihole search
-    starts at length 7.
-    """
+    """The first odd hole of ``g[within]`` (all of ``g`` by default), else
+    its first odd antihole from length 7 (a C5 is reported as a hole), or
+    None when that subgraph is perfect."""
     hole = find_odd_hole(g, within)
     if hole is not None:
         return hole
@@ -635,9 +632,9 @@ def is_perfect(g: Graph, within: VertexSet = None) -> bool:
     A graph is perfect iff the quotient at every prime node of its modular
     decomposition is (substitution keeps perfection, and an odd hole or
     antihole, being prime, lies inside one child or meets each child of
-    some prime node at most once). So only the prime quotients with 5 or
-    more representatives are searched, and the budget counts the largest
-    of them; a degenerate quotient is complete or edgeless.
+    some prime node at most once). So ``imperfection_witness`` searches only
+    the prime quotients with 5 or more representatives, and the budget
+    counts the largest of them; a degenerate quotient is complete or edgeless.
     """
     adj = g.adj
     todo = [_within_mask(g, within)]
@@ -648,7 +645,7 @@ def is_perfect(g: Graph, within: VertexSet = None) -> bool:
         kind, parts = _split(adj, mask)
         if kind == PRIME and len(parts) >= 5:
             quotient = VertexSet(g.n, sum(p & -p for p in parts))
-            if find_odd_hole(g, quotient) is not None or find_odd_antihole(g, quotient) is not None:
+            if imperfection_witness(g, quotient) is not None:
                 return False
         todo.extend(parts)
     return True

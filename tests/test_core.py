@@ -55,6 +55,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    @pytest.mark.parametrize("adj", [[0, 0, 0], (0, 0.0, 0), (0, False, 0), (0, "0", 0), (0, None, 0)])
+    def test_rejects_rows_that_are_not_an_int_tuple(self, adj):
+        # a list would make the graph unhashable for every cached finder,
+        # and a bool or float row is refused, not read as a mask
+        with pytest.raises(ValueError):
+            Graph(3, adj)
+
     def test_vertex_set_range(self):
         with pytest.raises(ValueError):
             VertexSet.of(3, [3])

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphdiv.recognition
 import naive
 from graphdiv import (
     BULL_PATTERN,
@@ -15,6 +16,7 @@ from graphdiv import (
     VertexSet,
     chromatic_number_exact,
     classify,
+    color_via_perfect_division,
     complement,
     complete_graph,
     cycle_graph,
@@ -33,8 +35,10 @@ from graphdiv import (
     is_perfect,
     path_graph,
     pattern_for_name,
+    perfect_divide,
 )
 from graphdiv.corpus import nonisomorphic_graphs, random_graph, twin_substitute
+from graphdiv.harness import exhaustive_corpus
 from graphdiv.recognition import PERFECTION_BUDGET, _decompose, _homogeneous_split, _search_plan
 
 
@@ -171,6 +175,44 @@ class TestPerfection:
             g = random_graph(rng.randint(0, 6), rng.random(), rng)
             assert is_perfect(g) == naive.is_perfect(g)
 
+    def test_nothing_in_the_package_calls_the_antihole_finder(self, monkeypatch):
+        # is_perfect asks imperfection_witness, as classify does, so
+        # find_odd_antihole is a public finder only
+        def refused(*args):
+            raise AssertionError("find_odd_antihole was called")
+
+        monkeypatch.setattr(graphdiv.recognition, "find_odd_antihole", refused)
+        rng = random.Random("perfection/no-antihole-finder")
+        graphs = [g for n in range(7) for g in nonisomorphic_graphs(n)] + list(_antihole_twins(rng, 20))
+        divided = 0
+        for g in graphs:
+            is_perfect(g)
+            report = classify(g)
+            if report.bull_free and (report.odd_hole_free or report.p5_free):
+                perfect_divide(g)
+                color_via_perfect_division(g)
+                divided += 1
+        assert divided > 100
+        assert len(list(exhaustive_corpus(6, ("perfect",)))) == 148
+
+    def test_searches_no_antihole_of_length_five(self, monkeypatch):
+        # a quotient with no odd hole has no C5, so the antihole search
+        # that follows the hole search starts at length 7
+        searches = Counter()
+        original = graphdiv.recognition._first_odd_cycle
+
+        def recorded(kind, adj, full, shortest=5):
+            searches[kind, shortest] += 1
+            return original(kind, adj, full, shortest)
+
+        monkeypatch.setattr(graphdiv.recognition, "_first_odd_cycle", recorded)
+        find_odd_hole.cache_clear()  # so the hole searches run, too
+        rng = random.Random("perfection/one-rule")
+        for g in [g for n in range(8) for g in nonisomorphic_graphs(n)] + list(_family_graphs(rng, 400, 3, 16)):
+            is_perfect(g)
+        assert searches["odd-antihole", 5] == 0, searches
+        assert searches["odd-hole", 5] > 100 and searches["odd-antihole", 7] > 100, searches
+
 
 def _relabel(g, rng):
     """``g`` with its vertices shuffled."""
@@ -237,6 +279,19 @@ def _family_graphs(rng, count, low, high):
     makers = (_random_bipartite, _random_cograph, lambda n, rng: _c5_blowup(max(n, 5), rng), _twin_substituted)
     for i in range(count):
         yield _relabel(makers[i % 4](rng.randint(low, high), rng), rng)
+
+
+def _antihole_twins(rng, count):
+    """``count`` twin substitutions each of the complements of C7 and C9,
+    on at most 16 vertices and relabeled at random. Twins keep a graph
+    odd-hole-free, so their only imperfection is an antihole of length 7
+    or 9 inside a prime quotient."""
+    for k in (7, 9):
+        for _ in range(count):
+            g = complement(cycle_graph(k))
+            for _ in range(rng.randint(0, 16 - k)):
+                g = twin_substitute(g, rng.randrange(g.n), adjacent=rng.random() < 0.5)
+            yield _relabel(g, rng)
 
 
 def _graph_with_hole(rng):
@@ -552,24 +607,20 @@ class TestClassify:
     def test_equals_its_definition(self):
         # classify reads C5 off the hole search and starts the antihole
         # search at length 7 on graphs with no odd hole; its witnesses are
-        # those of the searches it skips
+        # those of the searches it skips, and is_perfect, which asks the
+        # same rule of each prime quotient, agrees with it
         rng = random.Random("classify/definition")
         graphs = [g for n in range(8) for g in nonisomorphic_graphs(n)]
         graphs += [_relabel(g, rng) for g in rng.sample(nonisomorphic_graphs(8), 500)]
         graphs += list(_piece_graphs(rng))
-        # twins keep a graph odd-hole-free, so these have only antiholes
-        for k in (7, 9):
-            for _ in range(20):
-                g = complement(cycle_graph(k))
-                for _ in range(rng.randint(0, 16 - k)):
-                    g = twin_substitute(g, rng.randrange(g.n), adjacent=rng.random() < 0.5)
-                graphs.append(_relabel(g, rng))
+        graphs += list(_antihole_twins(rng, 20))
         c5s = antiholes = 0
         for g in graphs:
             report = classify(g)
             find_c5.cache_clear()
             assert report.c5_witness == find_c5(g), g.adj
             assert report.imperfection == (find_odd_hole(g, None) or find_odd_antihole(g, None)), g.adj
+            assert is_perfect(g) == report.perfect, g.adj
             c5s += report.c5_witness is not None
             antiholes += report.odd_hole_free and not report.perfect
         assert c5s > 200 and antiholes > 20, (c5s, antiholes)
