@@ -330,20 +330,54 @@ def _max_weight_clique_mask(adj, weights, cand: int):
     return best_w, best_mask
 
 
-def _checked_weight_clique(adj, weights, mask: int):
-    """``_max_weight_clique_mask`` on ``mask``, after the weight length
-    and budget checks of ``max_weight_clique``."""
+def _outweighs(adj, weights, cand: int, floor: int) -> bool:
+    """Whether some clique within ``cand`` weighs more than ``floor`` (the
+    empty clique weighs 0): the branch and bound of
+    ``_max_weight_clique_mask`` with its best weight held at ``floor``,
+    stopped at the first clique above it."""
+    if floor < 0:
+        return True
+
+    def expand(cur_w, cand):
+        remaining = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            remaining += weights[low.bit_length() - 1]
+        while cand:
+            if cur_w + remaining <= floor:
+                return False
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            wv = weights[v]
+            if cur_w + wv > floor:
+                return True
+            sub = cand & adj[v]
+            if sub and expand(cur_w + wv, sub):
+                return True
+            remaining -= wv
+        return False
+
+    return expand(0, cand)
+
+
+def _check_weight_clique(adj, weights, mask: int):
+    """The weight length and budget checks of ``max_weight_clique`` on
+    ``mask``."""
     if len(weights) != len(adj):
         raise ValueError("weight function length does not match the graph")
     count = mask.bit_count()
     if count > CLIQUE_BUDGET:
         raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {count}")
-    return _max_weight_clique_mask(adj, weights, mask)
 
 
 def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None) -> CliqueResult:
     """Exact maximum total weight over cliques (the empty clique counts as 0)."""
-    value, wmask = _checked_weight_clique(g.adj, w.weights, _within_mask(g, within))
+    mask = _within_mask(g, within)
+    _check_weight_clique(g.adj, w.weights, mask)
+    value, wmask = _max_weight_clique_mask(g.adj, w.weights, mask)
     return CliqueResult(value, VertexSet(g.n, wmask))
 
 

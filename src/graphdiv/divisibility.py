@@ -14,9 +14,14 @@ doubles as a proof checker at the sizes it handles. Verification policy:
   trees it holds, and checks each merge through ``_verify_perfect_masks``,
   the mask form of ``verify_perfect_division``; the final check runs on
   the returned division. ``verify_perfect_division``,
-  ``quotient_by_homogeneous_set`` and ``recombine`` validate their
-  arguments and call the same private steps, so a replay of a log
-  re-derives every step through them.
+  ``quotient_by_homogeneous_set``, ``recombine``,
+  ``find_perfect_nonneighborhood_vertex``, ``is_perfect`` and
+  ``is_homogeneous`` validate their arguments and call the same mask
+  forms, so a replay of a log re-derives every step through them.
+- The W clause of a perfect division computes W's maximum clique weight
+  and passes iff it is 0 or some clique of ``within`` outweighs it. That
+  is "W's best is below the best of ``within``": W lies inside
+  ``within``, so the two are equal exactly when no clique outweighs W's.
 - ``two_divide`` and ``perfect_divide`` always check the class of the
   whole host, once per call, and the colorings rely on that check: a graph
   outside the class ends in ``NotInClassError``, never in a failed check.
@@ -38,9 +43,10 @@ from .core import (
     WeightFn,
     _bits,
     _check_set,
-    _checked_weight_clique,
+    _check_weight_clique,
     _mask_components,
     _max_weight_clique_mask,
+    _outweighs,
     _within_mask,
     clique_number,
 )
@@ -57,13 +63,13 @@ from .recognition import (
     Module,
     _decompose,
     _homogeneous_split,
+    _is_homogeneous_mask,
+    _is_perfect_mask,
     embedding_is_valid,
     find_bull,
     find_c5,
     find_odd_hole,
     find_p5,
-    is_homogeneous,
-    is_perfect,
     pattern_for_name,
 )
 
@@ -121,7 +127,14 @@ class C5Classification:
 
 
 def _members(mask: int) -> list:
-    return list(_bits(mask))
+    """The members of ``mask`` in ascending order, for the logs; a plain
+    loop is faster here than draining ``_bits``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _step(kind: str, **data) -> dict:
@@ -178,17 +191,19 @@ def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: V
 
 def _verify_perfect_masks(g: Graph, weights: tuple, p_mask: int, w_mask: int, full: int):
     """``verify_perfect_division`` on masks of ``g`` and a weight tuple,
-    once the parts are known to belong to ``g``."""
+    once the parts are known to belong to ``g``. The W clause is decided
+    as the module's policy states; when it fails, the best weight of
+    ``full`` equals W's."""
     if p_mask & w_mask:
         return False, "parts overlap"
     if (p_mask | w_mask) != full:
         return False, "parts do not cover the vertex set"
-    if not is_perfect(g, VertexSet(g.n, p_mask)):
+    if not _is_perfect_mask(g, p_mask):
         return False, "P side is not perfect"
-    top = _checked_weight_clique(g.adj, weights, full)[0]
-    side = _checked_weight_clique(g.adj, weights, w_mask)[0]
-    if top > 0 and side >= top:
-        return False, f"maximum clique weight of W is {side}, not below {top}"
+    _check_weight_clique(g.adj, weights, full)
+    side = _max_weight_clique_mask(g.adj, weights, w_mask)[0]
+    if side and not _outweighs(g.adj, weights, full, side):
+        return False, f"maximum clique weight of W is {side}, not below {side}"
     return True, None
 
 
@@ -356,17 +371,19 @@ def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: Ver
     quotient being ``within`` minus ``x`` plus that member. They are
     host-length: the representative carries the maximum clique weight
     inside ``x``, read off the modular decomposition of ``g[x]``, and every
-    other vertex its weight in ``w``."""
-    if len(w) != g.n:
+    other vertex its weight in ``w``; ``w`` None means unit weights."""
+    weights = (1,) * g.n if w is None else w.weights
+    if len(weights) != g.n:
         raise ValueError("weight function length does not match the graph")
     _check_set(g, x)  # before ``_decompose`` reads x's rows
-    return WeightFn(_quotient_weights(g, w.weights, _decompose(g.adj, x.mask), within))
+    full = _within_mask(g, within)
+    return WeightFn(_quotient_weights(g, weights, _decompose(g.adj, x.mask), full))
 
 
-def _quotient_weights(g: Graph, weights: tuple, x_tree: Module, within: VertexSet) -> tuple:
-    """``quotient_by_homogeneous_set`` on a weight tuple, for the set that
-    ``x_tree`` decomposes."""
-    if not is_homogeneous(g, VertexSet(g.n, x_tree.mask), within):
+def _quotient_weights(g: Graph, weights: tuple, x_tree: Module, full: int) -> tuple:
+    """``quotient_by_homogeneous_set`` on a weight tuple and the mask of
+    ``within``, for the set that ``x_tree`` decomposes."""
+    if not _is_homogeneous_mask(g.adj, x_tree.mask, full):
         raise ValueError("x is not a homogeneous set of g")
     lifted = list(weights)
     lifted[(x_tree.mask & -x_tree.mask).bit_length() - 1] = _module_weight(g.adj, weights, x_tree)
@@ -433,9 +450,13 @@ def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner: tuple,
 def find_perfect_nonneighborhood_vertex(g: Graph, within: VertexSet = None):
     """Smallest vertex of ``within`` (all of ``g`` by default) whose
     non-neighborhood inside ``within`` induces a perfect graph, or None."""
-    full = _within_mask(g, within)
+    return _perfect_nonneighborhood_vertex(g, _within_mask(g, within))
+
+
+def _perfect_nonneighborhood_vertex(g: Graph, full: int):
+    """``find_perfect_nonneighborhood_vertex`` on the mask of ``within``."""
     for v in _bits(full):
-        if is_perfect(g, VertexSet(g.n, full & ~g.adj[v] & ~(1 << v))):
+        if _is_perfect_mask(g, full & ~g.adj[v] & ~(1 << v)):
             return v
     return None
 
@@ -494,10 +515,9 @@ def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> t
     """Divide the subgraph that ``tree`` decomposes, all of whose weights
     are positive, into ``(p, w)`` masks."""
     mask = tree.mask
-    within = VertexSet(g.n, mask)
     split = _homogeneous_split(tree)
     if split is None:
-        v = find_perfect_nonneighborhood_vertex(g, within)
+        v = _perfect_nonneighborhood_vertex(g, mask)
         if v is None:
             raise TheoremViolationError(f"prime graph on {_members(mask)} has no vertex with perfect non-neighborhood", log=log)
         p_mask = mask & ~g.adj[v]
@@ -516,7 +536,7 @@ def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> t
     x_tree, q_tree = split
     x_mask = x_tree.mask
     rep = (x_mask & -x_mask).bit_length() - 1
-    q_weights = _quotient_weights(g, weights, x_tree, within)
+    q_weights = _quotient_weights(g, weights, x_tree, mask)
     log.append(
         _step("quotient", x=_members(x_mask), representative=rep, lifted_weight=q_weights[rep], quotient=_members(q_tree.mask))
     )

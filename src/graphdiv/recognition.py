@@ -636,8 +636,15 @@ def is_perfect(g: Graph, within: VertexSet = None) -> bool:
     the prime quotients with 5 or more representatives, and the budget
     counts the largest of them; a degenerate quotient is complete or edgeless.
     """
+    return _is_perfect_mask(g, _within_mask(g, within))
+
+
+def _is_perfect_mask(g: Graph, mask: int) -> bool:
+    """``is_perfect`` on a mask of ``g``'s vertices. Each prime quotient
+    goes to ``imperfection_witness`` as a ``VertexSet``, the key of the
+    odd-hole cache."""
     adj = g.adj
-    todo = [_within_mask(g, within)]
+    todo = [mask]
     while todo:
         mask = todo.pop()
         if mask.bit_count() < 5:
@@ -656,14 +663,20 @@ def is_homogeneous(g: Graph, x: VertexSet, within: VertexSet = None) -> bool:
     with 1 < |x| < |within|, and every other vertex of ``within`` is
     adjacent to all of ``x`` or to none of it."""
     _check_set(g, x)
-    full = _within_mask(g, within)
-    if x.mask & ~full or not 1 < len(x) < full.bit_count():
+    return _is_homogeneous_mask(g.adj, x.mask, _within_mask(g, within))
+
+
+def _is_homogeneous_mask(adj, x: int, full: int) -> bool:
+    """``is_homogeneous`` on masks. A vertex outside ``x`` splits it
+    exactly when some member of ``x`` sees it and another does not."""
+    if x & ~full or not 1 < x.bit_count() < full.bit_count():
         return False
-    for w in _bits(full & ~x.mask):
-        inside = g.adj[w] & x.mask
-        if inside != 0 and inside != x.mask:
-            return False
-    return True
+    seen = 0
+    common = -1
+    for v in _bits(x):
+        seen |= adj[v]
+        common &= adj[v]
+    return not seen & ~common & full & ~x
 
 
 @lru_cache(maxsize=1 << 18)

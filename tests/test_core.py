@@ -22,7 +22,9 @@ from graphdiv import (
     max_weight_clique,
     path_graph,
 )
-from graphdiv.core import _mask_anticomponents, _mask_components
+from graphdiv.core import _mask_anticomponents, _mask_components, _outweighs
+from graphdiv.corpus import nonisomorphic_graphs, random_graph
+from test_recognition import _family_graphs
 
 
 @st.composite
@@ -227,6 +229,42 @@ class TestMaxWeightClique:
             assert got.value == naive.max_weight_clique(g, weights)
             assert naive.is_clique(g, got.witness.members())
             assert sum(weights[v] for v in got.witness) == got.value
+
+
+def _outweighs_matches_naive(g, weights, mask):
+    """Check ``_outweighs`` at floors 0, opt - 1 and opt against the naive
+    maximum clique weight opt of ``g[mask]``."""
+    sub, vmap = induced_subgraph(g, VertexSet(g.n, mask))
+    opt = naive.max_weight_clique(sub, [weights[v] for v in vmap])
+    for floor in (0, opt - 1, opt):
+        assert _outweighs(g.adj, weights, mask, floor) == (opt > floor), (g.adj, weights, mask, floor)
+
+
+class TestOutweighs:
+    """The decision search answers what the maximum-weight search would:
+    whether some clique of the set weighs more than the floor."""
+
+    def test_matches_naive_on_every_set_to_six_vertices(self):
+        # two weight draws per graph, the second with many zeros
+        rng = random.Random("outweighs/small")
+        checked = 0
+        for n in range(7):
+            for g in nonisomorphic_graphs(n):
+                for weights in ([rng.randint(1, 5) for _ in range(n)], [rng.choice((0, 0, 1, 4)) for _ in range(n)]):
+                    for mask in range(1 << n):
+                        _outweighs_matches_naive(g, weights, mask)
+                        checked += 1
+        assert checked == 2 * sum(len(nonisomorphic_graphs(n)) << n for n in range(7))
+
+    def test_matches_naive_on_samples_to_sixteen_vertices(self):
+        rng = random.Random("outweighs/sampled")
+        graphs = [random_graph(n, rng.random(), rng) for n in (7, 8) for _ in range(40)]
+        graphs += list(_family_graphs(rng, 8, 16, 16))
+        for g in graphs:
+            weights = [rng.choice((0, 1, 2, 5)) for _ in range(g.n)]
+            full = (1 << g.n) - 1
+            for mask in (full, rng.getrandbits(g.n) & full, rng.getrandbits(g.n) & full):
+                _outweighs_matches_naive(g, weights, mask)
 
 
 class TestChromatic:

@@ -204,6 +204,14 @@ class TestQuotient:
         star = Graph.from_edges(34, [(i, 33) for i in range(33)])
         assert quotient_by_homogeneous_set(star, WeightFn.unit(34), x)[0] == 1
 
+    def test_reads_none_as_unit_weights(self):
+        # as recombine, verify_perfect_division and perfect_divide do, so a
+        # unit-weight log replays with the weights it stores
+        g = _twin_substituted_c5()
+        x = find_homogeneous_set(g)
+        unit = quotient_by_homogeneous_set(g, WeightFn.unit(g.n), x)
+        assert quotient_by_homogeneous_set(g, None, x) == unit and max(unit.weights) > 1
+
 
 def _c4_recombine(q, inner):
     """Recombine divisions of the C4's quotient by x = {0, 2}, the path
@@ -679,13 +687,13 @@ class TestNoGraphBelowTheBoundary:
     @pytest.mark.parametrize("weights", [None, [1, 2, 0, 3, 1, 1, 2, 1, 3, 1, 2, 1]])
     def test_perfect_division_decomposes_once_and_keeps_its_checks(self, monkeypatch, weights):
         # the recursion lifts from the tree it holds and builds no weight
-        # function; each quotient still checks its set is homogeneous, each
-        # recombination is verified, and the final check runs when no
-        # recombination covered all of the graph (a zero weight)
+        # function; each quotient still checks its set is homogeneous (on
+        # masks), each recombination is verified, and the final check runs
+        # when no recombination covered all of the graph (a zero weight)
         g = _twin_substituted_c5()
         w = None if weights is None else WeightFn.of(weights)
         calls = {"WeightFn": 0}
-        for name in ("_decompose", "_verify_perfect_masks", "is_homogeneous"):
+        for name in ("_decompose", "_verify_perfect_masks", "_is_homogeneous_mask"):
             original = getattr(graphdiv.divisibility, name)
             calls[name] = 0
 
@@ -708,8 +716,25 @@ class TestNoGraphBelowTheBoundary:
         final_is_new = weights is not None
         assert calls["_decompose"] == 1
         assert calls["WeightFn"] <= 1
-        assert calls["is_homogeneous"] == kinds.count("quotient") > 2
+        assert calls["_is_homogeneous_mask"] == kinds.count("quotient") > 2
         assert calls["_verify_perfect_masks"] == kinds.count("recombination") + final_is_new
+
+    def test_perfect_division_and_coloring_call_no_public_step(self, monkeypatch):
+        # below its entry the recursion holds only masks: it calls the mask
+        # forms that the validating public steps wrap, never those steps
+        g = _twin_substituted_c5()
+
+        def refused(*args):
+            raise AssertionError("a public step was called below the entry")
+
+        for module in (graphdiv.recognition, graphdiv.divisibility, graphdiv.coloring):
+            for name in ("is_perfect", "is_homogeneous", "find_perfect_nonneighborhood_vertex"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        for w in (None, WeightFn.of([1, 2, 0, 3, 1, 1, 2, 1, 3, 1, 2, 1])):
+            kinds = [step["kind"] for step in perfect_divide(g, w).log]
+            assert kinds.count("quotient") > 2 and "base-partition" in kinds
+        color_via_perfect_division(g)
 
 
 class TestVerifiers:
@@ -763,6 +788,23 @@ class TestVerifiers:
         )
         with pytest.raises(ValueError, match="length"):
             verify_perfect_division(c5, short, PerfectDivision(VertexSet.of(5, [0, 2, 3]), VertexSet.of(5, [1, 4])))
+
+    def test_perfect_division_checks_length_then_budget_of_within(self):
+        # the weight length is checked first, then the clique budget on all
+        # of within, though only the one-vertex W side is searched; within
+        # the budget, the W search judges
+        g = empty_graph(40)
+        d = PerfectDivision(VertexSet.of(40, range(33)), VertexSet.of(40, [33]))
+        within = VertexSet.of(40, range(34))
+        with pytest.raises(ValueError, match="length"):
+            verify_perfect_division(g, WeightFn.unit(3), d, within)
+        with pytest.raises(BudgetExceededError, match="clique oracle limited to 32 vertices, asked for 34"):
+            verify_perfect_division(g, None, d, within)
+        d = PerfectDivision(VertexSet.of(40, range(31)), VertexSet.of(40, [31]))
+        assert verify_perfect_division(g, None, d, VertexSet.of(40, range(32))) == (
+            False,
+            "maximum clique weight of W is 1, not below 1",
+        )
 
     def test_perfect_division_matches_naive_on_moved_vertices(self):
         # each division of a class graph with n <= 6, each division made

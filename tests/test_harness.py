@@ -152,7 +152,7 @@ class TestDrivers:
 
     def test_prime_set_without_a_split_reports_its_vertices(self, monkeypatch):
         # C5 with a true twin of 0: the quotient by {0, 5} is the prime C5
-        monkeypatch.setattr(graphdiv.divisibility, "find_perfect_nonneighborhood_vertex", lambda *args: None)
+        monkeypatch.setattr(graphdiv.divisibility, "_perfect_nonneighborhood_vertex", lambda *args: None)
         g = twin_substitute(cycle_graph(5), 0, adjacent=True)
         record = run_divide(graphs_with_ids([g]), mode="perfect")[0]
         assert record["status"] == "theorem-violation"
