@@ -479,15 +479,17 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
 
     The work happens inside the set U of positively weighted vertices
     (zero-weight vertices join the W side for free), on one modular
-    decomposition of U. If the graph induced on U has a homogeneous set, it
-    is contracted, both the quotient and the contracted part are divided
-    recursively, and the results recombined; their decompositions are the
-    tree with the set contracted and the set's own subtree.
-    Otherwise the graph is prime and the smallest vertex v with a perfect
-    non-neighborhood yields the split (M(v) + v, N(v)). Every recombination
-    and the final result are verified, once each; ``w`` None means unit
-    weights. Class membership is checked on the whole host, once per call,
-    even for a smaller ``within``; heredity then covers every ``within``.
+    decomposition of U. If the graph induced on U has a homogeneous set,
+    the one that ``find_homogeneous_set`` names (a child of the root, or
+    its first two) is contracted, both the quotient and the contracted
+    part are divided recursively, and the results recombined; their
+    decompositions are the tree with the set contracted and the set's own
+    subtree. Otherwise the graph is prime and the smallest vertex v with a
+    perfect non-neighborhood yields the split (M(v) + v, N(v)). Every
+    recombination and the final result are verified, once each; ``w`` None
+    means unit weights. Class membership is checked on the whole host,
+    once per call, even for a smaller ``within``; heredity then covers
+    every ``within``.
     """
     weights = (1,) * g.n if w is None else w.weights
     if len(weights) != g.n:

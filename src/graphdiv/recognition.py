@@ -22,16 +22,16 @@ Both return the witness of a plain scan in the same order: the
 lexicographically smallest image tuple, and the first odd cycle among the
 shortest, in ``itertools.combinations`` order.
 
-Homogeneous sets and perfection are read off the modular decomposition
-of the subgraph (``_decompose``). ``find_homogeneous_set`` returns the set
-that the lexicographic pair-closure rule picks. One rule decides
-imperfection: ``imperfection_witness`` runs the hole search and, on a set
-with no odd hole, the antihole search from length 7, since an odd
-antihole of length 5 is a C5. ``classify`` asks it of the whole graph,
-reads its odd hole off the witness and searches C5 only when that hole has
-5 vertices. ``is_perfect`` asks it of each prime quotient (one
-representative per child): a graph is perfect iff every such quotient is
-(Lovász, Discrete Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds the
+Homogeneous sets and perfection are read off the modular decomposition of
+the subgraph (``_decompose``). ``find_homogeneous_set`` returns the set
+that perfect division contracts: a child of the root, or its first two.
+One rule decides imperfection: ``imperfection_witness`` runs the hole
+search and, on a set with no odd hole, the antihole search from length 7,
+since an odd antihole of length 5 is a C5. ``classify`` asks it of the
+whole graph, reads its odd hole off the witness and searches C5 only when
+that hole has 5 vertices. ``is_perfect`` asks it of each prime quotient
+(one representative per child): a graph is perfect iff every such quotient
+is (Lovász, Discrete Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds the
 largest prime quotient there, while the witness finders count the whole
 ``within`` set against it.
 
@@ -578,51 +578,24 @@ def _with_child(node: Module, i: int, child: Module, x: int) -> Module:
     return Module(node.kind, (node.mask & ~x) | (x & -x), node.children[:i] + (child,) + node.children[i + 1 :])
 
 
-def _contract(node: Module, b: int):
-    """``(x's tree, node's tree with x contracted to its smallest member)``,
-    where x is the smallest module holding the two smallest members of
-    ``node``: the smallest one and the bit ``b``.
-
-    Children are ordered by smallest member, so the two lie in the first
-    child, or in the first two. At a prime node x is the whole node; at a
-    series or parallel node it is those two children, or the whole node
-    when it has only two.
-    """
-    first = node.children[0]
-    if first.mask & b:
-        x_tree, inner = _contract(first, b)
-        return x_tree, _with_child(node, 0, inner, x_tree.mask)
-    if node.kind == PRIME or len(node.children) == 2:
-        return node, Module(LEAF, node.mask & -node.mask)
-    x_tree = Module(node.kind, first.mask | node.children[1].mask, node.children[:2])
-    leaf = Module(LEAF, first.mask & -first.mask)
-    return x_tree, Module(node.kind, (node.mask & ~x_tree.mask) | leaf.mask, (leaf,) + node.children[2:])
-
-
-def _second(mask: int) -> int:
-    """The bit of the second smallest member of ``mask``."""
-    rest = mask & (mask - 1)
-    return rest & -rest
-
-
 def _homogeneous_split(root: Module):
-    """The homogeneous set that the lexicographic pair-closure rule picks
-    in the decomposition ``root``, as ``(x's tree, the tree with x
-    contracted to its smallest member)``; None when there is none.
+    """A homogeneous set of the subgraph that ``root`` decomposes, as
+    ``(x's tree, the tree with x contracted to its smallest member)``; None
+    when there is none.
 
-    The rule grows the smallest module holding each vertex pair, in
-    lexicographic order, and takes the first that is proper. Under a
-    series or parallel root with three or more children that is the
-    smallest module holding the two smallest vertices. Otherwise a pair is
-    proper only inside one child of the root, and the first such pair is
-    the two smallest vertices of the first child with two or more.
+    Every child of the root is a proper module (Gallai, 1967), so x is the
+    first child with two or more vertices. When every child is a single
+    vertex, a series or parallel root with three or more children
+    contracts its first two; a prime root, or one with at most two
+    vertices, has no homogeneous set.
     """
-    if root.kind != PRIME and len(root.children) >= 3:
-        return _contract(root, _second(root.mask))
     for i, child in enumerate(root.children):
         if child.children:
-            x_tree, inner = _contract(child, _second(child.mask))
-            return x_tree, _with_child(root, i, inner, x_tree.mask)
+            return child, _with_child(root, i, Module(LEAF, child.mask & -child.mask), child.mask)
+    if root.kind != PRIME and len(root.children) >= 3:
+        first, second = root.children[:2]
+        x_tree = Module(root.kind, first.mask | second.mask, (first, second))
+        return x_tree, Module(root.kind, root.mask & ~second.mask, (first,) + root.children[2:])
     return None
 
 
@@ -681,14 +654,14 @@ def _is_homogeneous_mask(adj, x: int, full: int) -> bool:
 
 @lru_cache(maxsize=1 << 18)
 def find_homogeneous_set(g: Graph, within: VertexSet = None):
-    """The first homogeneous set of ``g[within]`` (all of ``g`` by
-    default) under the lexicographic pair-closure rule, or None when that
-    subgraph is prime.
+    """A homogeneous set of ``g[within]`` (all of ``g`` by default), or
+    None when that subgraph is prime or has at most two vertices.
 
-    For each vertex pair of ``within`` in lexicographic order, the rule
-    takes the smallest module holding the pair; the first one that is
-    proper is the answer. It is read off the modular decomposition
-    (``_homogeneous_split``).
+    It is the set that ``perfect_divide`` contracts, read off the modular
+    decomposition (``_homogeneous_split``): the first child of the root,
+    by smallest member, with two or more vertices; when every child is a
+    single vertex, the first two children of a series or parallel root
+    with three or more.
     """
     split = _homogeneous_split(_decompose(g.adj, _within_mask(g, within)))
     return None if split is None else VertexSet(g.n, split[0].mask)

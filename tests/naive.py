@@ -4,9 +4,10 @@ Most of it is written against plain lists and sets, deliberately avoiding
 the bitmask machinery of the package under test, so the two routes only
 share the input graphs. ``is_two_divisible_oracle``, ``_canonical_key``
 (with ``_refined_colors``), ``nonisomorphic_graphs``,
-``first_homogeneous_set`` and ``perfect_division_log`` are instead the
+``old_rule_homogeneous_set`` and ``perfect_division_log`` are instead the
 slower versions that faster package code replaced, kept so the two can be
-compared exactly.
+compared exactly; ``child_rule_homogeneous_set`` states the package's
+current choice of homogeneous set with the same pair closures.
 """
 
 import functools
@@ -177,40 +178,95 @@ def homogeneous_sets(g: Graph) -> list:
     return found
 
 
-def first_homogeneous_set(g: Graph, within: VertexSet = None):
-    """The package's first homogeneous-set search, kept as the reference
-    for the one read off the modular decomposition: for each vertex pair
-    of ``within`` (all of ``g`` by default) in lexicographic order, grow
-    the pair until no outside vertex has both a neighbor and a non-neighbor
-    inside, and return the first closure that is proper, or None."""
+def _pair_closure(adj, full: int, u: int, v: int) -> int:
+    """The smallest module of the subgraph on ``full`` that holds ``u`` and
+    ``v``: grow the pair until no outside vertex has both a neighbor and a
+    non-neighbor inside."""
+    x = (1 << u) | (1 << v)
+    changed = True
+    while changed and x != full:
+        changed = False
+        for w in _bits(full & ~x):
+            inside = adj[w] & x
+            if inside != 0 and inside != x:
+                x |= 1 << w
+                changed = True
+    return x
+
+
+def old_rule_homogeneous_set(g: Graph, within: VertexSet = None):
+    """The homogeneous set that perfect division contracted before it took
+    the children of the modular decomposition's root: the first proper
+    pair closure of ``within`` (all of ``g`` by default), over its vertex
+    pairs in lexicographic order, or None."""
     full = (1 << g.n) - 1 if within is None else within.mask
-    if full.bit_count() <= 2:
-        return None
-    adj = g.adj
     members = list(_bits(full))
     for i, u in enumerate(members[:-1]):
         for v in members[i + 1 :]:
-            x = (1 << u) | (1 << v)
-            changed = True
-            while changed and x != full:
-                changed = False
-                for w in _bits(full & ~x):
-                    inside = adj[w] & x
-                    if inside != 0 and inside != x:
-                        x |= 1 << w
-                        changed = True
+            x = _pair_closure(g.adj, full, u, v)
             if x != full:
                 return VertexSet(g.n, x)
     return None
 
 
-def perfect_division_log(g: Graph, weights, within: VertexSet = None) -> list:
+def _parts(full: int, linked) -> list:
+    """The classes of ``full`` under the transitive closure of ``linked``,
+    each grown from its smallest member."""
+    parts = []
+    left = full
+    while left:
+        part = todo = left & -left
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            grow = linked(low.bit_length() - 1) & left & ~part
+            part |= grow
+            todo |= grow
+        parts.append(part)
+        left &= ~part
+    return parts
+
+
+def child_rule_homogeneous_set(g: Graph, within: VertexSet = None):
+    """The homogeneous set that perfect division contracts, from plain pair
+    closures. Split ``within`` (all of ``g`` by default) into components,
+    else anticomponents, else maximal proper modules (the union of the
+    proper pair closures through each vertex). Take the first part with
+    two or more vertices; else, when the set is disconnected or
+    anti-disconnected with three or more vertices, its first two vertices;
+    else None."""
+    full = (1 << g.n) - 1 if within is None else within.mask
+    members = list(_bits(full))
+    parts = _parts(full, lambda v: g.adj[v])
+    degenerate = len(parts) > 1
+    if not degenerate:
+        parts = _parts(full, lambda v: ~g.adj[v] & ~(1 << v))
+        degenerate = len(parts) > 1
+    if not degenerate:
+        parts = []
+        for u in members:
+            part = 1 << u
+            for v in members:
+                closure = _pair_closure(g.adj, full, u, v)
+                if closure != full:
+                    part |= closure
+            if part not in parts:
+                parts.append(part)
+    for part in parts:
+        if part.bit_count() >= 2:
+            return VertexSet(g.n, part)
+    if degenerate and len(members) >= 3:
+        return VertexSet(g.n, (1 << members[0]) | (1 << members[1]))
+    return None
+
+
+def perfect_division_log(g: Graph, weights, within: VertexSet = None, rule=child_rule_homogeneous_set) -> list:
     """The derivation log of the package's first perfect division, kept as
     the reference for the one that runs on a modular decomposition: every
-    step finds its homogeneous set with ``first_homogeneous_set``, lifts
-    the representative's weight by branch and bound over the contracted
-    set, and tests perfection by the exact hole and antihole search on the
-    whole non-neighborhood. Nothing is verified."""
+    step finds its homogeneous set with ``rule`` (by default the package's
+    current one), lifts the representative's weight by branch and bound
+    over the contracted set, and tests perfection by the exact hole and
+    antihole search on the whole non-neighborhood. Nothing is verified."""
     from graphdiv import WeightFn, imperfection_witness, max_weight_clique
 
     n = g.n
@@ -221,7 +277,7 @@ def perfect_division_log(g: Graph, weights, within: VertexSet = None) -> list:
         return list(_bits(mask))
 
     def divide(w, mask):
-        x = first_homogeneous_set(g, VertexSet(n, mask))
+        x = rule(g, VertexSet(n, mask))
         if x is None:
             for v in _bits(mask):
                 if imperfection_witness(g, VertexSet(n, mask & ~g.adj[v] & ~(1 << v))) is None:

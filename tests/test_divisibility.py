@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -546,6 +547,21 @@ def _lifts(g, weights, mask):
     yield from _lifts(g, weights, x.mask)
 
 
+def _check_against_both_rules(g, weights, division):
+    """The log of ``division`` is the child-rule reference's, and it has as
+    many steps of each kind as the old pair-closure rule's, whose final
+    division is ``division``: the choice of homogeneous set changes only
+    the narration. Returns the log."""
+    log = list(division.log)
+    old = naive.perfect_division_log(g, weights, rule=naive.old_rule_homogeneous_set)
+    zero = old[0]["zero"]
+    p, w = (old[-1]["p"], sorted(old[-1]["w"] + zero)) if len(old) > 1 else ([], zero)
+    assert (list(division.p.members()), list(division.w_side.members())) == (p, w), emit_graph6(g)
+    assert Counter(step["kind"] for step in log) == Counter(step["kind"] for step in old), emit_graph6(g)
+    assert log == naive.perfect_division_log(g, weights), emit_graph6(g)
+    return log
+
+
 def _replay(g, weights, log):
     """Re-derive every step of the ``perfect_divide`` log of ``g`` under
     ``weights`` through the public step API: each quotient's ``x`` and
@@ -603,8 +619,7 @@ class TestDecompositionDivision:
                     continue
                 rng = random.Random(f"decomposition/{emit_graph6(g)}")
                 weights = [rng.randint(0, 5) for _ in range(n)]
-                log = list(perfect_divide(g, WeightFn.of(weights)).log)
-                assert log == naive.perfect_division_log(g, weights), emit_graph6(g)
+                log = _check_against_both_rules(g, weights, perfect_divide(g, WeightFn.of(weights)))
                 if n <= 7:
                     _replay(g, weights, log)
                 quotients += any(step["kind"] == "quotient" for step in log)
@@ -619,9 +634,8 @@ class TestDecompositionDivision:
                 continue
             weights = [rng.randint(0, 5) for _ in range(g.n)]
             for w in (None, weights):
-                log = list(perfect_divide(g, None if w is None else WeightFn.of(w)).log)
-                assert log == naive.perfect_division_log(g, w or [1] * g.n), emit_graph6(g)
-                _replay(g, w or [1] * g.n, log)
+                division = perfect_divide(g, None if w is None else WeightFn.of(w))
+                _replay(g, w or [1] * g.n, _check_against_both_rules(g, w or [1] * g.n, division))
                 checked += 1
         assert checked >= 40
 

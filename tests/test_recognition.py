@@ -39,7 +39,7 @@ from graphdiv import (
 )
 from graphdiv.corpus import nonisomorphic_graphs, random_graph, twin_substitute
 from graphdiv.harness import exhaustive_corpus
-from graphdiv.recognition import PERFECTION_BUDGET, _decompose, _homogeneous_split, _search_plan
+from graphdiv.recognition import PERFECTION_BUDGET, PRIME, _decompose, _homogeneous_split, _search_plan
 
 
 def _rand(n, p, seed):
@@ -503,18 +503,22 @@ class TestHomogeneousSets:
 
 def _agrees_with_slow_search(g, mask):
     """On ``g[mask]``, the homogeneous set read off the modular
-    decomposition is the pair-closure reference's, the trees of that set
-    and of the quotient are the decompositions of their vertex sets, and
-    ``is_perfect`` agrees with the exact witness search. True when there
-    is a homogeneous set."""
+    decomposition is the child-rule reference's and is a child of the
+    root, or two single-vertex children of a series or parallel root; the
+    trees of that set and of the quotient are the decompositions of their
+    vertex sets, and ``is_perfect`` agrees with the exact witness search.
+    True when there is a homogeneous set."""
     within = VertexSet(g.n, mask)
     got = find_homogeneous_set(g, within)
-    assert got == naive.first_homogeneous_set(g, within), (g.adj, mask)
-    split = _homogeneous_split(_decompose(g.adj, mask))
+    assert got == naive.child_rule_homogeneous_set(g, within), (g.adj, mask)
+    root = _decompose(g.adj, mask)
+    split = _homogeneous_split(root)
     assert (split is None) == (got is None)
     if split is not None:
         x_tree, q_tree = split
         x = x_tree.mask
+        pair = root.kind != PRIME and x.bit_count() == 2 and x_tree.children == root.children[:2]
+        assert x_tree in root.children or pair, (g.adj, mask)
         assert x_tree == _decompose(g.adj, x), (g.adj, mask)
         assert q_tree == _decompose(g.adj, (mask & ~x) | (x & -x)), (g.adj, mask)
     if mask.bit_count() <= PERFECTION_BUDGET:
