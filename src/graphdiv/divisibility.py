@@ -25,11 +25,15 @@ doubles as a proof checker at the sizes it handles. Verification policy:
 - ``two_divide`` and ``perfect_divide`` always check the class of the
   whole host, once per call, and the colorings rely on that check: a graph
   outside the class ends in ``NotInClassError``, never in a failed check.
+- Both constructions record each derivation step as a flat tuple of ints
+  and masks, in ``steps``; ``.log`` renders them to member-list dicts each
+  time it is read. ``harness.run_divide`` reads it once per record, the
+  colorings never do.
 - A failed self-check raises ``TheoremViolationError`` with the
   derivation log up to the failed step, that step included where it has
-  one. A class precondition raises ``NotInClassError`` or
-  ``DegenerateCliqueError``, an oracle limit ``BudgetExceededError``, and
-  malformed caller input ``ValueError``.
+  one, rendered to plain dicts where it is raised. A class precondition
+  raises ``NotInClassError`` or ``DegenerateCliqueError``, an oracle limit
+  ``BudgetExceededError``, and malformed caller input ``ValueError``.
 - ``harness.run_divide`` and ``harness.run_color`` never check again;
   ``harness.run_verify`` trusts nothing in a stored record.
 """
@@ -79,11 +83,18 @@ ORACLE_BUDGET = 12
 @dataclass(frozen=True)
 class TwoDivision:
     """A partition (a, b) of the host's vertices, both sides with clique
-    number strictly below the host's."""
+    number strictly below the host's.
+
+    ``steps`` holds the derivation as flat tuples of ints and masks;
+    ``log`` renders them to member-list dicts on each read."""
 
     a: VertexSet
     b: VertexSet
-    log: tuple = field(default=(), compare=False, repr=False)
+    steps: tuple = field(default=(), compare=False, repr=False)
+
+    @property
+    def log(self) -> tuple:
+        return tuple(map(_two_step_dict, self.steps))
 
     def to_json(self):
         return {"kind": "two", "a": list(self.a.members()), "b": list(self.b.members())}
@@ -95,13 +106,18 @@ class PerfectDivision:
     side has maximum clique weight strictly below the host's.
 
     ``weight`` is the certified weight function; None means unit weights
-    (so the condition is the plain clique number one).
+    (so the condition is the plain clique number one). ``steps`` and
+    ``log`` are as in ``TwoDivision``.
     """
 
     p: VertexSet
     w_side: VertexSet
     weight: WeightFn = None
-    log: tuple = field(default=(), compare=False, repr=False)
+    steps: tuple = field(default=(), compare=False, repr=False)
+
+    @property
+    def log(self) -> tuple:
+        return tuple(map(_perfect_step_dict, self.steps))
 
     def to_json(self):
         return {
@@ -127,7 +143,8 @@ class C5Classification:
 
 
 def _members(mask: int) -> list:
-    """The members of ``mask`` in ascending order, for the logs; a plain
+    """The members of ``mask`` in ascending order, for the renderers below
+    and the prime-set error; no division calls it while it runs. A plain
     loop is faster here than draining ``_bits``."""
     out = []
     while mask:
@@ -137,8 +154,66 @@ def _members(mask: int) -> list:
     return out
 
 
-def _step(kind: str, **data) -> dict:
-    return {"kind": kind, **data}
+# A derivation step is a flat tuple: its kind, then ints and masks. Where a
+# kind has several rules or cases, the int after the kind indexes these.
+_TWO_CHOICE_RULES = ("smallest-in-component", "max-neighbors-in-m")
+_TWO_PARTITION_RULES = ("stable-component", "non-neighborhood-plus-v", "neighborhood-of-chosen")
+_RECOMBINATION_CASES = ("xhat-in-p", "xhat-in-w")
+
+
+def _two_step_dict(step: tuple) -> dict:
+    """The member-list dict of a ``two_divide`` step:
+    ``("component-split", *components)``,
+    ``("vertex-choice", 0, v, neighborhood, non_neighborhood, *m_components)``,
+    ``("vertex-choice", 1, uncovered, chosen, *(vertex, count) pairs)`` or
+    ``("base-partition", rule, a, b)``."""
+    kind = step[0]
+    if kind == "base-partition":
+        return {"kind": kind, "rule": _TWO_PARTITION_RULES[step[1]], "a": _members(step[2]), "b": _members(step[3])}
+    if kind == "component-split":
+        return {"kind": kind, "components": [_members(c) for c in step[1:]]}
+    if step[1] == 0:
+        return {
+            "kind": kind,
+            "rule": _TWO_CHOICE_RULES[0],
+            "v": step[2],
+            "neighborhood": _members(step[3]),
+            "non_neighborhood": _members(step[4]),
+            "m_components": [_members(c) for c in step[5:]],
+        }
+    return {
+        "kind": kind,
+        "rule": _TWO_CHOICE_RULES[1],
+        "uncovered_component": _members(step[2]),
+        "candidates": [{"vertex": u, "neighbors_in_m": count} for u, count in step[4:]],
+        "chosen": step[3],
+    }
+
+
+def _perfect_step_dict(step: tuple) -> dict:
+    """The member-list dict of a ``perfect_divide`` step:
+    ``("restrict", positive, zero)``,
+    ``("quotient", x, representative, lifted_weight, quotient)``,
+    ``("base-partition", chosen, rejected, p, w)`` or
+    ``("recombination", case, x, p, w)``."""
+    kind = step[0]
+    if kind == "recombination":
+        _, case, x, p, w = step
+        return {"kind": kind, "case": _RECOMBINATION_CASES[case], "x": _members(x), "p": _members(p), "w": _members(w)}
+    if kind == "quotient":
+        _, x, rep, lifted, quotient = step
+        return {"kind": kind, "x": _members(x), "representative": rep, "lifted_weight": lifted, "quotient": _members(quotient)}
+    if kind == "base-partition":
+        _, v, rejected, p, w = step
+        return {
+            "kind": kind,
+            "rule": "perfect-non-neighborhood",
+            "chosen": v,
+            "rejected": _members(rejected),
+            "p": _members(p),
+            "w": _members(w),
+        }
+    return {"kind": kind, "positive": _members(step[1]), "zero": _members(step[2])}
 
 
 def _require_p5c5_free(g: Graph):
@@ -226,23 +301,22 @@ def two_divide(g: Graph, within: VertexSet = None) -> TwoDivision:
     adj = g.adj
     if not any(adj[v] & full for v in _bits(full)):
         raise DegenerateCliqueError("clique number is at most 1; there is nothing to divide")
-    log = []
     comps = _mask_components(adj, full)
-    log.append(_step("component-split", components=[_members(c) for c in comps]))
+    log = [("component-split", *comps)]
     a_mask = 0
     b_mask = 0
     for comp in comps:
         if all(adj[v] & comp == 0 for v in _bits(comp)):
             a_mask |= comp
-            log.append(_step("base-partition", rule="stable-component", a=_members(comp), b=[]))
+            log.append(("base-partition", 0, comp, 0))
             continue
         ca, cb = _divide_connected(adj, comp, log)
         a_mask |= ca
         b_mask |= cb
-    division = TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), log=tuple(log))
+    division = TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), steps=tuple(log))
     ok, reason = verify_two_division(g, division, within)
     if not ok:
-        raise TheoremViolationError(f"two-division failed verification: {reason}", log=log)
+        raise TheoremViolationError(f"two-division failed verification: {reason}", log=map(_two_step_dict, log))
     return division
 
 
@@ -251,16 +325,7 @@ def _divide_connected(adj, comp: int, log: list):
     n_mask = adj[v] & comp
     m_mask = comp & ~n_mask & ~(1 << v)
     m_comps = _mask_components(adj, m_mask)
-    log.append(
-        _step(
-            "vertex-choice",
-            rule="smallest-in-component",
-            v=v,
-            neighborhood=_members(n_mask),
-            non_neighborhood=_members(m_mask),
-            m_components=[_members(c) for c in m_comps],
-        )
-    )
+    log.append(("vertex-choice", 0, v, n_mask, m_mask, *m_comps))
     uncovered = None
     for ci in m_comps:
         if not any(adj[u] & ci == ci for u in _bits(n_mask)):
@@ -269,7 +334,7 @@ def _divide_connected(adj, comp: int, log: list):
     if uncovered is None:
         a = m_mask | (1 << v)
         b = n_mask
-        log.append(_step("base-partition", rule="non-neighborhood-plus-v", a=_members(a), b=_members(b)))
+        log.append(("base-partition", 1, a, b))
         return a, b
     candidates = [u for u in _bits(n_mask) if adj[u] & uncovered]
     chosen = None
@@ -277,22 +342,14 @@ def _divide_connected(adj, comp: int, log: list):
     scored = []
     for u in candidates:
         count = (adj[u] & m_mask).bit_count()
-        scored.append({"vertex": u, "neighbors_in_m": count})
+        scored.append((u, count))
         if count > best_count:
             chosen = u
             best_count = count
-    log.append(
-        _step(
-            "vertex-choice",
-            rule="max-neighbors-in-m",
-            uncovered_component=_members(uncovered),
-            candidates=scored,
-            chosen=chosen,
-        )
-    )
+    log.append(("vertex-choice", 1, uncovered, chosen, *scored))
     a = adj[chosen] & comp
     b = comp & ~a
-    log.append(_step("base-partition", rule="neighborhood-of-chosen", a=_members(a), b=_members(b)))
+    log.append(("base-partition", 2, a, b))
     return a, b
 
 
@@ -420,7 +477,7 @@ def recombine(
     quotient = (quotient_division.p.mask, quotient_division.w_side.mask)
     inner = (inner_division.p.mask, inner_division.w_side.mask)
     p, w_side, step = _merge(g, weights, x.mask, quotient, inner, full)
-    return PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, log=(step,))
+    return PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, steps=(step,))
 
 
 def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner: tuple, full: int) -> tuple:
@@ -432,18 +489,17 @@ def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner: tuple,
         raise ValueError("quotient division does not cover the quotient")
     if inner[0] | inner[1] != x_mask:
         raise ValueError("inner division does not cover the contracted part")
-    if quotient[1] & rep_bit:
-        case = "xhat-in-w"
+    in_w = quotient[1] & rep_bit != 0
+    if in_w:
         p = quotient[0]
         w_side = quotient[1] | x_mask
     else:
-        case = "xhat-in-p"
         p = (quotient[0] & ~rep_bit) | inner[0]
         w_side = quotient[1] | inner[1]
-    step = _step("recombination", case=case, x=_members(x_mask), p=_members(p), w=_members(w_side))
+    step = ("recombination", in_w, x_mask, p, w_side)
     ok, reason = _verify_perfect_masks(g, weights, p, w_side, full)
     if not ok:
-        raise TheoremViolationError(f"recombination failed verification: {reason}", log=[step])
+        raise TheoremViolationError(f"recombination failed verification: {reason}", log=[_perfect_step_dict(step)])
     return p, w_side, step
 
 
@@ -500,16 +556,16 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
     for v in _bits(full):
         if weights[v] > 0:
             u_mask |= 1 << v
-    log = [_step("restrict", positive=_members(u_mask), zero=_members(full & ~u_mask))]
+    log = [("restrict", u_mask, full & ~u_mask)]
     p_mask = 0
     if u_mask:
         p_mask = _divide_all_positive(g, weights, _decompose(g.adj, u_mask), log)[0]
-    division = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, log=tuple(log))
+    division = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, steps=tuple(log))
     # ``_merge`` has verified a division of all of ``within`` that ends in it
-    if u_mask != full or log[-1]["kind"] != "recombination":
+    if u_mask != full or log[-1][0] != "recombination":
         ok, reason = verify_perfect_division(g, w, division, within)
         if not ok:
-            raise TheoremViolationError(f"perfect division failed verification: {reason}", log=log)
+            raise TheoremViolationError(f"perfect division failed verification: {reason}", log=map(_perfect_step_dict, log))
     return division
 
 
@@ -521,33 +577,23 @@ def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> t
     if split is None:
         v = _perfect_nonneighborhood_vertex(g, mask)
         if v is None:
-            raise TheoremViolationError(f"prime graph on {_members(mask)} has no vertex with perfect non-neighborhood", log=log)
+            message = f"prime graph on {_members(mask)} has no vertex with perfect non-neighborhood"
+            raise TheoremViolationError(message, log=map(_perfect_step_dict, log))
         p_mask = mask & ~g.adj[v]
         w_mask = mask & g.adj[v]
-        log.append(
-            _step(
-                "base-partition",
-                rule="perfect-non-neighborhood",
-                chosen=v,
-                rejected=_members(mask & ((1 << v) - 1)),
-                p=_members(p_mask),
-                w=_members(w_mask),
-            )
-        )
+        log.append(("base-partition", v, mask & ((1 << v) - 1), p_mask, w_mask))
         return p_mask, w_mask
     x_tree, q_tree = split
     x_mask = x_tree.mask
     rep = (x_mask & -x_mask).bit_length() - 1
     q_weights = _quotient_weights(g, weights, x_tree, mask)
-    log.append(
-        _step("quotient", x=_members(x_mask), representative=rep, lifted_weight=q_weights[rep], quotient=_members(q_tree.mask))
-    )
+    log.append(("quotient", x_mask, rep, q_weights[rep], q_tree.mask))
     quotient = _divide_all_positive(g, q_weights, q_tree, log)
     inner = _divide_all_positive(g, weights, x_tree, log)
     try:
         p, w_side, step = _merge(g, weights, x_mask, quotient, inner, mask)
     except TheoremViolationError as exc:
-        exc.log[:0] = log
+        exc.log[:0] = map(_perfect_step_dict, log)
         raise
     log.append(step)
     return p, w_side

@@ -47,7 +47,7 @@ from graphdiv import (
     verify_perfect_division,
     verify_two_division,
 )
-from graphdiv.cli import EXIT_OK, main
+from graphdiv.cli import EXIT_CLASS_VIOLATION, EXIT_OK, main
 from graphdiv.core import _mask_components
 
 SEED = 20260809
@@ -522,6 +522,7 @@ def test_invariant_class_counts_up_to_eight(corpus_le8):
 REPORT_DIGESTS = {
     "classify": "cc322c9a7f6a2fb5",
     "divide": "039625f52a29cdff",
+    "divide-two": "f85502f3df7fb24c",
     "color": "7ab40d03c9fe9938",
     "conjecture": "3ad439e181b197da",
     "divide-weighted": "53353f1611616800",
@@ -535,33 +536,39 @@ def test_criterion_9_report_determinism(tmp_path, monkeypatch):
     # report's options quote the name
     monkeypatch.chdir(tmp_path)
     (tmp_path / "w.json").write_text(json.dumps([1, 2, 3, 0, 2, 1]))
+    # each run with the exit code it ends in: the two-division corpus holds
+    # the edgeless graph on 6 vertices, a class-violation record
     runs = {
-        "classify": ["classify", "--random", "7,0.5,40", "--seed", "17"],
-        "classify-exhaustive": ["classify", "--exhaustive", "7", "--seed", "17"],
-        "divide": [
+        "classify": (EXIT_OK, ["classify", "--random", "7,0.5,40", "--seed", "17"]),
+        "classify-exhaustive": (EXIT_OK, ["classify", "--exhaustive", "7", "--seed", "17"]),
+        "divide": (EXIT_OK, [
             "divide", "--mode", "perfect", "--exhaustive", "6",
             "--filter", "bullfree,p5free", "--seed", "17",
-        ],
-        "color": [
+        ]),
+        "divide-two": (EXIT_CLASS_VIOLATION, [
+            "divide", "--mode", "two", "--exhaustive", "6",
+            "--filter", "p5free,c5free", "--seed", "17",
+        ]),
+        "color": (EXIT_OK, [
             "color", "--mode", "two", "--exhaustive", "6",
             "--filter", "p5free,c5free", "--seed", "17",
-        ],
-        "conjecture": ["conjecture", "--max-n", "5", "--seed", "17"],
-        "divide-weighted": [
+        ]),
+        "conjecture": (EXIT_OK, ["conjecture", "--max-n", "5", "--seed", "17"]),
+        "divide-weighted": (EXIT_OK, [
             "divide", "--mode", "perfect", "--exhaustive", "6",
             "--filter", "bullfree,p5free", "--weights", "w.json", "--seed", "17",
-        ],
-        "color-perfect": [
+        ]),
+        "color-perfect": (EXIT_OK, [
             "color", "--mode", "perfect", "--exhaustive", "6",
             "--filter", "bullfree,oddholefree", "--seed", "17",
-        ],
+        ]),
     }
-    for name, args in runs.items():
+    for name, (expected_code, args) in runs.items():
         texts = []
         for attempt in ("a", "b"):
             out = tmp_path / f"{name}-{attempt}.json"
             code = main(args + ["--out", str(out)])
-            assert code == EXIT_OK, (name, code)
+            assert code == expected_code, (name, code)
             payload = json.loads(out.read_text())
             texts.append(json.dumps(scrub_volatile(payload), sort_keys=True, indent=2))
         assert texts[0] == texts[1], f"{name} report changed between identical runs"

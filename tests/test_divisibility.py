@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -34,6 +36,7 @@ from graphdiv import (
     find_odd_hole,
     find_p5,
     find_perfect_nonneighborhood_vertex,
+    graphs_with_ids,
     induced_subgraph,
     is_perfect,
     is_two_divisible_oracle,
@@ -48,6 +51,7 @@ from graphdiv import (
     verify_two_division,
 )
 from graphdiv.corpus import nonisomorphic_graphs, random_graph
+from graphdiv.harness import run_divide
 from test_recognition import _family_graphs
 
 
@@ -749,6 +753,41 @@ class TestNoGraphBelowTheBoundary:
             kinds = [step["kind"] for step in perfect_divide(g, w).log]
             assert kinds.count("quotient") > 2 and "base-partition" in kinds
         color_via_perfect_division(g)
+
+
+class TestLogsRenderOnRead:
+    """Both constructions store their steps as tuples of ints and masks and
+    build member lists only when ``.log`` is read."""
+
+    def test_colorings_render_nothing_and_divide_logs_keep_their_bytes(self, monkeypatch):
+        # the criterion-3 graphs (n <= 8) and 16-vertex family graphs in the
+        # perfect-division class; the two-division coloring runs on those
+        # that are also (P5, C5)-free
+        def in_class(g):
+            return find_bull(g) is None and (find_odd_hole(g) is None or find_p5(g) is None)
+
+        graphs = [g for n in range(1, 9) for g in nonisomorphic_graphs(n) if in_class(g)]
+        graphs += [g for g in _family_graphs(random.Random("logs/render-on-read"), 40, 16, 16) if in_class(g)]
+
+        def refused(step):
+            raise AssertionError("a coloring rendered a derivation step")
+
+        two = 0
+        with monkeypatch.context() as patched:
+            for name in ("_two_step_dict", "_perfect_step_dict"):
+                patched.setattr(graphdiv.divisibility, name, refused)
+            for g in graphs:
+                color_via_perfect_division(g)
+                if find_p5(g) is None and find_c5(g) is None:
+                    color_via_two_division(g)
+                    two += 1
+        assert (len(graphs), two) == (4402, 2714)
+        # the logs of ``run_divide`` in both modes on the same graphs, as
+        # the recursion that built member lists as it ran recorded them
+        ids = graphs_with_ids(graphs)
+        logs = [record.get("log") for mode in ("perfect", "two") for record in run_divide(ids, mode)]
+        assert sum(log is not None for log in logs) == 7108
+        assert hashlib.sha256(json.dumps(logs).encode()).hexdigest()[:16] == "998022322ea207fd"
 
 
 class TestVerifiers:

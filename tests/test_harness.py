@@ -10,6 +10,7 @@ from graphdiv import (
     path_graph,
     emit_graph6,
     graphs_with_ids,
+    parse_graph6,
     scrub_volatile,
     twin_substitute,
 )
@@ -26,6 +27,46 @@ from graphdiv.harness import (
     run_verify,
 )
 from graphdiv.report import build_report, report_to_json
+
+# The logs that failed self-checks carry, as the division that built member
+# lists while it ran recorded them; each step is a plain dict.
+FAILURE_LOGS = {
+    "merge": [
+        {"kind": "restrict", "positive": [0, 1, 2, 3, 4, 5, 6, 7], "zero": []},
+        {"kind": "quotient", "x": [0, 5], "representative": 0, "lifted_weight": 2, "quotient": [0, 1, 2, 3, 4, 6, 7]},
+        {"kind": "quotient", "x": [2, 6], "representative": 2, "lifted_weight": 1, "quotient": [0, 1, 2, 3, 4, 7]},
+        {"kind": "quotient", "x": [4, 7], "representative": 4, "lifted_weight": 2, "quotient": [0, 1, 2, 3, 4]},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "rejected": [], "p": [0, 2, 3], "w": [1, 4]},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 4, "rejected": [], "p": [4], "w": [7]},
+        {"kind": "recombination", "case": "xhat-in-w", "x": [4, 7], "p": [0, 2, 3], "w": [1, 4, 7]},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 2, "rejected": [], "p": [2, 6], "w": []},
+        {"kind": "recombination", "case": "xhat-in-p", "x": [2, 6], "p": [0, 2, 3, 6], "w": [1, 4, 7]},
+    ],
+    "prime": [
+        {"kind": "restrict", "positive": [0, 1, 2, 3, 4, 5], "zero": []},
+        {"kind": "quotient", "x": [0, 5], "representative": 0, "lifted_weight": 2, "quotient": [0, 1, 2, 3, 4]},
+    ],
+    "two": [
+        {"kind": "component-split", "components": [[0], [1, 2, 3, 4, 5, 6]]},
+        {"kind": "base-partition", "rule": "stable-component", "a": [0], "b": []},
+        {
+            "kind": "vertex-choice",
+            "rule": "smallest-in-component",
+            "v": 1,
+            "neighborhood": [4, 5],
+            "non_neighborhood": [2, 3, 6],
+            "m_components": [[2, 3, 6]],
+        },
+        {
+            "kind": "vertex-choice",
+            "rule": "max-neighbors-in-m",
+            "uncovered_component": [2, 3, 6],
+            "candidates": [{"vertex": 4, "neighbors_in_m": 2}, {"vertex": 5, "neighbors_in_m": 2}],
+            "chosen": 4,
+        },
+        {"kind": "base-partition", "rule": "neighborhood-of-chosen", "a": [1, 2, 5, 6], "b": [3, 4]},
+    ],
+}
 
 
 class TestCorpusSpec:
@@ -158,6 +199,50 @@ class TestDrivers:
         assert record["status"] == "theorem-violation"
         assert record["error"] == "prime graph on [0, 1, 2, 3, 4] has no vertex with perfect non-neighborhood"
         assert [step["kind"] for step in record["log"]] == ["restrict", "quotient"]
+
+    @pytest.mark.parametrize("case", sorted(FAILURE_LOGS))
+    def test_failure_logs_are_plain_dicts_in_divide_and_color(self, monkeypatch, case):
+        # "merge": the second merge check of C5 with twins of 0, 2 and 4
+        # fails below the top level, so the log is the prefix the recursion
+        # puts in front plus the failing recombination; "prime": the
+        # quotient C5 of C5 with a true twin finds no split; "two": the
+        # final check of a two-division with an isolated vertex and both
+        # vertex-choice rules
+        def fail_second_call(original):
+            calls = []
+
+            def fake(*args):
+                calls.append(args)
+                return (False, "forced") if len(calls) == 2 else original(*args)
+
+            return fake
+
+        twins = cycle_graph(5)
+        for v in (0, 2, 4):
+            twins = twin_substitute(twins, v, adjacent=v != 2)
+        g, mode, name, fake, error = {
+            "merge": (
+                twins, "perfect", "_verify_perfect_masks", fail_second_call,
+                "recombination failed verification: forced",
+            ),
+            "prime": (
+                twin_substitute(cycle_graph(5), 0, adjacent=True), "perfect", "_perfect_nonneighborhood_vertex",
+                lambda original: lambda *args: None,
+                "prime graph on [0, 1, 2, 3, 4] has no vertex with perfect non-neighborhood",
+            ),
+            "two": (
+                parse_graph6("F?XXw"), "two", "verify_two_division",
+                lambda original: lambda *args: (False, "forced"),
+                "two-division failed verification: forced",
+            ),
+        }[case]
+        original = getattr(graphdiv.divisibility, name)
+        for run in (run_divide, run_color):
+            monkeypatch.setattr(graphdiv.divisibility, name, fake(original))
+            record = run(graphs_with_ids([g]), mode=mode)[0]
+            assert (record["status"], record["error"]) == ("theorem-violation", error)
+            assert all(type(step) is dict for step in record["log"])
+            assert record["log"] == FAILURE_LOGS[case], run.__name__
 
     @pytest.mark.parametrize("mode", ["two", "perfect"])
     def test_divide_verifies_each_division_once(self, monkeypatch, mode):
