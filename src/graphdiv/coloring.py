@@ -4,16 +4,16 @@ Both colorings spend a fresh palette on each side of every division, which
 is exactly the additive accounting behind their bounds: the two-division
 route stays within 2^(omega-1) colors, the perfect-division route within
 omega*(omega+1)/2. Certificates record both numbers so audits are cheap.
-Neither checks its class itself: each division checks its host's class,
-so the first raises ``NotInClassError`` outside the class, and the later
-ones hit the caches of the pattern and hole searches.
+Each checks its host's class once, as its division does, then recurses on
+masks through the division's core: by heredity every set it divides is in
+the class, and each division still verifies itself.
 """
 
 from dataclasses import dataclass
 
 from .core import Graph, VertexSet, _bits, chromatic_number_exact, clique_number
 from .errors import TheoremViolationError
-from .divisibility import perfect_divide, two_divide
+from .divisibility import _perfect_divide, _require_p5c5_free, _require_perfect_divide_class, _two_divide
 
 POWER_OF_TWO = "power-of-two"
 QUADRATIC = "quadratic"
@@ -91,20 +91,21 @@ def color_via_two_division(g: Graph):
     parts with clique number at most 1 take a single color. Returns
     ``(Coloring, BoundCertificate)`` with the power-of-two bound.
     """
+    _require_p5c5_free(g)
     assignment = [0] * g.n
 
-    def rec(vs: VertexSet, base: int) -> int:
-        if not vs:
+    def rec(mask: int, base: int) -> int:
+        if not mask:
             return 0
-        if not any(g.adj[v] & vs.mask for v in vs):
-            for v in vs:
+        if not any(g.adj[v] & mask for v in _bits(mask)):
+            for v in _bits(mask):
                 assignment[v] = base
             return 1
-        d = two_divide(g, vs)
-        used_a = rec(d.a, base)
-        return used_a + rec(d.b, base + used_a)
+        d = _two_divide(g, mask)
+        used_a = rec(d.a.mask, base)
+        return used_a + rec(d.b.mask, base + used_a)
 
-    used = rec(g.vertices(), 0)
+    used = rec((1 << g.n) - 1, 0)
     return _certified(g, assignment, used, POWER_OF_TWO)
 
 
@@ -117,16 +118,17 @@ def color_via_perfect_division(g: Graph):
     palette. Returns ``(Coloring, BoundCertificate)`` with the quadratic
     bound.
     """
+    _require_perfect_divide_class(g)
     assignment = [0] * g.n
 
-    def rec(vs: VertexSet, base: int) -> int:
-        if not vs:
+    def rec(mask: int, base: int) -> int:
+        if not mask:
             return 0
-        d = perfect_divide(g, within=vs)
-        used_p, p_colors = chromatic_number_exact(g, d.p)
-        for v in d.p:
+        p_mask = _perfect_divide(g, (1,) * g.n, mask)[0]
+        used_p, p_colors = chromatic_number_exact(g, VertexSet(g.n, p_mask))
+        for v in _bits(p_mask):
             assignment[v] = base + p_colors[v]
-        return used_p + rec(d.w_side, base + used_p)
+        return used_p + rec(mask & ~p_mask, base + used_p)
 
-    used = rec(g.vertices(), 0)
+    used = rec((1 << g.n) - 1, 0)
     return _certified(g, assignment, used, QUADRATIC)

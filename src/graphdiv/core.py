@@ -45,10 +45,6 @@ class VertexSet:
             mask |= 1 << v
         return cls(host_size, mask)
 
-    @classmethod
-    def full(cls, host_size: int) -> "VertexSet":
-        return cls(host_size, (1 << host_size) - 1)
-
     def members(self) -> tuple:
         return tuple(_bits(self.mask))
 
@@ -126,9 +122,6 @@ class Graph:
 
     def has_any_edge(self) -> bool:
         return any(self.adj)
-
-    def vertices(self) -> VertexSet:
-        return VertexSet.full(self.n)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ doubles as a proof checker at the sizes it handles. Verification policy:
   ``within``; the colorings check each finished coloring once, in
   ``coloring._certified``.
 - ``perfect_divide``'s recursion runs on masks, weight tuples and the
-  trees it holds, and checks each merge through ``_verify_perfect_masks``,
-  the mask form of ``verify_perfect_division``; the final check runs on
-  the returned division. ``verify_perfect_division``,
+  trees it holds, and checks each merge and the final division through
+  ``_verify_perfect_masks``, the mask form of ``verify_perfect_division``.
+  ``verify_perfect_division``,
   ``quotient_by_homogeneous_set``, ``recombine``,
   ``find_perfect_nonneighborhood_vertex``, ``is_perfect`` and
   ``is_homogeneous`` validate their arguments and call the same mask
@@ -22,9 +22,10 @@ doubles as a proof checker at the sizes it handles. Verification policy:
   and passes iff it is 0 or some clique of ``within`` outweighs it. That
   is "W's best is below the best of ``within``": W lies inside
   ``within``, so the two are equal exactly when no clique outweighs W's.
-- ``two_divide`` and ``perfect_divide`` always check the class of the
-  whole host, once per call, and the colorings rely on that check: a graph
-  outside the class ends in ``NotInClassError``, never in a failed check.
+- ``two_divide`` and ``perfect_divide`` check the class of the whole host,
+  once per call, then divide on masks in ``_two_divide`` and
+  ``_perfect_divide``; a coloring checks once and recurses through them. A
+  graph outside the class ends in ``NotInClassError``, never in a failed check.
 - Both constructions record each derivation step as a flat tuple of ints
   and masks, in ``steps``; ``.log`` renders them to member-list dicts each
   time it is read. ``harness.run_divide`` reads it once per record, the
@@ -297,7 +298,11 @@ def two_divide(g: Graph, within: VertexSet = None) -> TwoDivision:
     a smaller ``within``; heredity then covers every ``within``.
     """
     _require_p5c5_free(g)
-    full = _within_mask(g, within)
+    return _two_divide(g, _within_mask(g, within))
+
+
+def _two_divide(g: Graph, full: int) -> TwoDivision:
+    """``two_divide`` on the mask of ``within``, its host's class checked."""
     adj = g.adj
     if not any(adj[v] & full for v in _bits(full)):
         raise DegenerateCliqueError("clique number is at most 1; there is nothing to divide")
@@ -314,7 +319,7 @@ def two_divide(g: Graph, within: VertexSet = None) -> TwoDivision:
         a_mask |= ca
         b_mask |= cb
     division = TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), steps=tuple(log))
-    ok, reason = verify_two_division(g, division, within)
+    ok, reason = verify_two_division(g, division, VertexSet(g.n, full))
     if not ok:
         raise TheoremViolationError(f"two-division failed verification: {reason}", log=map(_two_step_dict, log))
     return division
@@ -476,14 +481,15 @@ def recombine(
     weights = (1,) * g.n if w is None else w.weights
     quotient = (quotient_division.p.mask, quotient_division.w_side.mask)
     inner = (inner_division.p.mask, inner_division.w_side.mask)
-    p, w_side, step = _merge(g, weights, x.mask, quotient, inner, full)
-    return PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, steps=(step,))
+    log = []
+    p, w_side = _merge(g, weights, x.mask, quotient, inner, full, log)
+    return PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, steps=tuple(log))
 
 
-def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner: tuple, full: int) -> tuple:
+def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner: tuple, full: int, log: list) -> tuple:
     """``recombine`` on masks: ``quotient`` and ``inner`` are ``(p, w)``
-    mask pairs. Returns the merged ``(p, w)`` masks and the recombination
-    step, once the merge is verified on ``full``."""
+    mask pairs. Appends the recombination step to ``log``, then returns
+    the merged ``(p, w)`` masks once the merge is verified on ``full``."""
     rep_bit = x_mask & -x_mask
     if quotient[0] | quotient[1] != (full & ~x_mask) | rep_bit:
         raise ValueError("quotient division does not cover the quotient")
@@ -496,11 +502,11 @@ def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner: tuple,
     else:
         p = (quotient[0] & ~rep_bit) | inner[0]
         w_side = quotient[1] | inner[1]
-    step = ("recombination", in_w, x_mask, p, w_side)
+    log.append(("recombination", in_w, x_mask, p, w_side))
     ok, reason = _verify_perfect_masks(g, weights, p, w_side, full)
     if not ok:
-        raise TheoremViolationError(f"recombination failed verification: {reason}", log=[_perfect_step_dict(step)])
-    return p, w_side, step
+        raise TheoremViolationError(f"recombination failed verification: {reason}", log=map(_perfect_step_dict, log))
+    return p, w_side
 
 
 def find_perfect_nonneighborhood_vertex(g: Graph, within: VertexSet = None):
@@ -552,6 +558,12 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
         raise ValueError("weight function length does not match the graph")
     _require_perfect_divide_class(g)
     full = _within_mask(g, within)
+    p_mask, steps = _perfect_divide(g, weights, full)
+    return PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, steps=steps)
+
+
+def _perfect_divide(g: Graph, weights: tuple, full: int) -> tuple:
+    """``perfect_divide`` on weights and a mask, its host's class checked: (P mask, steps)."""
     u_mask = 0
     for v in _bits(full):
         if weights[v] > 0:
@@ -560,13 +572,12 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
     p_mask = 0
     if u_mask:
         p_mask = _divide_all_positive(g, weights, _decompose(g.adj, u_mask), log)[0]
-    division = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, steps=tuple(log))
-    # ``_merge`` has verified a division of all of ``within`` that ends in it
+    # ``_merge`` has verified a division of all of ``full`` that ends in it
     if u_mask != full or log[-1][0] != "recombination":
-        ok, reason = verify_perfect_division(g, w, division, within)
+        ok, reason = _verify_perfect_masks(g, weights, p_mask, full & ~p_mask, full)
         if not ok:
             raise TheoremViolationError(f"perfect division failed verification: {reason}", log=map(_perfect_step_dict, log))
-    return division
+    return p_mask, tuple(log)
 
 
 def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> tuple:
@@ -590,13 +601,7 @@ def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> t
     log.append(("quotient", x_mask, rep, q_weights[rep], q_tree.mask))
     quotient = _divide_all_positive(g, q_weights, q_tree, log)
     inner = _divide_all_positive(g, weights, x_tree, log)
-    try:
-        p, w_side, step = _merge(g, weights, x_mask, quotient, inner, mask)
-    except TheoremViolationError as exc:
-        exc.log[:0] = map(_perfect_step_dict, log)
-        raise
-    log.append(step)
-    return p, w_side
+    return _merge(g, weights, x_mask, quotient, inner, mask, log)
 
 
 def classify_against_c5(g: Graph, c, v: int) -> C5Classification:

@@ -251,15 +251,49 @@ def _division_from_json(g: Graph, payload: dict):
     )
 
 
-def _stored_problem(g6: str, stored: dict):
+# The public call behind a ``class-violation`` record, by the report's
+# command and the record's mode.
+_CLASS_CHECKED_CALLS = {
+    ("divide", "two"): two_divide,
+    ("divide", "perfect"): perfect_divide,
+    ("color", "two"): color_via_two_division,
+    ("color", "perfect"): color_via_perfect_division,
+}
+
+
+def _class_violation_problem(g: Graph, command, stored: dict):
+    """Why a stored ``class-violation`` record fails: the call that wrote
+    it, run again on its graph, must end in that status with the same
+    ``error`` and ``witnesses``. None when it does."""
+    call = _CLASS_CHECKED_CALLS.get((command, stored.get("mode")))
+    if call is None:
+        return f"class-violation record of no known command and mode: {echo(command)}, {echo(stored.get('mode'))}"
+    rerun = {"status": STATUS_OK}
+    try:
+        call(g)
+    except GraphDivError as exc:
+        _failure(rerun, exc)
+    if rerun["status"] != STATUS_CLASS_VIOLATION:
+        return f"{command} --mode {stored['mode']} ends in {rerun['status']} on this graph, not in {STATUS_CLASS_VIOLATION}"
+    for key in ("error", "witnesses"):
+        if stored.get(key) != rerun.get(key):
+            return f"stored {key!r} field does not match the graph's {rerun.get(key)!r}"
+    return None
+
+
+def _stored_problem(g6: str, stored: dict, command):
     """Why a stored record fails, re-derived from its graph alone; None
     when it holds. The coloring's clique number, bound and colors used are
     recomputed, so a stored certificate must match them, not vouch for
-    them."""
-    if "division" not in stored and "coloring" not in stored:
+    them. A ``class-violation`` record that carries neither is re-derived
+    by ``_class_violation_problem`` under the report's ``command``."""
+    carries = "division" in stored or "coloring" in stored
+    if not carries and stored.get("status") != STATUS_CLASS_VIOLATION:
         return "record carries nothing to verify"
     try:
         g = parse_graph6(g6)
+        if not carries:
+            return _class_violation_problem(g, command, stored)
         if "division" in stored:
             division = _division_from_json(g, stored["division"])
             if isinstance(division, TwoDivision):
@@ -290,8 +324,9 @@ def run_verify(stored_report: dict, graphs=None) -> list:
     Graphs come from the embedded graph6 strings; ``graphs`` (parsed from
     --graph) additionally restricts which records are admissible. Nothing
     else in a record is trusted: bounds are re-derived from the graph and
-    the record's mode, and a record that cannot be read, its graph6 string
-    included, fails with the reason. A report that is not an object with a
+    the record's mode, a ``class-violation`` is re-derived by running the
+    report's command again, and a record that cannot be read, its graph6
+    string included, fails with the reason. A report that is not an object with a
     list of records, or that names a schema other than ``SCHEMA_VERSION``,
     raises ValueError.
     """
@@ -313,7 +348,7 @@ def run_verify(stored_report: dict, graphs=None) -> list:
         elif allowed is not None and g6 not in allowed:
             reason = "record graph does not appear in the supplied graph file"
         else:
-            reason = _stored_problem(g6, stored)
+            reason = _stored_problem(g6, stored, stored_report.get("command"))
         record["verified"] = reason is None
         record["status"] = STATUS_OK if reason is None else STATUS_VERIFY_FAILED
         if reason:

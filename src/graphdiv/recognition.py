@@ -35,17 +35,20 @@ is (Lovász, Discrete Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds the
 largest prime quotient there, while the witness finders count the whole
 ``within`` set against it.
 
-A cache stays only where traffic hits it (hits / misses in one record
-phase of ``bench/run.py``, seed 1). ``find_odd_hole`` is cached on ``(g,
-within)``: a perfect division asks it of the same prime quotients again
-(3,293 / 1,609 on ``perfect-weighted``, 3,357 / 847 on
-``perfect-reach-n16``). ``find_homogeneous_set`` is cached likewise, with
-no lookups, for the benchmark tracer that reads its ``cache_info()``.
+A cache stays only where traffic hits it (hits / misses in the record
+phase of ``bench/run.py``, seed 1, caches cleared after set-up). A coloring
+checks its class once, so the hits come from calls on the same graph.
+``find_odd_hole`` is cached on ``(g, within)``: 1,101 / 847 on
+``perfect-reach-n16``, 600 of them the ``divide`` record re-checking the
+graph its coloring just checked and 501 prime quotients asked again, and
+3,293 / 1,609 on ``perfect-weighted``, 3,277 of them the same graph under
+its three weightings. ``find_homogeneous_set`` is cached likewise, with no
+lookups, for the benchmark tracer that reads its ``cache_info()``.
 ``lru_cache`` keys ``f(g)`` and ``f(g, None)`` apart, so the package always
 passes ``within`` positionally, None included. ``find_p5``, ``find_c5`` and
 ``find_bull`` remember the last graph, which the class checks after
-``classify`` and a coloring's checks after its first one hit (P5 16,018 /
-12,346 and C5 12,152 / 7,301 on ``exhaustive-n8``, bull 2,833 / 600 on
+``classify`` and after a coloring of the same graph hit (P5 7,732 / 12,346
+and C5 3,866 / 7,301 on ``exhaustive-n8``, bull 600 / 600 on
 ``perfect-reach-n16``). The antihole search runs only after a hole search
 that found nothing, and is not cached.
 """

@@ -407,6 +407,69 @@ class TestVerify:
         assert record["status"] == "verify-failed"
         assert record["error"].startswith("malformed record: ")
 
+    def test_class_violation_records_of_a_divide_report_verify(self, tmp_path):
+        # the corpus holds the edgeless graph on 7 vertices, which two_divide
+        # refuses as degenerate; verify runs two_divide on it again
+        report = tmp_path / "t7.json"
+        argv = ["divide", "--mode", "two", "--exhaustive", "7", "--filter", "p5free,c5free", "--out", str(report)]
+        assert main(argv) == EXIT_CLASS_VIOLATION
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--division", str(report), "--out", str(out)]) == EXIT_OK
+        records = _load(out)["records"]
+        assert (len(records), sum(r["status"] == "ok" for r in records)) == (624, 624)
+
+    @pytest.mark.parametrize("mode, graph", [("perfect", BULL_PATTERN), ("two", cycle_graph(5))], ids=["bull", "c5"])
+    def test_class_violation_records_of_a_color_report_verify(self, tmp_path, mode, graph):
+        src = tmp_path / "in.g6"
+        _write_g6(src, graph)
+        report = tmp_path / "color.json"
+        assert main(["color", "--mode", mode, "--in", str(src), "--out", str(report)]) == EXIT_CLASS_VIOLATION
+        assert _load(report)["records"][0]["witnesses"]
+        assert main(["verify", "--division", str(report)]) == EXIT_OK
+
+    def test_class_violation_record_with_a_reversed_witness_fails(self, tmp_path):
+        src = tmp_path / "bull.g6"
+        _write_g6(src, BULL_PATTERN)
+        report = tmp_path / "color.json"
+        main(["color", "--mode", "perfect", "--in", str(src), "--out", str(report)])
+        payload = _load(report)
+        payload["records"][0]["witnesses"][0]["vertices"].reverse()
+        report.write_text(json.dumps(payload))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--division", str(report), "--out", str(out)]) == EXIT_VERIFY_FAILED
+        assert _load(out)["records"][0]["error"] == (
+            "stored 'witnesses' field does not match the graph's [{'pattern': 'bull', 'vertices': [0, 1, 2, 3, 4]}]"
+        )
+
+    def test_class_violation_status_on_an_in_class_graph_fails(self, tmp_path):
+        src = tmp_path / "c4.g6"
+        _write_g6(src, cycle_graph(4))
+        report = tmp_path / "color.json"
+        assert main(["color", "--mode", "two", "--in", str(src), "--out", str(report)]) == EXIT_OK
+        payload = _load(report)
+        record = payload["records"][0]
+        for key in ("coloring", "certificate", "proper", "within_bound"):
+            del record[key]
+        record.update(status="class-violation", error="graph contains an induced C5", witnesses=[])
+        report.write_text(json.dumps(payload))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--division", str(report), "--out", str(out)]) == EXIT_VERIFY_FAILED
+        assert _load(out)["records"][0]["error"] == "color --mode two ends in ok on this graph, not in class-violation"
+
+    @pytest.mark.parametrize("command, mode", [(None, "two"), ("classify", "two"), ("color", "three"), ("color", None)])
+    def test_class_violation_record_of_no_known_call_fails(self, tmp_path, command, mode):
+        record = {"graph6": _C5, "status": "class-violation", "error": "graph contains an induced C5"}
+        if mode is not None:
+            record["mode"] = mode
+        report = {"records": [record]}
+        if command is not None:
+            report["command"] = command
+        stored = tmp_path / "stored.json"
+        stored.write_text(json.dumps(report))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--division", str(stored), "--out", str(out)]) == EXIT_VERIFY_FAILED
+        assert _load(out)["records"][0]["error"].startswith("class-violation record of no known command and mode")
+
     def test_deeply_nested_report_is_a_usage_error(self, tmp_path, capsys):
         stored = tmp_path / "report.json"
         stored.write_text("[" * 200000)
@@ -553,9 +616,13 @@ _graph6s = st.sampled_from([emit_graph6(cycle_graph(5)), emit_graph6(path_graph(
 _records = st.fixed_dictionaries({"graph6": _graph6s, "division": _divisions | _json_values}) | st.fixed_dictionaries(
     {"graph6": _graph6s, "mode": st.sampled_from(["two", "perfect"]) | _json_values, "coloring": _vertex_lists},
     optional={"certificate": _json_values},
+) | st.fixed_dictionaries(
+    {"graph6": _graph6s, "status": st.just("class-violation") | _json_values},
+    optional={"mode": st.sampled_from(["two", "perfect"]) | _json_values, "error": _json_values, "witnesses": _json_values},
 )
 _reports = st.fixed_dictionaries(
-    {"records": st.lists(_records, min_size=1, max_size=3)}, optional={"schema": st.just(1) | _json_values}
+    {"records": st.lists(_records, min_size=1, max_size=3)},
+    optional={"schema": st.just(1) | _json_values, "command": st.sampled_from(["divide", "color"]) | _json_values},
 ) | _json_values
 _weights = _json_values | st.lists(st.integers(-1, 6) | _json_values, max_size=6) | st.lists(
     st.lists(st.integers(0, 6), min_size=5, max_size=5), max_size=3

@@ -28,6 +28,7 @@ from graphdiv import (
     perfect_divide,
     power_of_two_bound,
     quadratic_bound,
+    twin_substitute,
     two_divide,
 )
 from graphdiv.corpus import nonisomorphic_graphs
@@ -38,7 +39,7 @@ from graphdiv.report import color_csv
 def _division_walk(g):
     """Every set the two-division recursion meets, with its depth and its
     division (None at the leaves, whose clique number is at most 1)."""
-    stack = [(g.vertices(), 0)]
+    stack = [(VertexSet(g.n, (1 << g.n) - 1), 0)]
     while stack:
         vs, depth = stack.pop()
         d = two_divide(g, vs) if clique_number(g, vs).value > 1 else None
@@ -210,6 +211,25 @@ class TestClassRejection:
                 assert _rejection(coloring, g) == expected, g.adj
                 count += 1
         assert count == rejected
+
+    @pytest.mark.parametrize(
+        "coloring, finders, g",
+        [
+            (color_via_two_division, (find_p5, find_c5), complete_graph(6)),
+            (color_via_perfect_division, (find_bull, find_odd_hole), twin_substitute(cycle_graph(5), 0, adjacent=True)),
+        ],
+        ids=["two", "perfect"],
+    )
+    def test_colorings_check_their_class_once(self, coloring, finders, g):
+        # every later division is of an induced subgraph of the same host,
+        # so heredity covers it; count each finder's cache lookups, hits
+        # and misses alike
+        def lookups():
+            return [finder.cache_info().hits + finder.cache_info().misses for finder in finders]
+
+        before = lookups()
+        coloring(g)
+        assert [after - start for after, start in zip(lookups(), before)] == [1, 1]
 
 
 def _table(mode, graphs):

@@ -773,15 +773,22 @@ class TestLogsRenderOnRead:
             raise AssertionError("a coloring rendered a derivation step")
 
         two = 0
+        colorings = []
         with monkeypatch.context() as patched:
             for name in ("_two_step_dict", "_perfect_step_dict"):
                 patched.setattr(graphdiv.divisibility, name, refused)
             for g in graphs:
-                color_via_perfect_division(g)
+                runs = [color_via_perfect_division]
                 if find_p5(g) is None and find_c5(g) is None:
-                    color_via_two_division(g)
+                    runs.append(color_via_two_division)
                     two += 1
+                for color in runs:
+                    coloring, certificate = color(g)
+                    colorings.append([list(coloring.assignment), certificate.to_json()])
         assert (len(graphs), two) == (4402, 2714)
+        # both colorings of every graph, as recorded before they recursed
+        # on the divisions' mask cores
+        assert hashlib.sha256(json.dumps(colorings).encode()).hexdigest()[:16] == "abe511b5b0d7500e"
         # the logs of ``run_divide`` in both modes on the same graphs, as
         # the recursion that built member lists as it ran recorded them
         ids = graphs_with_ids(graphs)
@@ -818,7 +825,7 @@ class TestVerifiers:
         assert verify_perfect_division(c5, None, d) == (True, None)
 
     def test_perfect_division_rejects_imperfect_p(self, c5):
-        d = PerfectDivision(VertexSet.full(5), VertexSet(5))
+        d = PerfectDivision(VertexSet(5, (1 << 5) - 1), VertexSet(5))
         ok, reason = verify_perfect_division(c5, None, d)
         assert not ok and "not perfect" in reason
 
@@ -835,7 +842,7 @@ class TestVerifiers:
         assert verify_perfect_division(c5, short, overlapping) == (False, "parts overlap")
         uncovered = PerfectDivision(VertexSet.of(5, [0]), VertexSet.of(5, [1, 2]))
         assert verify_perfect_division(c5, short, uncovered) == (False, "parts do not cover the vertex set")
-        assert verify_perfect_division(c5, short, PerfectDivision(VertexSet.full(5), VertexSet(5))) == (
+        assert verify_perfect_division(c5, short, PerfectDivision(VertexSet(5, (1 << 5) - 1), VertexSet(5))) == (
             False,
             "P side is not perfect",
         )

@@ -498,7 +498,7 @@ class TestHomogeneousSets:
     def test_is_homogeneous_rejects_trivial_sizes(self):
         g = cycle_graph(4)
         assert not is_homogeneous(g, VertexSet.of(4, [1]))
-        assert not is_homogeneous(g, VertexSet.full(4))
+        assert not is_homogeneous(g, VertexSet(4, (1 << 4) - 1))
 
 
 def _agrees_with_slow_search(g, mask):
