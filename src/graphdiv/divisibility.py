@@ -6,10 +6,12 @@ doubles as a proof checker at the sizes it handles. Verification policy:
 - ``two_divide`` checks its result with ``verify_two_division``; each
   recombination (``_merge``) checks its merge on its ``within``, the
   quotient plus the contracted set, and each quotient checks that the
-  contracted set is homogeneous; ``perfect_divide`` checks the final
-  division, unless the last recombination already covered all of
-  ``within``; the colorings check each finished coloring once, in
-  ``coloring._certified``.
+  contracted set is homogeneous. As in the paper, the contracted set is
+  divided only when the quotient puts its representative on the P side,
+  so no division that the merge would discard is made or checked.
+  ``perfect_divide`` checks the final division, unless the last
+  recombination already covered all of ``within``; the colorings check
+  each finished coloring once, in ``coloring._certified``.
 - ``perfect_divide``'s recursion runs on masks, weight tuples and the
   trees it holds, and checks each merge and the final division through
   ``_verify_perfect_masks``, the mask form of ``verify_perfect_division``.
@@ -465,10 +467,11 @@ def recombine(
     (all of ``g`` by default).
 
     If the representative landed on the W side, the whole contracted set
-    joins W. If it landed on the P side, it is replaced by the perfect
-    part of the inner division, and the inner W part joins W. The merged
-    division is verified on ``within`` under ``w`` (including perfection
-    of the combined P side) before being returned.
+    joins W, and ``inner_division`` may be None. If it landed on the P
+    side, it is replaced by the perfect part of the inner division, and the
+    inner W part joins W; ``inner_division`` None is a ValueError there.
+    The merged division is verified on ``within`` under ``w`` (including
+    perfection of the combined P side) before being returned.
     """
     full = _within_mask(g, within)
     if not x.mask or x.mask & ~full:
@@ -476,29 +479,34 @@ def recombine(
     # the masks are checked in ``_merge``; a part of another host fails here
     if (quotient_division.p | quotient_division.w_side).host_size != g.n:
         raise ValueError("quotient division does not cover the quotient")
-    if (inner_division.p | inner_division.w_side).host_size != x.host_size:
-        raise ValueError("inner division does not cover the contracted part")
+    inner = None
+    if inner_division is not None:
+        if (inner_division.p | inner_division.w_side).host_size != x.host_size:
+            raise ValueError("inner division does not cover the contracted part")
+        inner = (inner_division.p.mask, inner_division.w_side.mask)
     weights = (1,) * g.n if w is None else w.weights
     quotient = (quotient_division.p.mask, quotient_division.w_side.mask)
-    inner = (inner_division.p.mask, inner_division.w_side.mask)
     log = []
     p, w_side = _merge(g, weights, x.mask, quotient, inner, full, log)
     return PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, steps=tuple(log))
 
 
-def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner: tuple, full: int, log: list) -> tuple:
-    """``recombine`` on masks: ``quotient`` and ``inner`` are ``(p, w)``
-    mask pairs. Appends the recombination step to ``log``, then returns
-    the merged ``(p, w)`` masks once the merge is verified on ``full``."""
+def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner, full: int, log: list) -> tuple:
+    """``recombine`` on masks: ``quotient`` is a ``(p, w)`` mask pair, and
+    so is ``inner``, or None when the representative lands on W. Appends
+    the recombination step to ``log``, then returns the merged ``(p, w)``
+    masks once the merge is verified on ``full``."""
     rep_bit = x_mask & -x_mask
     if quotient[0] | quotient[1] != (full & ~x_mask) | rep_bit:
         raise ValueError("quotient division does not cover the quotient")
-    if inner[0] | inner[1] != x_mask:
+    if inner is not None and inner[0] | inner[1] != x_mask:
         raise ValueError("inner division does not cover the contracted part")
     in_w = quotient[1] & rep_bit != 0
     if in_w:
         p = quotient[0]
         w_side = quotient[1] | x_mask
+    elif inner is None:
+        raise ValueError("the representative lands on the P side, so the contracted part needs an inner division")
     else:
         p = (quotient[0] & ~rep_bit) | inner[0]
         w_side = quotient[1] | inner[1]
@@ -543,15 +551,16 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
     (zero-weight vertices join the W side for free), on one modular
     decomposition of U. If the graph induced on U has a homogeneous set,
     the one that ``find_homogeneous_set`` names (a child of the root, or
-    its first two) is contracted, both the quotient and the contracted
-    part are divided recursively, and the results recombined; their
-    decompositions are the tree with the set contracted and the set's own
-    subtree. Otherwise the graph is prime and the smallest vertex v with a
-    perfect non-neighborhood yields the split (M(v) + v, N(v)). Every
-    recombination and the final result are verified, once each; ``w`` None
-    means unit weights. Class membership is checked on the whole host,
-    once per call, even for a smaller ``within``; heredity then covers
-    every ``within``.
+    its first two) is contracted and the quotient divided recursively. The
+    contracted part is divided too only when its representative lands on
+    the P side; on the W side all of it joins W. The results are
+    recombined; the two decompositions are the tree with the set contracted
+    and the set's own subtree. Otherwise the graph is prime and the
+    smallest vertex v with a perfect non-neighborhood yields the split
+    (M(v) + v, N(v)). Every recombination and the final result are
+    verified, once each; ``w`` None means unit weights. Class membership
+    is checked on the whole host, once per call, even for a smaller
+    ``within``; heredity then covers every ``within``.
     """
     weights = (1,) * g.n if w is None else w.weights
     if len(weights) != g.n:
@@ -600,7 +609,8 @@ def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> t
     q_weights = _quotient_weights(g, weights, x_tree, mask)
     log.append(("quotient", x_mask, rep, q_weights[rep], q_tree.mask))
     quotient = _divide_all_positive(g, q_weights, q_tree, log)
-    inner = _divide_all_positive(g, weights, x_tree, log)
+    # the merge uses a division of x only when its representative lands on P
+    inner = None if quotient[1] & (1 << rep) else _divide_all_positive(g, weights, x_tree, log)
     return _merge(g, weights, x_mask, quotient, inner, mask, log)
 
 

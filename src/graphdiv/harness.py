@@ -35,6 +35,7 @@ from .errors import (
 from .formats import emit_graph6, parse_dimacs, parse_graph6, parse_graph6_lines
 from .recognition import classify, find_bull, find_c5, find_odd_hole, find_p5, is_perfect
 from .report import (
+    _ALL_STATUSES,
     SCHEMA_VERSION,
     STATUS_BUDGET_EXCEEDED,
     STATUS_CLASS_VIOLATION,
@@ -285,11 +286,18 @@ def _stored_problem(g6: str, stored: dict, command):
     """Why a stored record fails, re-derived from its graph alone; None
     when it holds. The coloring's clique number, bound and colors used are
     recomputed, so a stored certificate must match them, not vouch for
-    them. A ``class-violation`` record that carries neither is re-derived
-    by ``_class_violation_problem`` under the report's ``command``."""
+    them. Only an ok record carries either, so one that states another
+    status fails. A ``class-violation`` record that carries neither is
+    re-derived by ``_class_violation_problem`` under the report's
+    ``command``."""
     carries = "division" in stored or "coloring" in stored
     if not carries and stored.get("status") != STATUS_CLASS_VIOLATION:
         return "record carries nothing to verify"
+    status = stored.get("status", STATUS_OK)
+    if carries and status != STATUS_OK:
+        carried = "division" if "division" in stored else "coloring"
+        named = status if status in _ALL_STATUSES else echo(status)
+        return f"record carries a {carried} but its status is {named}, not {STATUS_OK}"
     try:
         g = parse_graph6(g6)
         if not carries:

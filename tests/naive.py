@@ -266,7 +266,9 @@ def perfect_division_log(g: Graph, weights, within: VertexSet = None, rule=child
     step finds its homogeneous set with ``rule`` (by default the package's
     current one), lifts the representative's weight by branch and bound
     over the contracted set, and tests perfection by the exact hole and
-    antihole search on the whole non-neighborhood. Nothing is verified."""
+    antihole search on the whole non-neighborhood. As in the paper, the
+    contracted set is divided only when the quotient puts its
+    representative on the P side. Nothing is verified."""
     from graphdiv import WeightFn, imperfection_witness, max_weight_clique
 
     n = g.n
@@ -304,10 +306,10 @@ def perfect_division_log(g: Graph, weights, within: VertexSet = None, rule=child
             {"kind": "quotient", "x": members(x.mask), "representative": rep, "lifted_weight": lifted[rep], "quotient": members(quotient)}
         )
         q_p, q_w = divide(lifted, quotient)
-        i_p, i_w = divide(w, x.mask)
         if q_w >> rep & 1:
             case, p, rest = "xhat-in-w", q_p, q_w | x.mask
         else:
+            i_p, i_w = divide(w, x.mask)
             case, p, rest = "xhat-in-p", (q_p & ~(1 << rep)) | i_p, q_w | i_w
         log.append({"kind": "recombination", "case": case, "x": members(x.mask), "p": members(p), "w": members(rest)})
         return p, rest

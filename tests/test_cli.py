@@ -456,6 +456,19 @@ class TestVerify:
         assert main(["verify", "--division", str(report), "--out", str(out)]) == EXIT_VERIFY_FAILED
         assert _load(out)["records"][0]["error"] == "color --mode two ends in ok on this graph, not in class-violation"
 
+    def test_class_violation_status_on_a_division_record_fails(self, tmp_path):
+        # the record keeps its division, so its stated status contradicts it
+        src = tmp_path / "c4.g6"
+        _write_g6(src, cycle_graph(4))
+        report = tmp_path / "divide.json"
+        assert main(["divide", "--mode", "two", "--in", str(src), "--out", str(report)]) == EXIT_OK
+        payload = _load(report)
+        payload["records"][0]["status"] = "class-violation"
+        report.write_text(json.dumps(payload))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--division", str(report), "--out", str(out)]) == EXIT_VERIFY_FAILED
+        assert _load(out)["records"][0]["error"] == "record carries a division but its status is class-violation, not ok"
+
     @pytest.mark.parametrize("command, mode", [(None, "two"), ("classify", "two"), ("color", "three"), ("color", None)])
     def test_class_violation_record_of_no_known_call_fails(self, tmp_path, command, mode):
         record = {"graph6": _C5, "status": "class-violation", "error": "graph contains an induced C5"}

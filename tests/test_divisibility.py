@@ -261,6 +261,16 @@ class TestRecombine:
         with pytest.raises(TheoremViolationError):
             _c4_recombine(q, inner)
 
+    def test_inner_division_may_be_none_only_when_xhat_lands_on_w(self):
+        # on W the whole contracted set joins W, so its division is unused
+        q = PerfectDivision(VertexSet.of(4, [1, 3]), VertexSet.of(4, [0]), weight=WeightFn.unit(4))
+        inner = PerfectDivision(VertexSet.of(4, [0, 2]), VertexSet(4), weight=WeightFn.unit(4))
+        given, omitted = _c4_recombine(q, inner), _c4_recombine(q, None)
+        assert (omitted.p, omitted.w_side, omitted.log) == (given.p, given.w_side, given.log)
+        q = PerfectDivision(VertexSet.of(4, [0]), VertexSet.of(4, [1, 3]), weight=WeightFn.unit(4))
+        with pytest.raises(ValueError, match="needs an inner division"):
+            _c4_recombine(q, None)
+
     def test_divisions_must_cover_their_parts(self):
         inner = PerfectDivision(VertexSet.of(4, [0, 2]), VertexSet(4))
         with pytest.raises(ValueError, match="quotient division"):
@@ -537,6 +547,10 @@ class TestClassCheckCache:
         assert searches == ["P5", "C5", "bull"]
 
 
+def _in_perfect_divide_class(g):
+    return find_bull(g) is None and (find_odd_hole(g) is None or find_p5(g) is None)
+
+
 def _lifts(g, weights, mask):
     """Every quotient step that ``perfect_divide``'s recursion takes on
     ``g[mask]`` with ``weights``: the contracted set, the weights it is
@@ -552,16 +566,16 @@ def _lifts(g, weights, mask):
 
 
 def _check_against_both_rules(g, weights, division):
-    """The log of ``division`` is the child-rule reference's, and it has as
-    many steps of each kind as the old pair-closure rule's, whose final
-    division is ``division``: the choice of homogeneous set changes only
-    the narration. Returns the log."""
+    """The log of ``division`` is the child-rule reference's, and
+    ``division`` is the final division of the old pair-closure rule's: the
+    choice of homogeneous set changes only the narration. Which contracted
+    sets get divided depends on that choice, so the steps are counted only
+    against the child-rule reference. Returns the log."""
     log = list(division.log)
     old = naive.perfect_division_log(g, weights, rule=naive.old_rule_homogeneous_set)
     zero = old[0]["zero"]
     p, w = (old[-1]["p"], sorted(old[-1]["w"] + zero)) if len(old) > 1 else ([], zero)
     assert (list(division.p.members()), list(division.w_side.members())) == (p, w), emit_graph6(g)
-    assert Counter(step["kind"] for step in log) == Counter(step["kind"] for step in old), emit_graph6(g)
     assert log == naive.perfect_division_log(g, weights), emit_graph6(g)
     return log
 
@@ -570,7 +584,8 @@ def _replay(g, weights, log):
     """Re-derive every step of the ``perfect_divide`` log of ``g`` under
     ``weights`` through the public step API: each quotient's ``x`` and
     lifted weight, each prime split's chosen vertex and sides, and each
-    recombination."""
+    recombination. A contracted set is replayed only when its
+    representative lands on the P side, as it is divided only then."""
     steps = iter(log)
     restrict = next(steps)
     u_mask = sum(1 << v for v in restrict["positive"])
@@ -593,7 +608,7 @@ def _replay_set(g, w, mask, steps):
     lifted = quotient_by_homogeneous_set(g, w, x, within)
     assert (step["kind"], step["x"], step["lifted_weight"]) == ("quotient", list(x.members()), lifted[rep])
     q_division = _replay_set(g, lifted, mask & ~x.mask | 1 << rep, steps)
-    i_division = _replay_set(g, w, x.mask, steps)
+    i_division = None if rep in q_division.w_side else _replay_set(g, w, x.mask, steps)
     combined = recombine(g, w, x, q_division, i_division, within)
     assert combined.log[0] == next(steps)
     return combined
@@ -629,6 +644,24 @@ class TestDecompositionDivision:
                 quotients += any(step["kind"] == "quotient" for step in log)
                 checked += 1
         assert checked == 4367 and quotients > 2000
+
+    def test_only_sets_whose_representative_lands_on_p_are_divided(self):
+        # each divided set ends in one prime split, and a contracted set is
+        # divided only in the xhat-in-p case, so a log with a positive set
+        # has one base partition more than it has xhat-in-p recombinations
+        rng = random.Random("decomposition/base-partitions")
+        graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n) if _in_perfect_divide_class(g)]
+        graphs += [g for g in _family_graphs(rng, 40, 16, 16) if _in_perfect_divide_class(g)]
+        cases = Counter()
+        for g in graphs:
+            for w in (None, WeightFn.of([rng.randint(0, 5) for _ in range(g.n)])):
+                log = perfect_divide(g, w).log
+                if not log[0]["positive"]:
+                    continue
+                kinds = Counter(step.get("case", step["kind"]) for step in log)
+                assert kinds["base-partition"] == 1 + kinds["xhat-in-p"], emit_graph6(g)
+                cases.update(kinds)
+        assert len(graphs) == 847 and cases["xhat-in-w"] > 300 and cases["xhat-in-p"] > 4000
 
     def test_logs_match_reference_on_16_vertex_families(self):
         rng = random.Random("decomposition/reach")
@@ -702,16 +735,22 @@ class TestNoGraphBelowTheBoundary:
         assert any(step["kind"] == "quotient" for step in d.log)
         assert built == []
 
-    @pytest.mark.parametrize("weights", [None, [1, 2, 0, 3, 1, 1, 2, 1, 3, 1, 2, 1]])
-    def test_perfect_division_decomposes_once_and_keeps_its_checks(self, monkeypatch, weights):
+    @pytest.mark.parametrize(
+        "weights, merges, divisions",
+        [(None, 6, 10), ([1, 2, 0, 3, 1, 1, 2, 1, 3, 1, 2, 1], 5, 8)],
+    )
+    def test_perfect_division_decomposes_once_and_keeps_its_checks(self, monkeypatch, weights, merges, divisions):
         # the recursion lifts from the tree it holds and builds no weight
         # function; each quotient still checks its set is homogeneous (on
         # masks), each recombination is verified, and the final check runs
-        # when no recombination covered all of the graph (a zero weight)
+        # when no recombination covered all of the graph (a zero weight).
+        # A contracted set is divided only when its representative lands on
+        # P: dividing every one took 7 merges and 15 divisions under unit
+        # weights and 6 and 13 under the others
         g = _twin_substituted_c5()
         w = None if weights is None else WeightFn.of(weights)
         calls = {"WeightFn": 0}
-        for name in ("_decompose", "_verify_perfect_masks", "_is_homogeneous_mask"):
+        for name in ("_decompose", "_verify_perfect_masks", "_is_homogeneous_mask", "_merge", "_divide_all_positive"):
             original = getattr(graphdiv.divisibility, name)
             calls[name] = 0
 
@@ -736,6 +775,7 @@ class TestNoGraphBelowTheBoundary:
         assert calls["WeightFn"] <= 1
         assert calls["_is_homogeneous_mask"] == kinds.count("quotient") > 2
         assert calls["_verify_perfect_masks"] == kinds.count("recombination") + final_is_new
+        assert (calls["_merge"], calls["_divide_all_positive"]) == (merges, divisions)
 
     def test_perfect_division_and_coloring_call_no_public_step(self, monkeypatch):
         # below its entry the recursion holds only masks: it calls the mask
@@ -763,11 +803,10 @@ class TestLogsRenderOnRead:
         # the criterion-3 graphs (n <= 8) and 16-vertex family graphs in the
         # perfect-division class; the two-division coloring runs on those
         # that are also (P5, C5)-free
-        def in_class(g):
-            return find_bull(g) is None and (find_odd_hole(g) is None or find_p5(g) is None)
-
-        graphs = [g for n in range(1, 9) for g in nonisomorphic_graphs(n) if in_class(g)]
-        graphs += [g for g in _family_graphs(random.Random("logs/render-on-read"), 40, 16, 16) if in_class(g)]
+        graphs = [g for n in range(1, 9) for g in nonisomorphic_graphs(n) if _in_perfect_divide_class(g)]
+        graphs += [
+            g for g in _family_graphs(random.Random("logs/render-on-read"), 40, 16, 16) if _in_perfect_divide_class(g)
+        ]
 
         def refused(step):
             raise AssertionError("a coloring rendered a derivation step")
@@ -789,12 +828,13 @@ class TestLogsRenderOnRead:
         # both colorings of every graph, as recorded before they recursed
         # on the divisions' mask cores
         assert hashlib.sha256(json.dumps(colorings).encode()).hexdigest()[:16] == "abe511b5b0d7500e"
-        # the logs of ``run_divide`` in both modes on the same graphs, as
-        # the recursion that built member lists as it ran recorded them
+        # the logs of ``run_divide`` in both modes on the same graphs; the
+        # perfect ones are those of ``naive.perfect_division_log``, which
+        # divides a contracted set only when its representative lands on P
         ids = graphs_with_ids(graphs)
         logs = [record.get("log") for mode in ("perfect", "two") for record in run_divide(ids, mode)]
         assert sum(log is not None for log in logs) == 7108
-        assert hashlib.sha256(json.dumps(logs).encode()).hexdigest()[:16] == "998022322ea207fd"
+        assert hashlib.sha256(json.dumps(logs).encode()).hexdigest()[:16] == "d6bc8f179a01ecf9"
 
 
 class TestVerifiers:

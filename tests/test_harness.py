@@ -29,7 +29,8 @@ from graphdiv.harness import (
 from graphdiv.report import build_report, report_to_json
 
 # The logs that failed self-checks carry, as the division that built member
-# lists while it ran recorded them; each step is a plain dict.
+# lists while it ran recorded them; each step is a plain dict. In "merge"
+# the set [4, 7] is not divided: its representative lands on W.
 FAILURE_LOGS = {
     "merge": [
         {"kind": "restrict", "positive": [0, 1, 2, 3, 4, 5, 6, 7], "zero": []},
@@ -37,7 +38,6 @@ FAILURE_LOGS = {
         {"kind": "quotient", "x": [2, 6], "representative": 2, "lifted_weight": 1, "quotient": [0, 1, 2, 3, 4, 7]},
         {"kind": "quotient", "x": [4, 7], "representative": 4, "lifted_weight": 2, "quotient": [0, 1, 2, 3, 4]},
         {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "rejected": [], "p": [0, 2, 3], "w": [1, 4]},
-        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 4, "rejected": [], "p": [4], "w": [7]},
         {"kind": "recombination", "case": "xhat-in-w", "x": [4, 7], "p": [0, 2, 3], "w": [1, 4, 7]},
         {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 2, "rejected": [], "p": [2, 6], "w": []},
         {"kind": "recombination", "case": "xhat-in-p", "x": [2, 6], "p": [0, 2, 3, 6], "w": [1, 4, 7]},
@@ -306,6 +306,20 @@ class TestDrivers:
         report = build_report("divide", records)
         verified = run_verify(report)
         assert verified[0]["status"] == "verify-failed"
+
+    @pytest.mark.parametrize(
+        "run, carried, status",
+        [(run_divide, "division", "class-violation"), (run_color, "coloring", "theorem-violation")],
+        ids=["divide", "color"],
+    )
+    def test_verify_fails_a_record_whose_status_contradicts_what_it_carries(self, run, carried, status):
+        # only an ok record carries a division or a coloring
+        report = build_report(run.__name__[4:], run(graphs_with_ids([cycle_graph(4)]), mode="two"))
+        assert run_verify(report)[0]["status"] == "ok"
+        report["records"][0]["status"] = status
+        verified = run_verify(report)
+        assert verified[0]["status"] == "verify-failed"
+        assert verified[0]["error"] == f"record carries a {carried} but its status is {status}, not ok"
 
     def test_verify_respects_graph_restriction(self, c5):
         graphs = graphs_with_ids([cycle_graph(4)])
