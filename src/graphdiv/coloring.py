@@ -6,7 +6,10 @@ route stays within 2^(omega-1) colors, the perfect-division route within
 omega*(omega+1)/2. Certificates record both numbers so audits are cheap.
 Each checks its host's class once, as its division does, then recurses on
 masks through the division's core: by heredity every set it divides is in
-the class, and each division still verifies itself.
+the class, and each division still verifies itself through its private
+mask verifier, as the public division does. No division or vertex set is
+built below the coloring, and the clique oracle runs once, for the
+certificate.
 """
 
 from dataclasses import dataclass
@@ -101,9 +104,9 @@ def color_via_two_division(g: Graph):
             for v in _bits(mask):
                 assignment[v] = base
             return 1
-        d = _two_divide(g, mask)
-        used_a = rec(d.a.mask, base)
-        return used_a + rec(d.b.mask, base + used_a)
+        a_mask = _two_divide(g, mask)[0]
+        used_a = rec(a_mask, base)
+        return used_a + rec(mask & ~a_mask, base + used_a)
 
     used = rec((1 << g.n) - 1, 0)
     return _certified(g, assignment, used, POWER_OF_TWO)

@@ -272,12 +272,18 @@ def _max_clique_mask(adj, cand: int):
     return best_size, best_mask
 
 
+def _check_clique_budget(count: int):
+    """Refuse a clique search over more than ``CLIQUE_BUDGET`` vertices, for
+    the public clique oracles and for the callers of the mask kernels alike:
+    the one place that holds the budget's check and its message."""
+    if count > CLIQUE_BUDGET:
+        raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {count}")
+
+
 def clique_number(g: Graph, within: VertexSet = None) -> CliqueResult:
     """Exact clique number (optionally restricted to ``within``), with witness."""
     mask = _within_mask(g, within)
-    count = mask.bit_count()
-    if count > CLIQUE_BUDGET:
-        raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {count}")
+    _check_clique_budget(mask.bit_count())
     size, wmask = _max_clique_mask(g.adj, mask)
     return CliqueResult(size, VertexSet(g.n, wmask))
 
@@ -361,9 +367,7 @@ def _check_weight_clique(adj, weights, mask: int):
     ``mask``."""
     if len(weights) != len(adj):
         raise ValueError("weight function length does not match the graph")
-    count = mask.bit_count()
-    if count > CLIQUE_BUDGET:
-        raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {count}")
+    _check_clique_budget(mask.bit_count())
 
 
 def max_weight_clique(g: Graph, w: WeightFn, within: VertexSet = None) -> CliqueResult:
@@ -388,7 +392,8 @@ def chromatic_number_exact(g: Graph, within: VertexSet = None):
     if n > CHROMATIC_BUDGET:
         raise BudgetExceededError(f"coloring oracle limited to {CHROMATIC_BUDGET} vertices, asked for {n}")
     adj = [row & mask for row in g.adj]
-    lower = clique_number(g, within).value
+    # below CHROMATIC_BUDGET, so within the clique budget too
+    lower = _max_clique_mask(g.adj, mask)[0]
     order = sorted(_bits(mask), key=lambda v: (-adj[v].bit_count(), v))
 
     for k in range(lower, n + 1):

@@ -1,33 +1,39 @@
 """Constructive clique-number divisions, their oracles, and verifiers.
 
 The two constructions never trust their own guarantees, so the package
-doubles as a proof checker at the sizes it handles. Verification policy:
+doubles as a proof checker at the sizes it handles. Both have one shape: a
+public entry (``two_divide``, ``perfect_divide``), then a core that divides
+on masks (``_two_divide``, ``_perfect_divide``), then one private verifier
+on masks (``_verify_two_masks``, ``_verify_perfect_masks``). The public
+verifier (``verify_two_division``, ``verify_perfect_division``) checks that
+the parts belong to the graph and calls the same private one. The clique
+budget's check and its message live in one helper,
+``core._check_clique_budget``. Verification policy:
 
-- ``two_divide`` checks its result with ``verify_two_division``; each
-  recombination (``_merge``) checks its merge on its ``within``, the
-  quotient plus the contracted set, and each quotient checks that the
-  contracted set is homogeneous. As in the paper, the contracted set is
-  divided only when the quotient puts its representative on the P side,
-  so no division that the merge would discard is made or checked.
-  ``perfect_divide`` checks the final division, unless the last
-  recombination already covered all of ``within``; the colorings check
-  each finished coloring once, in ``coloring._certified``.
+- ``_two_divide`` checks its division once, before it returns. In
+  ``_perfect_divide`` each recombination (``_merge``) checks its merge on
+  its ``within``, the quotient plus the contracted set, and each quotient
+  checks that the contracted set is homogeneous. As in the paper, the
+  contracted set is divided only when the quotient puts its
+  representative on the P side, so no division that the merge would
+  discard is made or checked. ``_perfect_divide`` checks the final
+  division, unless the last recombination already covered all of
+  ``within``; the colorings check each finished coloring once, in
+  ``coloring._certified``.
 - ``perfect_divide``'s recursion runs on masks, weight tuples and the
-  trees it holds, and checks each merge and the final division through
-  ``_verify_perfect_masks``, the mask form of ``verify_perfect_division``.
-  ``verify_perfect_division``,
+  trees it holds. ``verify_perfect_division``,
   ``quotient_by_homogeneous_set``, ``recombine``,
   ``find_perfect_nonneighborhood_vertex``, ``is_perfect`` and
-  ``is_homogeneous`` validate their arguments and call the same mask
-  forms, so a replay of a log re-derives every step through them.
+  ``is_homogeneous`` validate their arguments and call the mask forms the
+  recursion calls, so a replay of a log re-derives every step through them.
 - The W clause of a perfect division computes W's maximum clique weight
   and passes iff it is 0 or some clique of ``within`` outweighs it. That
   is "W's best is below the best of ``within``": W lies inside
   ``within``, so the two are equal exactly when no clique outweighs W's.
 - ``two_divide`` and ``perfect_divide`` check the class of the whole host,
-  once per call, then divide on masks in ``_two_divide`` and
-  ``_perfect_divide``; a coloring checks once and recurses through them. A
-  graph outside the class ends in ``NotInClassError``, never in a failed check.
+  once per call, then call their cores; a coloring checks once and
+  recurses on masks through the same cores. A graph outside the class ends
+  in ``NotInClassError``, never in a failed check.
 - Both constructions record each derivation step as a flat tuple of ints
   and masks, in ``steps``; ``.log`` renders them to member-list dicts each
   time it is read. ``harness.run_divide`` reads it once per record, the
@@ -36,7 +42,11 @@ doubles as a proof checker at the sizes it handles. Verification policy:
   derivation log up to the failed step, that step included where it has
   one, rendered to plain dicts where it is raised. A class precondition
   raises ``NotInClassError`` or ``DegenerateCliqueError``, an oracle limit
-  ``BudgetExceededError``, and malformed caller input ``ValueError``.
+  ``BudgetExceededError``, and malformed caller input ``ValueError``. The
+  quotient's homogeneity check and the merge's cover checks raise
+  ``ValueError`` for the public steps' callers; inside the recursion the
+  input is already checked, so ``_perfect_divide`` turns such an error into
+  ``TheoremViolationError`` with the log so far.
 - ``harness.run_divide`` and ``harness.run_color`` never check again;
   ``harness.run_verify`` trusts nothing in a stored record.
 """
@@ -44,18 +54,18 @@ doubles as a proof checker at the sizes it handles. Verification policy:
 from dataclasses import dataclass, field
 
 from .core import (
-    CLIQUE_BUDGET,
     Graph,
     VertexSet,
     WeightFn,
     _bits,
+    _check_clique_budget,
     _check_set,
     _check_weight_clique,
     _mask_components,
+    _max_clique_mask,
     _max_weight_clique_mask,
     _outweighs,
     _within_mask,
-    clique_number,
 )
 from .errors import (
     BudgetExceededError,
@@ -232,22 +242,30 @@ def verify_two_division(g: Graph, d: TwoDivision, within: VertexSet = None):
     """Re-check a claimed two-division of ``g[within]`` (all of ``g`` by
     default) with the exact clique oracle.
 
-    Returns ``(ok, reason)``; ``reason`` names the violated clause.
+    Returns ``(ok, reason)``; ``reason`` names the violated clause. Once
+    the parts belong to ``g``, the clauses are those of
+    ``_verify_two_masks``, the check that ``two_divide`` makes.
     """
     full = _within_mask(g, within)
     if d.a.host_size != g.n or d.b.host_size != g.n:
         return False, "parts do not belong to this graph"
-    if d.a.mask & d.b.mask:
+    return _verify_two_masks(g.adj, d.a.mask, d.b.mask, full)
+
+
+def _verify_two_masks(adj, a: int, b: int, full: int):
+    """``verify_two_division`` on masks of the rows ``adj``, once the parts
+    are known to belong to their graph. Both parts lie inside ``full`` once
+    they cover it, so its budget check covers all three clique searches."""
+    if a & b:
         return False, "parts overlap"
-    if (d.a.mask | d.b.mask) != full:
+    if a | b != full:
         return False, "parts do not cover the vertex set"
-    w = clique_number(g, within).value
-    wa = clique_number(g, d.a).value
-    if wa >= w:
-        return False, f"clique number of A is {wa}, not below {w}"
-    wb = clique_number(g, d.b).value
-    if wb >= w:
-        return False, f"clique number of B is {wb}, not below {w}"
+    _check_clique_budget(full.bit_count())
+    w = _max_clique_mask(adj, full)[0]
+    for name, part in (("A", a), ("B", b)):
+        size = _max_clique_mask(adj, part)[0]
+        if size >= w:
+            return False, f"clique number of {name} is {size}, not below {w}"
     return True, None
 
 
@@ -295,16 +313,19 @@ def two_divide(g: Graph, within: VertexSet = None) -> TwoDivision:
     the vertices of N with a neighbor in the first uncovered component,
     pick the one with the most neighbors in M (smallest id on ties); its
     neighborhood becomes the A side. Edgeless components go wholly into A.
-    The union of the per-component sides is verified before being returned.
-    Class membership is checked on the whole host, once per call, even for
-    a smaller ``within``; heredity then covers every ``within``.
+    The union of the per-component sides is verified on masks, by
+    ``_verify_two_masks``, before being returned. Class membership is
+    checked on the whole host, once per call, even for a smaller
+    ``within``; heredity then covers every ``within``.
     """
     _require_p5c5_free(g)
-    return _two_divide(g, _within_mask(g, within))
+    full = _within_mask(g, within)
+    a_mask, steps = _two_divide(g, full)
+    return TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, full & ~a_mask), steps=steps)
 
 
-def _two_divide(g: Graph, full: int) -> TwoDivision:
-    """``two_divide`` on the mask of ``within``, its host's class checked."""
+def _two_divide(g: Graph, full: int) -> tuple:
+    """``two_divide`` on the mask of ``within``, its host's class checked: (A mask, steps)."""
     adj = g.adj
     if not any(adj[v] & full for v in _bits(full)):
         raise DegenerateCliqueError("clique number is at most 1; there is nothing to divide")
@@ -320,11 +341,10 @@ def _two_divide(g: Graph, full: int) -> TwoDivision:
         ca, cb = _divide_connected(adj, comp, log)
         a_mask |= ca
         b_mask |= cb
-    division = TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), steps=tuple(log))
-    ok, reason = verify_two_division(g, division, VertexSet(g.n, full))
+    ok, reason = _verify_two_masks(adj, a_mask, b_mask, full)
     if not ok:
         raise TheoremViolationError(f"two-division failed verification: {reason}", log=map(_two_step_dict, log))
-    return division
+    return a_mask, tuple(log)
 
 
 def _divide_connected(adj, comp: int, log: list):
@@ -423,8 +443,7 @@ def _module_weight(adj, weights, node: Module) -> int:
         return sum(values)
     if node.kind == PARALLEL:
         return max(values)
-    if len(values) > CLIQUE_BUDGET:
-        raise BudgetExceededError(f"clique oracle limited to {CLIQUE_BUDGET} vertices, asked for {len(values)}")
+    _check_clique_budget(len(values))
     reps = {(child.mask & -child.mask).bit_length() - 1: value for child, value in zip(node.children, values)}
     return _max_weight_clique_mask(adj, reps, sum(1 << v for v in reps))[0]
 
@@ -580,7 +599,11 @@ def _perfect_divide(g: Graph, weights: tuple, full: int) -> tuple:
     log = [("restrict", u_mask, full & ~u_mask)]
     p_mask = 0
     if u_mask:
-        p_mask = _divide_all_positive(g, weights, _decompose(g.adj, u_mask), log)[0]
+        # the input is checked: a quotient's or a merge's ValueError is a bug
+        try:
+            p_mask = _divide_all_positive(g, weights, _decompose(g.adj, u_mask), log)[0]
+        except ValueError as exc:
+            raise TheoremViolationError(f"perfect division failed a self-check: {exc}", log=map(_perfect_step_dict, log)) from exc
     # ``_merge`` has verified a division of all of ``full`` that ends in it
     if u_mask != full or log[-1][0] != "recombination":
         ok, reason = _verify_perfect_masks(g, weights, p_mask, full & ~p_mask, full)

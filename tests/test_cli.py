@@ -18,6 +18,7 @@ from graphdiv import (
     path_graph,
     random_graph,
     scrub_volatile,
+    twin_substitute,
 )
 from graphdiv.cli import (
     EXIT_BUDGET_EXCEEDED,
@@ -29,6 +30,7 @@ from graphdiv.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from graphdiv.recognition import _decompose
 
 
 _C5 = emit_graph6(cycle_graph(5))
@@ -149,6 +151,19 @@ class TestDivide:
         assert main(["divide", "--mode", "two", "--in", str(src), "--out", str(out)]) == EXIT_OK
         record = _load(out)["records"][0]
         assert record["division"] == {"kind": "two", "a": [0, 2], "b": [1, 3]}
+
+    def test_failed_self_check_in_the_recursion_exits_5(self, tmp_path, monkeypatch):
+        # C5 with a true twin of 0: a split that names {0, 1}, which vertex
+        # 2 tells apart, fails the quotient's homogeneity check
+        g = twin_substitute(cycle_graph(5), 0, adjacent=True)
+        monkeypatch.setattr(graphdiv.divisibility, "_homogeneous_split", lambda root: (_decompose(g.adj, 0b11), root))
+        src = tmp_path / "twin.g6"
+        _write_g6(src, g)
+        out = tmp_path / "report.json"
+        assert main(["divide", "--mode", "perfect", "--in", str(src), "--out", str(out)]) == EXIT_THEOREM_VIOLATION
+        record = _load(out)["records"][0]
+        assert record["status"] == "theorem-violation"
+        assert record["error"] == "perfect division failed a self-check: x is not a homogeneous set of g"
 
     def test_perfect_mode_with_weight_file(self, tmp_path):
         src = tmp_path / "c5.g6"
@@ -282,7 +297,7 @@ class TestColor:
         assert lines[1] == f"{emit_graph6(c5)},,,,,"
 
     def test_csv_theorem_violation_exit(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(graphdiv.divisibility, "verify_two_division", lambda *args: (False, "forced"))
+        monkeypatch.setattr(graphdiv.divisibility, "_verify_two_masks", lambda *args: (False, "forced"))
         code, lines = self._csv(tmp_path, "two", cycle_graph(4))
         assert code == EXIT_THEOREM_VIOLATION
         assert lines[1] == f"{emit_graph6(cycle_graph(4))},,,,,"

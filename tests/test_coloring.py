@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import graphdiv.coloring
+import graphdiv.divisibility
 import naive
 from graphdiv import (
     BULL_PATTERN,
@@ -24,6 +26,7 @@ from graphdiv import (
     graphs_with_ids,
     induced_subgraph,
     is_perfect,
+    parse_graph6,
     path_graph,
     perfect_divide,
     power_of_two_bound,
@@ -115,6 +118,36 @@ class TestTwoDivisionColoring:
                 chi = chromatic_number_exact(g)[0]
                 assert chi <= cert.colors_used <= cert.bound_value
                 assert cert.bound_value == power_of_two_bound(cert.omega)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(4), complete_graph(5), BULL_PATTERN, parse_graph6("F?XXw")],
+        ids=["C4", "K5", "bull", "two-rules"],
+    )
+    def test_recursion_stays_on_masks(self, monkeypatch, g):
+        # below the coloring, each division checks itself once through the
+        # mask verifier and builds no division or vertex set; the clique
+        # oracle runs once, for the certificate
+        counts = dict.fromkeys(
+            ["_two_divide", "_verify_two_masks", "verify_two_division", "clique_number", "TwoDivision", "VertexSet"], 0
+        )
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for module in (graphdiv.divisibility, graphdiv.coloring):
+            for name in counts:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        color_via_two_division(g)
+        assert counts["_two_divide"] >= 1
+        assert counts["_verify_two_masks"] == counts["_two_divide"]
+        assert [counts[name] for name in ("verify_two_division", "TwoDivision", "VertexSet")] == [0, 0, 0]
+        assert counts["clique_number"] == 1
 
 
 class TestPerfectDivisionColoring:

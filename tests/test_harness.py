@@ -26,6 +26,7 @@ from graphdiv.harness import (
     run_divide,
     run_verify,
 )
+from graphdiv.recognition import _decompose
 from graphdiv.report import build_report, report_to_json
 
 # The logs that failed self-checks carry, as the division that built member
@@ -159,7 +160,7 @@ class TestDrivers:
     def test_divide_reports_a_failed_self_check(self, monkeypatch):
         graphs = graphs_with_ids([cycle_graph(4)])
         log = run_divide(graphs, mode="two")[0]["log"]
-        monkeypatch.setattr(graphdiv.divisibility, "verify_two_division", lambda *args: (False, "forced"))
+        monkeypatch.setattr(graphdiv.divisibility, "_verify_two_masks", lambda *args: (False, "forced"))
         record = run_divide(graphs, mode="two")[0]
         assert record["status"] == "theorem-violation"
         assert record["error"] == "two-division failed verification: forced"
@@ -200,6 +201,37 @@ class TestDrivers:
         assert record["error"] == "prime graph on [0, 1, 2, 3, 4] has no vertex with perfect non-neighborhood"
         assert [step["kind"] for step in record["log"]] == ["restrict", "quotient"]
 
+    @pytest.mark.parametrize("case", ["homogeneity", "cover"])
+    def test_failed_quotient_or_merge_check_is_a_theorem_violation(self, monkeypatch, case):
+        # C5 with a true twin of 0 contracts {0, 5}. "homogeneity" names the
+        # set {0, 1} instead, which vertex 2 tells apart; "cover" drops
+        # vertex 4 from the quotient, so the quotient's division misses it
+        g = twin_substitute(cycle_graph(5), 0, adjacent=True)
+        original = graphdiv.divisibility._homogeneous_split
+
+        def mutated(root):
+            split = original(root)
+            if split is None:
+                return None
+            x_tree, q_tree = split
+            if case == "homogeneity":
+                return _decompose(g.adj, 0b11), q_tree
+            return x_tree, _decompose(g.adj, q_tree.mask & ~(1 << 4))
+
+        monkeypatch.setattr(graphdiv.divisibility, "_homogeneous_split", mutated)
+        reason, kinds = {
+            "homogeneity": ("x is not a homogeneous set of g", ["restrict"]),
+            "cover": (
+                "quotient division does not cover the quotient",
+                ["restrict", "quotient", "base-partition", "base-partition"],
+            ),
+        }[case]
+        for run in (run_divide, run_color):
+            record = run(graphs_with_ids([g]), mode="perfect")[0]
+            assert record["status"] == "theorem-violation", run.__name__
+            assert record["error"] == f"perfect division failed a self-check: {reason}"
+            assert [step["kind"] for step in record["log"]] == kinds
+
     @pytest.mark.parametrize("case", sorted(FAILURE_LOGS))
     def test_failure_logs_are_plain_dicts_in_divide_and_color(self, monkeypatch, case):
         # "merge": the second merge check of C5 with twins of 0, 2 and 4
@@ -231,7 +263,7 @@ class TestDrivers:
                 "prime graph on [0, 1, 2, 3, 4] has no vertex with perfect non-neighborhood",
             ),
             "two": (
-                parse_graph6("F?XXw"), "two", "verify_two_division",
+                parse_graph6("F?XXw"), "two", "_verify_two_masks",
                 lambda original: lambda *args: (False, "forced"),
                 "two-division failed verification: forced",
             ),
@@ -247,8 +279,8 @@ class TestDrivers:
     @pytest.mark.parametrize("mode", ["two", "perfect"])
     def test_divide_verifies_each_division_once(self, monkeypatch, mode):
         # C4 and C5 have no homogeneous set, so the division's own final
-        # check is the only verifier call; perfect division checks on masks
-        name = "verify_two_division" if mode == "two" else "_verify_perfect_masks"
+        # check is the only verifier call; both divisions check on masks
+        name = "_verify_two_masks" if mode == "two" else "_verify_perfect_masks"
         calls = []
         original = getattr(graphdiv.divisibility, name)
 
