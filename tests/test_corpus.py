@@ -143,7 +143,7 @@ class TestReferenceKernel:
         monkeypatch.setattr(corpus, "_NONISO_CACHE", {})
         nonisomorphic_graphs(7)
         monkeypatch.undo()
-        assert len(inputs) == 3689
+        assert len(inputs) == 2136
         for n, adj in inputs:
             self._assert_same(n, adj)
 
@@ -223,11 +223,94 @@ class TestEnumeration:
         # vertices and neighborhood of the new vertex
         every_extension = sum(KNOWN_COUNTS[n - 1] << (n - 1) for n in range(2, 8))
         assert every_extension == 11290
-        assert calls == 3689 < every_extension
+        assert calls == 2136 < every_extension
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             nonisomorphic_graphs(corpus.EXHAUSTIVE_LIMIT + 1)
+
+
+def _extension(adj, mask):
+    """The rows of the graph ``adj`` with a new last vertex joined to ``mask``."""
+    n = len(adj)
+    return [row | (mask >> u & 1) << n for u, row in enumerate(adj)] + [mask]
+
+
+class TestTwinRules:
+    """Enumeration skips neighborhoods that a twin swap maps to kept ones,
+    and settles parent-rule ties with a twin of the new vertex without a
+    key; both for every base class with n <= 7."""
+
+    @staticmethod
+    def _twin_classes(adj):
+        """Twin classes of ``adj`` by the pairwise definition, each sorted."""
+        classes = []
+        for w in range(len(adj)):
+            for cls in classes:
+                u = cls[0]
+                if adj[u] == adj[w] or adj[u] ^ 1 << w == adj[w] ^ 1 << u:
+                    cls.append(w)
+                    break
+            else:
+                classes.append([w])
+        return classes
+
+    def test_kept_neighborhoods_are_one_per_twin_swap_orbit(self):
+        for m in range(8):
+            for base in nonisomorphic_graphs(m):
+                classes = self._twin_classes(base.adj)
+                want = [
+                    mask
+                    for mask in range(1 << m)
+                    if all(not mask >> w & 1 or mask >> u & 1 for cls in classes for u, w in zip(cls, cls[1:]))
+                ]
+                assert sorted(corpus._neighborhoods(base.adj)) == want
+
+    def test_skipped_extensions_are_isomorphic_to_kept_ones(self):
+        skipped = 0
+        for m in range(8):
+            level = {canonical_key(g) for g in nonisomorphic_graphs(m + 1)}
+            for base in nonisomorphic_graphs(m):
+                kept = set(corpus._neighborhoods(base.adj))
+                classes = self._twin_classes(base.adj)
+                kept_keys = {}
+                for mask in range(1 << m):
+                    if mask in kept:
+                        continue
+                    skipped += 1
+                    # the kept mask of the orbit: each class's lowest members
+                    rep = 0
+                    for cls in classes:
+                        k = sum(mask >> u & 1 for u in cls)
+                        rep |= sum(1 << u for u in cls[:k])
+                    assert rep in kept
+                    if rep not in kept_keys:
+                        kept_keys[rep] = corpus._canonical_key(m + 1, _extension(base.adj, rep))
+                    key = corpus._canonical_key(m + 1, _extension(base.adj, mask))
+                    assert key == kept_keys[rep]
+                    assert key in level
+        assert skipped == 42772
+
+    def test_ties_settled_as_twins_leave_the_parent_key(self, monkeypatch):
+        settled = []
+        twins = corpus._twins
+
+        def recorded(rows, u, w):
+            if twins(rows, u, w):
+                settled.append((tuple(rows), u, w))
+                return True
+            return False
+
+        levels = [nonisomorphic_graphs(n) for n in range(9)]
+        monkeypatch.setattr(corpus, "_twins", recorded)
+        monkeypatch.setattr(corpus, "_NONISO_CACHE", {})
+        assert [nonisomorphic_graphs(n) for n in range(9)] == levels
+        monkeypatch.undo()
+        assert len(settled) == 2988
+        for rows, u, v in settled:
+            assert v == len(rows) - 1
+            parent_key = corpus._canonical_key(v, corpus._delete_vertex(rows, v))
+            assert corpus._canonical_key(v, corpus._delete_vertex(rows, u)) == parent_key
 
 
 class TestRandomGraph:
