@@ -24,7 +24,7 @@ import itertools
 import json
 import sys
 
-from .corpus import EXHAUSTIVE_LIMIT
+from .corpus import EXHAUSTIVE_LIMIT, _levels
 from .errors import GraphDivError, ParseError, echo
 from .formats import emit_graph6
 from .harness import (
@@ -169,7 +169,8 @@ def _run(args):
     if args.command == "conjecture":
         if not 1 <= args.max_n <= EXHAUSTIVE_LIMIT:
             raise ValueError(f"--max-n must be between 1 and {EXHAUSTIVE_LIMIT}, not {echo(args.max_n)}")
-        graphs = itertools.chain.from_iterable(exhaustive_corpus(n) for n in range(1, args.max_n + 1))
+        # one walk up the levels, each built from the one before and dropped after
+        graphs = itertools.chain.from_iterable(itertools.islice(_levels(args.max_n), 1, None))
         return run_conjecture(_with_ids(graphs)), _options_of(args, "max_n")
     if args.command == "divide":
         weights_spec = None

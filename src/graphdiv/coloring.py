@@ -7,9 +7,12 @@ omega*(omega+1)/2. Certificates record both numbers so audits are cheap.
 Each checks its host's class once, as its division does, then recurses on
 masks through the division's core: by heredity every set it divides is in
 the class, and each division still verifies itself through its private
-mask verifier, as the public division does. No division or vertex set is
-built below the coloring, and the clique oracle runs once, for the
-certificate.
+mask verifier, as the public division does. No division is built below
+either coloring, and ``clique_number`` runs once, for the certificate. The
+two-division coloring builds no vertex set either. The perfect-division
+coloring wraps each P side in one vertex set and hands it to
+``chromatic_number_exact``, whose lower bound runs ``_max_clique_mask`` on
+that side.
 """
 
 from dataclasses import dataclass

@@ -13,7 +13,9 @@ parent class, skips neighborhoods that a swap of twins maps to kept ones,
 and canonicalizes only the extensions that pass that parent rule; n = 9
 (274,668 classes) takes about 25 s and 185 MB on one core of a 2-core Xeon
 (33 s before twins were skipped), while n = 10 has 12,005,168 classes and
-is out of reach.
+is out of reach. Level n needs only level n - 1, so no level is kept:
+``nonisomorphic_graphs`` builds levels 0..n on each call and returns the
+last, and a sweep over several sizes walks ``_levels`` once.
 """
 
 import random
@@ -225,13 +227,11 @@ def _deletes_to_parent(n: int, rows, parent_key) -> bool:
     return all(_canonical_key(v, _delete_vertex(rows, u)) >= parent_key for u in tied)
 
 
-_NONISO_CACHE = {}
-
-
 def nonisomorphic_graphs(n: int):
     """All graphs on exactly ``n`` vertices, one per isomorphism class, in
-    canonical labeling and sorted by canonical key; cached per size.
-    Limited to n <= EXHAUSTIVE_LIMIT.
+    canonical labeling and sorted by canonical key. Limited to n <=
+    EXHAUSTIVE_LIMIT; each call builds levels 0..n afresh (``_levels``) and
+    keeps none of them.
 
     Built by canonical augmentation (McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 26, 1998). Every class on n-1 vertices, in
@@ -247,40 +247,48 @@ def nonisomorphic_graphs(n: int):
         raise ValueError("vertex count must be non-negative")
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive enumeration limited to n <= {EXHAUSTIVE_LIMIT}")
-    if n in _NONISO_CACHE:
-        return _NONISO_CACHE[n]
-    if n <= 1:
-        result = (empty_graph(n),)
-    else:
-        keys = set()
-        m = n - 1
-        bit_new = 1 << m
-        for base in nonisomorphic_graphs(m):
-            adj = base.adj
-            # the key of a canonical graph is its rows below the diagonal
-            base_key = (m, tuple(row & ((1 << p) - 1) for p, row in enumerate(adj)))
-            degrees = [row.bit_count() for row in adj]
-            top = max(degrees)
-            top_mask = sum(1 << u for u in range(m) if degrees[u] == top)
-            for mask in _neighborhoods(adj):
-                # v needs the largest degree, and a neighbor of degree top
-                # gains one
-                k = mask.bit_count()
-                if k < top or (k == top and mask & top_mask):
-                    continue
-                rows = list(adj)
-                b = mask
-                while b:
-                    low = b & -b
-                    rows[low.bit_length() - 1] |= bit_new
-                    b ^= low
-                rows.append(mask)
-                # above top + 1, v alone has the largest degree and no tie
-                if k > top + 1 or _deletes_to_parent(n, rows, base_key):
-                    keys.add(_canonical_key(n, rows))
-        result = tuple(canonical_graph(k) for k in sorted(keys))
-    _NONISO_CACHE[n] = result
-    return result
+    for level in _levels(n):
+        pass
+    return level
+
+
+def _levels(max_n: int):
+    """Yield ``nonisomorphic_graphs(n)`` for n = 0..max_n in turn, each
+    level built from the one before; the generator holds only the latest."""
+    for n in range(max_n + 1):
+        if n <= 1:
+            level = (empty_graph(n),)
+        else:
+            keys = set()
+            m = n - 1
+            bit_new = 1 << m
+            for base in level:
+                adj = base.adj
+                # the key of a canonical graph is its rows below the diagonal
+                base_key = (m, tuple(row & ((1 << p) - 1) for p, row in enumerate(adj)))
+                degrees = [row.bit_count() for row in adj]
+                top = max(degrees)
+                top_mask = sum(1 << u for u in range(m) if degrees[u] == top)
+                for mask in _neighborhoods(adj):
+                    # v needs the largest degree, and a neighbor of degree top
+                    # gains one
+                    k = mask.bit_count()
+                    if k < top or (k == top and mask & top_mask):
+                        continue
+                    rows = list(adj)
+                    b = mask
+                    while b:
+                        low = b & -b
+                        rows[low.bit_length() - 1] |= bit_new
+                        b ^= low
+                    rows.append(mask)
+                    # above top + 1, v alone has the largest degree and no tie
+                    if k > top + 1 or _deletes_to_parent(n, rows, base_key):
+                        keys.add(_canonical_key(n, rows))
+            level = tuple(canonical_graph(k) for k in sorted(keys))
+            # the keys would otherwise stay alive while the level is in use
+            del keys
+        yield level
 
 
 def random_graph(n: int, edge_prob: float, rng: random.Random) -> Graph:

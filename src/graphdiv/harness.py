@@ -235,19 +235,27 @@ def _stored_ints(payload, key: str) -> list:
     return values
 
 
+def _stored_part(g: Graph, payload, key: str) -> VertexSet:
+    """The vertex set ``payload[key]`` lists; ValueError if it lists a
+    vertex twice, which a set would silently merge."""
+    members = _stored_ints(payload, key)
+    part = VertexSet.of(g.n, members)
+    if len(part) != len(members):
+        twice = next(v for i, v in enumerate(members) if v in members[:i])
+        raise ValueError(f"{key} lists vertex {twice} twice")
+    return part
+
+
 def _division_from_json(g: Graph, payload: dict):
     kind = payload["kind"]
     if kind == "two":
-        return TwoDivision(
-            VertexSet.of(g.n, _stored_ints(payload, "a")),
-            VertexSet.of(g.n, _stored_ints(payload, "b")),
-        )
+        return TwoDivision(_stored_part(g, payload, "a"), _stored_part(g, payload, "b"))
     if kind != "perfect":
         raise ValueError(f"unknown division kind {echo(kind)}")
     weights = payload.get("weights")
     return PerfectDivision(
-        VertexSet.of(g.n, _stored_ints(payload, "p")),
-        VertexSet.of(g.n, _stored_ints(payload, "w")),
+        _stored_part(g, payload, "p"),
+        _stored_part(g, payload, "w"),
         weight=WeightFn.of(weights) if weights is not None else None,
     )
 

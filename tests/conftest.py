@@ -1,6 +1,7 @@
 import pytest
 
 from graphdiv import Graph, cycle_graph
+from graphdiv.corpus import _levels
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +23,10 @@ def petersen():
 @pytest.fixture(scope="session")
 def c5():
     return cycle_graph(5)
+
+
+@pytest.fixture(scope="session")
+def levels():
+    """``nonisomorphic_graphs(n)`` for n = 0..8, built in one walk, so the
+    tests that read levels 7 and 8 share one build per session."""
+    return tuple(_levels(8))

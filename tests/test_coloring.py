@@ -232,12 +232,12 @@ class TestClassRejection:
         "coloring, divide, rejected",
         [(color_via_two_division, two_divide, 448), (color_via_perfect_division, perfect_divide, 436)],
     )
-    def test_colorings_reject_as_their_divisions_do(self, coloring, divide, rejected):
+    def test_colorings_reject_as_their_divisions_do(self, coloring, divide, rejected, levels):
         # every graph outside the class, with n <= 7: the coloring raises
         # the same message with the same witnesses as its division
         count = 0
         for n in range(1, 8):
-            for g in nonisomorphic_graphs(n):
+            for g in levels[n]:
                 expected = _rejection(divide, g)
                 if expected is None:
                     continue

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import networkx as nx
 import pytest
@@ -140,16 +142,15 @@ class TestReferenceKernel:
             return key(n, adj)
 
         monkeypatch.setattr(corpus, "_canonical_key", recorded)
-        monkeypatch.setattr(corpus, "_NONISO_CACHE", {})
         nonisomorphic_graphs(7)
         monkeypatch.undo()
         assert len(inputs) == 2136
         for n, adj in inputs:
             self._assert_same(n, adj)
 
-    def test_relabeled_eight_vertex_classes(self):
+    def test_relabeled_eight_vertex_classes(self, levels):
         rng = random.Random(12)
-        for g in nonisomorphic_graphs(8)[::40]:
+        for g in levels[8][::40]:
             perm = list(range(8))
             rng.shuffle(perm)
             h = _relabel(g, perm)
@@ -217,7 +218,6 @@ class TestEnumeration:
             return key(n, adj)
 
         monkeypatch.setattr(corpus, "_canonical_key", counted)
-        monkeypatch.setattr(corpus, "_NONISO_CACHE", {})
         nonisomorphic_graphs(7)
         # canonicalizing every extension costs one call per class on n-1
         # vertices and neighborhood of the new vertex
@@ -228,6 +228,20 @@ class TestEnumeration:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             nonisomorphic_graphs(corpus.EXHAUSTIVE_LIMIT + 1)
+
+    def test_a_level_is_not_kept(self):
+        graphs = nonisomorphic_graphs(6)
+        ref = weakref.ref(graphs[-1])
+        del graphs
+        gc.collect()
+        assert ref() is None
+
+    def test_levels_walk_yields_every_level(self, levels):
+        # the fixture is tuple(_levels(8)): one walk, each level built from
+        # the one before
+        assert len(levels) == 9
+        for m, level in enumerate(levels):
+            assert type(level) is tuple and level == nonisomorphic_graphs(m)
 
 
 def _extension(adj, mask):
@@ -255,9 +269,9 @@ class TestTwinRules:
                 classes.append([w])
         return classes
 
-    def test_kept_neighborhoods_are_one_per_twin_swap_orbit(self):
+    def test_kept_neighborhoods_are_one_per_twin_swap_orbit(self, levels):
         for m in range(8):
-            for base in nonisomorphic_graphs(m):
+            for base in levels[m]:
                 classes = self._twin_classes(base.adj)
                 want = [
                     mask
@@ -266,11 +280,11 @@ class TestTwinRules:
                 ]
                 assert sorted(corpus._neighborhoods(base.adj)) == want
 
-    def test_skipped_extensions_are_isomorphic_to_kept_ones(self):
+    def test_skipped_extensions_are_isomorphic_to_kept_ones(self, levels):
         skipped = 0
         for m in range(8):
-            level = {canonical_key(g) for g in nonisomorphic_graphs(m + 1)}
-            for base in nonisomorphic_graphs(m):
+            level = {canonical_key(g) for g in levels[m + 1]}
+            for base in levels[m]:
                 kept = set(corpus._neighborhoods(base.adj))
                 classes = self._twin_classes(base.adj)
                 kept_keys = {}
@@ -291,7 +305,7 @@ class TestTwinRules:
                     assert key in level
         assert skipped == 42772
 
-    def test_ties_settled_as_twins_leave_the_parent_key(self, monkeypatch):
+    def test_ties_settled_as_twins_leave_the_parent_key(self, monkeypatch, levels):
         settled = []
         twins = corpus._twins
 
@@ -301,10 +315,8 @@ class TestTwinRules:
                 return True
             return False
 
-        levels = [nonisomorphic_graphs(n) for n in range(9)]
         monkeypatch.setattr(corpus, "_twins", recorded)
-        monkeypatch.setattr(corpus, "_NONISO_CACHE", {})
-        assert [nonisomorphic_graphs(n) for n in range(9)] == levels
+        assert tuple(corpus._levels(8)) == levels
         monkeypatch.undo()
         assert len(settled) == 2988
         for rows, u, v in settled:

@@ -139,9 +139,9 @@ class TestTwoDivisibleOracle:
     # The oracle tries the split carried from h minus its lowest vertex
     # before scanning; the flag and the first failing subset must equal
     # those of the scan-only reference.
-    def test_matches_scan_exhaustively(self):
+    def test_matches_scan_exhaustively(self, levels):
         for n in range(1, 8):
-            for g in nonisomorphic_graphs(n):
+            for g in levels[n]:
                 assert is_two_divisible_oracle(g) == naive.is_two_divisible_oracle(g), emit_graph6(g)
 
     def test_matches_scan_on_random_graphs(self):
@@ -301,9 +301,9 @@ class TestPerfectNonNeighborhoodVertex:
     def test_complete_graph(self):
         assert find_perfect_nonneighborhood_vertex(complete_graph(5)) == 0
 
-    def test_on_prime_class_member(self):
+    def test_on_prime_class_member(self, levels):
         # first prime bull-free P5-free 7-vertex graph from the corpus
-        for g in nonisomorphic_graphs(7):
+        for g in levels[7]:
             if find_bull(g) is not None or find_p5(g) is not None:
                 continue
             if find_homogeneous_set(g) is not None:
@@ -630,10 +630,10 @@ class TestDecompositionDivision:
                     lifts += 1
         assert lifts > 1000
 
-    def test_logs_match_reference_on_the_criterion_3_graphs(self):
+    def test_logs_match_reference_on_the_criterion_3_graphs(self, levels):
         checked = quotients = 0
         for n in range(1, 9):
-            for g in nonisomorphic_graphs(n):
+            for g in levels[n]:
                 if find_bull(g) is not None or (find_odd_hole(g) is not None and find_p5(g) is not None):
                     continue
                 rng = random.Random(f"decomposition/{emit_graph6(g)}")
@@ -645,12 +645,12 @@ class TestDecompositionDivision:
                 checked += 1
         assert checked == 4367 and quotients > 2000
 
-    def test_only_sets_whose_representative_lands_on_p_are_divided(self):
+    def test_only_sets_whose_representative_lands_on_p_are_divided(self, levels):
         # each divided set ends in one prime split, and a contracted set is
         # divided only in the xhat-in-p case, so a log with a positive set
         # has one base partition more than it has xhat-in-p recombinations
         rng = random.Random("decomposition/base-partitions")
-        graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n) if _in_perfect_divide_class(g)]
+        graphs = [g for n in range(1, 8) for g in levels[n] if _in_perfect_divide_class(g)]
         graphs += [g for g in _family_graphs(rng, 40, 16, 16) if _in_perfect_divide_class(g)]
         cases = Counter()
         for g in graphs:
@@ -799,11 +799,11 @@ class TestLogsRenderOnRead:
     """Both constructions store their steps as tuples of ints and masks and
     build member lists only when ``.log`` is read."""
 
-    def test_colorings_render_nothing_and_divide_logs_keep_their_bytes(self, monkeypatch):
+    def test_colorings_render_nothing_and_divide_logs_keep_their_bytes(self, monkeypatch, levels):
         # the criterion-3 graphs (n <= 8) and 16-vertex family graphs in the
         # perfect-division class; the two-division coloring runs on those
         # that are also (P5, C5)-free
-        graphs = [g for n in range(1, 9) for g in nonisomorphic_graphs(n) if _in_perfect_divide_class(g)]
+        graphs = [g for n in range(1, 9) for g in levels[n] if _in_perfect_divide_class(g)]
         graphs += [
             g for g in _family_graphs(random.Random("logs/render-on-read"), 40, 16, 16) if _in_perfect_divide_class(g)
         ]

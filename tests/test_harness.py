@@ -414,6 +414,18 @@ class TestDrivers:
         assert verified[0]["status"] == "verify-failed"
         assert verified[0]["error"] == "malformed record: KeyError: 'b'"
 
+    @pytest.mark.parametrize("mode,key", [("two", "a"), ("two", "b"), ("perfect", "p"), ("perfect", "w")])
+    def test_verify_fails_a_part_that_lists_a_vertex_twice(self, mode, key):
+        # a vertex set would merge the repeat, and K3 = {0, 0} | {1, 2}
+        # would verify
+        records = run_divide(graphs_with_ids([parse_graph6("Bw")]), mode=mode)
+        division = records[0]["division"]
+        other = {"a": "b", "b": "a", "p": "w", "w": "p"}[key]
+        division[key], division[other] = [0, 0], [1, 2]
+        verified = run_verify(build_report("divide", records))
+        assert verified[0]["status"] == "verify-failed"
+        assert verified[0]["error"] == f"malformed record: ValueError: {key} lists vertex 0 twice"
+
     def test_verify_fails_malformed_weights_with_reason(self, c5):
         records = run_divide(graphs_with_ids([c5]), mode="perfect")
         records[0]["division"]["weights"] = [1, 1.5, 1, 1, 1]

@@ -195,7 +195,7 @@ class TestPerfection:
         assert divided > 100
         assert len(list(exhaustive_corpus(6, ("perfect",)))) == 148
 
-    def test_searches_no_antihole_of_length_five(self, monkeypatch):
+    def test_searches_no_antihole_of_length_five(self, monkeypatch, levels):
         # a quotient with no odd hole has no C5, so the antihole search
         # that follows the hole search starts at length 7
         searches = Counter()
@@ -208,7 +208,7 @@ class TestPerfection:
         monkeypatch.setattr(graphdiv.recognition, "_first_odd_cycle", recorded)
         find_odd_hole.cache_clear()  # so the hole searches run, too
         rng = random.Random("perfection/one-rule")
-        for g in [g for n in range(8) for g in nonisomorphic_graphs(n)] + list(_family_graphs(rng, 400, 3, 16)):
+        for g in [g for n in range(8) for g in levels[n]] + list(_family_graphs(rng, 400, 3, 16)):
             is_perfect(g)
         assert searches["odd-antihole", 5] == 0, searches
         assert searches["odd-hole", 5] > 100 and searches["odd-antihole", 7] > 100, searches
@@ -334,14 +334,12 @@ def _later_piece_cases():
     return ((c7_then_c5, (7, 8, 9, 10, 11)), (beside, (1, 2, 3, 4, 5)))
 
 
-def _small_and_random_graphs(seed):
-    """Every graph on at most 7 vertices (one per isomorphism class), then
-    seeded random graphs on 8 to 13 vertices, then graphs that split into
-    pieces (``_piece_graphs``)."""
-    from graphdiv.corpus import nonisomorphic_graphs
-
+def _small_and_random_graphs(levels, seed):
+    """Every graph on at most 7 vertices (one per isomorphism class, from
+    the ``levels`` fixture), then seeded random graphs on 8 to 13 vertices,
+    then graphs that split into pieces (``_piece_graphs``)."""
     for n in range(8):
-        yield from nonisomorphic_graphs(n)
+        yield from levels[n]
     rng = random.Random(seed)
     for _ in range(150):
         yield random_graph(rng.randint(8, 13), rng.uniform(0.15, 0.85), rng)
@@ -361,7 +359,7 @@ class TestExactWitnesses:
     """The candidate-mask and pruned odd-cycle searches return exactly the
     witness of the plain scans in ``naive``, not just a witness."""
 
-    def test_induced_patterns(self):
+    def test_induced_patterns(self, levels):
         others = {
             "P3": path_graph(3),
             "K3": complete_graph(3),
@@ -381,7 +379,7 @@ class TestExactWitnesses:
         for name, pattern in others.items():
             finders.append((pattern, name, lambda g, pattern=pattern, name=name: find_induced(g, pattern, name)))
         found = Counter()
-        for g in _small_and_random_graphs("witness/induced"):
+        for g in _small_and_random_graphs(levels, "witness/induced"):
             for pattern, name, finder in finders:
                 got = finder(g)
                 assert _vertices(got) == naive.first_induced(g, pattern), (name, g.adj)
@@ -404,10 +402,10 @@ class TestExactWitnesses:
         assert above(complete_graph(3)) == [(0, 1), (0, 2), (1, 2)]
         assert above(ASYMMETRIC) == []
 
-    def test_odd_holes_and_antiholes_within(self):
+    def test_odd_holes_and_antiholes_within(self, levels):
         rng = random.Random("witness/holes")
         holes = antiholes = 0
-        for g in _small_and_random_graphs("witness/graphs"):
+        for g in _small_and_random_graphs(levels, "witness/graphs"):
             for m in (None, VertexSet(g.n, rng.getrandbits(g.n) | rng.getrandbits(g.n))):
                 vertices = None if m is None else m.members()
                 hole = find_odd_hole(g, m)
@@ -539,11 +537,11 @@ class TestModularDecomposition:
                     cases += 1
         assert cases == 11291 and found > 3000
 
-    def test_sampled_masks_on_seven_and_eight_vertices(self):
+    def test_sampled_masks_on_seven_and_eight_vertices(self, levels):
         rng = random.Random("decomposition/sampled")
         cases = found = 0
         for n, per_graph, graphs in ((7, 4, None), (8, 1, 1000)):
-            corpus = nonisomorphic_graphs(n)
+            corpus = levels[n]
             for g in corpus if graphs is None else rng.sample(corpus, graphs):
                 for mask in [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(per_graph)]:
                     found += _agrees_with_slow_search(g, mask)
@@ -608,14 +606,14 @@ class TestClassify:
                 if witness is not None:
                     assert embedding_is_valid(g, pattern_for_name(witness.pattern_name), witness)
 
-    def test_equals_its_definition(self):
+    def test_equals_its_definition(self, levels):
         # classify reads C5 off the hole search and starts the antihole
         # search at length 7 on graphs with no odd hole; its witnesses are
         # those of the searches it skips, and is_perfect, which asks the
         # same rule of each prime quotient, agrees with it
         rng = random.Random("classify/definition")
-        graphs = [g for n in range(8) for g in nonisomorphic_graphs(n)]
-        graphs += [_relabel(g, rng) for g in rng.sample(nonisomorphic_graphs(8), 500)]
+        graphs = [g for n in range(8) for g in levels[n]]
+        graphs += [_relabel(g, rng) for g in rng.sample(levels[8], 500)]
         graphs += list(_piece_graphs(rng))
         graphs += list(_antihole_twins(rng, 20))
         c5s = antiholes = 0
