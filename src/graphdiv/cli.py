@@ -15,8 +15,9 @@ schema version, and fails a record whose graph6 string does not parse
 without stopping the others.
 
 Exit codes: 0 ok; 1 verification failure; 2 usage error (an --out file
-that cannot be written included); 3 an input file that cannot be read or
-parsed; 4 class violation; 5 theorem violation; 6 budget exceeded.
+that cannot be written, and a report or weight file that is not UTF-8
+JSON, included); 3 an input file that cannot be read, or a graph file that
+does not parse; 4 class violation; 5 theorem violation; 6 budget exceeded.
 """
 
 import argparse
@@ -148,11 +149,15 @@ def _write(text: str, out_path):
 
 
 def _read_json(path):
+    """The JSON value in the report or weight file ``path``; a file that is
+    not UTF-8 JSON, or nests it too deeply, is a usage error that names it."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except RecursionError:
             raise ValueError(f"{path} nests JSON too deeply") from None
+        except ValueError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 def _options_of(args, *names) -> dict:
@@ -208,7 +213,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"graphdiv: cannot read {exc.filename}", file=sys.stderr)
         return EXIT_PARSE
-    except (GraphDivError, ValueError, json.JSONDecodeError) as exc:
+    except (GraphDivError, ValueError) as exc:
         print(f"graphdiv: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,16 +5,20 @@ and returns a witness embedding when the pattern is present, so a caller
 can always re-check a positive answer independently.
 
 Both searches try only vertices that can extend the partial witness.
-``find_induced`` keeps one candidate mask per pattern slot; placing a
-vertex narrows the masks of all later slots at once, and a branch ends as
-soon as one of them is empty. Where an automorphism of the pattern first
-moves slot p, to slot q, the smallest image holds a smaller vertex in p
-than in q, so placing p keeps only the vertices above it in q. These
-"above" pairs are (0, 4) for P5, (0, 1), (0, 2), (0, 3), (0, 4) and (1, 4)
-for C5, and (0, 1) for the bull. The hole and antihole search first splits
-the set into pieces, by components and anticomponents of its 2-core, and
-keeps only the non-bipartite ones with at least 5 vertices: an odd hole is
-connected, anticonnected and an odd cycle, so it lies inside one of them.
+``find_induced`` runs a search generated for its pattern: one ``while``
+loop per pattern slot, nested in slot order, over that slot's candidate
+mask. Placing a vertex narrows the mask of every later slot, each in one
+straight-line statement, and the loop moves on as soon as one of them is
+empty. Where an automorphism of the pattern first moves slot p, to slot
+q, the smallest image holds a smaller vertex in p than in q, so placing p
+keeps only the vertices above it in q. These "above" pairs are (0, 4) for
+P5, (0, 1), (0, 2), (0, 3), (0, 4) and (1, 4) for C5, and (0, 1) for the
+bull. The searches of these three are compiled at import, any other
+pattern's on its call; ``_search_source`` returns a search's source. The
+hole and antihole search first splits the set into pieces, by components
+and anticomponents of its 2-core, and keeps only the non-bipartite ones
+with at least 5 vertices: an odd hole is connected, anticonnected and an
+odd cycle, so it lies inside one of them.
 It then grows k-subsets in ascending order inside the piece of their first
 member and ends a branch as soon as no 2-regular set can complete it
 (chordless-cycle pruning in the spirit of Uno & Satoh, arXiv:1404.7610).
@@ -123,8 +127,7 @@ def pattern_for_name(name: str) -> Graph:
 def _search_plan(pattern: Graph) -> tuple:
     """For each slot i of ``pattern``, its later slots j with the rows that
     narrow slot j once slot i is placed: 0 for rows and 1 for co-rows, plus
-    2 when (i, j) is an above pair; and the kinds above 1 that occur, whose
-    rows each search builds.
+    2 when (i, j) is an above pair.
 
     (p, q) is an above pair when some automorphism σ fixes the slots before
     p and moves p to q. The copy with the image of σ(i) in slot i first
@@ -141,73 +144,104 @@ def _search_plan(pattern: Graph) -> tuple:
         return i == k - 1 or any(completes(image + [v]) for v in range(k) if v not in image)
 
     above = {(p, q) for p in range(k) for q in range(p + 1, k) if completes(list(range(p)) + [q])}
-    slots = tuple(tuple((j, (not adj[i] >> j & 1) | 2 * ((i, j) in above)) for j in range(i + 1, k)) for i in range(k))
-    return slots, tuple({t for slot in slots for _, t in slot if t > 1})
+    return tuple(tuple((j, (not adj[i] >> j & 1) | 2 * ((i, j) in above)) for j in range(i + 1, k)) for i in range(k))
 
 
-_PLANS = {pattern: _search_plan(pattern) for pattern in (P5_PATTERN, C5_PATTERN, BULL_PATTERN)}
+def _search_source(pattern: Graph) -> str:
+    """Python source of the search that ``find_induced`` runs for
+    ``pattern``: ``search(adj, full)`` returns the smallest image tuple of
+    an induced copy in the graph with rows ``adj`` on the vertices of
+    ``full``, or None.
+
+    Slot i loops over ``c{i}``, its candidates. Placing ``v{i}`` (bit
+    ``b{i}``) narrows each later slot j in one statement, ``m{i}_{j}`` from
+    ``m{i-1}_{j}``, or ``c{j}`` when j = i + 1, and moves on to the next
+    candidate as soon as one of them is empty. The last slot takes the
+    lowest bit of its candidates.
+    """
+    slots = _search_plan(pattern)
+    k = len(slots)
+    lines = ["def search(adj, full):"]
+    if any(t & 1 for slot in slots for _, t in slot):
+        lines.append("    co = _co_rows(adj, full)")
+    if k:
+        lines.append("    c0 = full")
+    for i in range(k - 1):
+        pad = "    " * (i + 1)
+        lines += [
+            f"{pad}while c{i}:",
+            f"{pad}    b{i} = c{i} & -c{i}",
+            f"{pad}    c{i} ^= b{i}",
+            f"{pad}    v{i} = b{i}.bit_length() - 1",
+        ]
+        for j, t in slots[i]:
+            mask = f"c{j}" if j == i + 1 else f"m{i}_{j}"
+            narrowed = ("co" if t & 1 else "adj") + f"[v{i}]"
+            if i:
+                narrowed = f"m{i - 1}_{j} & {narrowed}"
+            if t & 2:
+                narrowed += f" & -(b{i} << 1)"
+            lines += [f"{pad}    {mask} = {narrowed}", f"{pad}    if not {mask}:", f"{pad}        continue"]
+    image = [f"v{i}" for i in range(k - 1)]
+    if k:
+        image.append(f"(c{k - 1} & -c{k - 1}).bit_length() - 1")
+    lines.append("    " * max(k, 1) + "return (" + ", ".join(image) + "," * (k == 1) + ")")
+    return "\n".join(lines) + "\n"
+
+
+def _compile_search(pattern: Graph):
+    """The search of ``_search_source(pattern)``, compiled."""
+    namespace = {"_co_rows": _co_rows}
+    exec(compile(_search_source(pattern), "<induced search>", "exec"), namespace)
+    return namespace["search"]
+
+
+_SEARCHES = {pattern: _compile_search(pattern) for pattern in (P5_PATTERN, C5_PATTERN, BULL_PATTERN)}
 
 
 def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     """First induced copy of ``pattern`` in ``g`` (lexicographically smallest
     image tuple under the vertex order), or None.
 
-    Every slot keeps one candidate mask. Placing a vertex in slot i narrows
-    the mask of every later slot j, by the vertex's row where the pattern
-    has the edge ij and by its co-row where it has not, and a branch ends
-    as soon as some later mask is empty (forward checking). For an above
-    pair (i, j) it also keeps only the vertices above the placed one, since
-    the smallest image tuple has them there. Rows and co-rows leave out the
-    vertex itself, so no vertex is placed twice. Each slot tries the bits
-    of its mask in ascending order, the order of a scan over all vertices
-    minus the rejects, so the first complete image is the smallest.
+    The search is generated from the pattern: one ``while`` loop per slot
+    but the last, nested in slot order, each over its slot's candidate
+    mask. Placing vertex v (bit b) in slot i narrows the mask of every
+    later slot j in one statement: by v's row where the pattern has the
+    edge ij and by its co-row where it has not, and for an above pair (i,
+    j) also by ``-(b << 1)``, the vertices above v, since the smallest
+    image tuple has them there. The loop moves on to its next vertex as
+    soon as one of those masks is empty (forward checking). Rows and
+    co-rows leave out the vertex itself, so no vertex is placed twice.
+    Each loop tries the bits of its mask in ascending order, the order of a
+    scan over all vertices minus the rejects, and the last slot takes the
+    lowest bit of its mask, so the first complete image is the smallest.
+    For P5 (above pair (0, 4)) the loop of slot 1 reads::
+
+        while c1:
+            b1 = c1 & -c1
+            c1 ^= b1
+            v1 = b1.bit_length() - 1
+            c2 = m0_2 & adj[v1]
+            if not c2:
+                continue
+            m1_3 = m0_3 & co[v1]
+            if not m1_3:
+                continue
+            m1_4 = m0_4 & co[v1]
+            if not m1_4:
+                continue
+            while c2:
+                ...
+
+    where ``m0_4 = co[v0] & -(b0 << 1)``; ``_search_source(P5_PATTERN)``
+    returns the whole search. The searches of P5, C5 and the bull are
+    compiled once, at import (``_SEARCHES``); any other pattern's is
+    compiled on each call.
     """
-    k = pattern.n
-    n = g.n
-    if k > n:
+    if pattern.n > g.n:
         return None
-    if k == 0:
-        return Embedding(name, ())
-    slots, above_rows = _PLANS.get(pattern) or _search_plan(pattern)
-    full = (1 << n) - 1
-    adj = g.adj
-    rows = [adj, _co_rows(adj, full), None, None]
-    for t in above_rows:
-        rows[t] = [row & -(2 << v) for v, row in enumerate(rows[t & 1])]
-    # narrow[i]: each later slot j with the rows through which slot i's
-    # vertex narrows it.
-    narrow = [[(j, rows[t]) for j, t in slot] for slot in slots]
-    # masks[i][j]: slot j's candidates once slots 0 .. i - 1 are placed.
-    masks = [[full] * k for _ in range(k)]
-    image = [0] * k
-    last = k - 1
-
-    def backtrack(i):
-        cur = masks[i]
-        mask = cur[i]
-        if i == last:
-            image[i] = (mask & -mask).bit_length() - 1
-            return True
-        nxt = masks[i + 1]
-        rows = narrow[i]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            v = low.bit_length() - 1
-            for j, row in rows:
-                m = cur[j] & row[v]
-                if not m:
-                    break
-                nxt[j] = m
-            else:
-                if backtrack(i + 1):
-                    image[i] = v
-                    return True
-        return False
-
-    if backtrack(0):
-        return Embedding(name, tuple(image))
-    return None
+    image = (_SEARCHES.get(pattern) or _compile_search(pattern))(g.adj, (1 << g.n) - 1)
+    return None if image is None else Embedding(name, image)
 
 
 @lru_cache(maxsize=1)

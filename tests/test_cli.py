@@ -552,6 +552,28 @@ class TestUnreadableFiles:
         assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_PARSE
         assert f"cannot read {tmp_path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--division", "{file}"],
+            ["divide", "--mode", "perfect", "--exhaustive", "3", "--weights", "{file}"],
+        ],
+        ids=["report", "weights"],
+    )
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            (b"[1, 2", "Expecting ',' delimiter: line 1 column 6 (char 5)"),
+            (b"\xff[]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["truncated", "not-utf-8"],
+    )
+    def test_file_that_is_not_json_is_a_usage_error_that_names_it(self, tmp_path, capsys, argv, payload, reason):
+        path = tmp_path / "input.json"
+        path.write_bytes(payload)
+        assert main([arg.format(file=path) for arg in argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"graphdiv: {path} is not JSON: {reason}\n"
+
     def test_out_in_a_missing_directory_cannot_be_written(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
         assert main(["classify", "--exhaustive", "3", "--out", str(out)]) == EXIT_USAGE

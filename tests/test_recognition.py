@@ -39,7 +39,15 @@ from graphdiv import (
 )
 from graphdiv.corpus import nonisomorphic_graphs, random_graph, twin_substitute
 from graphdiv.harness import exhaustive_corpus
-from graphdiv.recognition import PERFECTION_BUDGET, PRIME, _decompose, _homogeneous_split, _search_plan
+from graphdiv.recognition import (
+    PERFECTION_BUDGET,
+    PRIME,
+    _compile_search,
+    _decompose,
+    _homogeneous_split,
+    _search_plan,
+    _search_source,
+)
 
 
 def _rand(n, p, seed):
@@ -359,8 +367,12 @@ class TestExactWitnesses:
     """The candidate-mask and pruned odd-cycle searches return exactly the
     witness of the plain scans in ``naive``, not just a witness."""
 
-    def test_induced_patterns(self, levels):
+    def test_induced_patterns(self, levels, monkeypatch):
         others = {
+            "K1": complete_graph(1),
+            "K2": complete_graph(2),
+            "2K1": empty_graph(2),
+            "P3+K1": Graph.from_edges(4, [(0, 1), (1, 2)]),
             "P3": path_graph(3),
             "K3": complete_graph(3),
             "claw": CLAW,
@@ -377,6 +389,8 @@ class TestExactWitnesses:
             (BULL_PATTERN, "bull", find_bull),
         ]
         for name, pattern in others.items():
+            # compiled once here, not on every call
+            monkeypatch.setitem(graphdiv.recognition._SEARCHES, pattern, _compile_search(pattern))
             finders.append((pattern, name, lambda g, pattern=pattern, name=name: find_induced(g, pattern, name)))
         found = Counter()
         for g in _small_and_random_graphs(levels, "witness/induced"):
@@ -392,7 +406,7 @@ class TestExactWitnesses:
 
     def test_above_pairs(self):
         def above(pattern):
-            return [(i, j) for i, slot in enumerate(_search_plan(pattern)[0]) for j, t in slot if t & 2]
+            return [(i, j) for i, slot in enumerate(_search_plan(pattern)) for j, t in slot if t & 2]
 
         assert above(P5_PATTERN) == [(0, 4)]
         assert above(C5_PATTERN) == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4)]
@@ -401,6 +415,21 @@ class TestExactWitnesses:
         assert above(CLAW) == [(1, 2), (1, 3), (2, 3)]
         assert above(complete_graph(3)) == [(0, 1), (0, 2), (1, 2)]
         assert above(ASYMMETRIC) == []
+
+    def test_generated_searches(self):
+        p5 = _search_source(P5_PATTERN)
+        # one loop per slot but the last; one narrowing statement per later
+        # slot, the above pair (0, 4) cut to the vertices above v0
+        assert p5.count("while ") == 4
+        assert "    m0_4 = co[v0] & -(b0 << 1)\n" in p5
+        assert "    c2 = m0_2 & adj[v1]\n" in p5
+        assert p5.endswith("return (v0, v1, v2, v3, (c4 & -c4).bit_length() - 1)\n")
+        # a pattern with no non-edge builds no co-rows
+        assert "co[" not in _search_source(complete_graph(4))
+        # one slot returns the lowest vertex at once; no slot, the empty image
+        assert "while" not in _search_source(complete_graph(1))
+        assert _compile_search(complete_graph(1))((0, 0, 0), 0b110) == (1,)
+        assert _compile_search(empty_graph(0))((), 0) == ()
 
     def test_odd_holes_and_antiholes_within(self, levels):
         rng = random.Random("witness/holes")
