@@ -91,6 +91,8 @@ from .recognition import (
 )
 
 ORACLE_BUDGET = 12
+# The lowest vertex of each mask below 2^ORACLE_BUDGET, for the oracle.
+_LOWEST = [(h & -h).bit_length() - 1 for h in range(1 << ORACLE_BUDGET)]
 
 
 @dataclass(frozen=True)
@@ -389,31 +391,44 @@ def is_two_divisible_oracle(g: Graph):
     ``(False, counterexample_set)``, the first failing subset in mask
     order.
 
-    Subsets are decided in increasing mask order, so the split ``split[r]``
-    of ``r = h`` minus its lowest vertex is known when ``h`` comes up. Its
-    two sides, each with that vertex added back, are tried first; only when
-    both fail the test is every submask of ``h`` through the lowest vertex
-    scanned. When ω(h) > ω(r) the first candidate always passes.
+    Subsets ``h`` are decided in increasing mask order, so the clique
+    number and the split of ``r = h`` minus its lowest vertex ``v`` are
+    known when ``h`` comes up; ``_LOWEST`` gives ``v`` for every mask below
+    2^``ORACLE_BUDGET``. ω(h) is ω(r), or 1 + ω(r ∩ N(v)) when that is
+    larger. ``split[r]`` is empty when ω(r) ≤ 1, and otherwise one side of
+    a split of ``r``: both sides have clique number below ω(r).
+
+    When ω rises through ``v``, ω(h) = ω(r) + 1 ≥ 2, and ``split[r]`` plus
+    ``v`` splits ``h`` without a test. The other side lies inside ``r``, so
+    its clique number is at most ω(r) < ω(h). ``split[r]`` has clique
+    number at most ω(r) - 1 (it is empty when ω(r) = 1), so with ``v``
+    added it has at most ω(r) < ω(h). Otherwise the two sides of
+    ``split[r]``, each with ``v`` added back, are tried first; only when
+    both fail the test is every submask of ``h`` through ``v`` scanned.
     """
     n = g.n
     if n > ORACLE_BUDGET:
         raise BudgetExceededError(f"2-divisibility oracle limited to {ORACLE_BUDGET} vertices, asked for {n}")
     adj = g.adj
+    lowest = _LOWEST
     size = 1 << n
     omega = [0] * size
     split = [0] * size
     for h in range(1, size):
-        low = h & -h
-        rest = h ^ low
+        rest = h & (h - 1)
         # compared by hand: a max() call here made the whole oracle 1.4 to
         # 1.9 times slower over the graphs on 8 vertices
         oh = omega[rest]
-        through_low = 1 + omega[h & adj[low.bit_length() - 1]]
+        through_low = 1 + omega[rest & adj[lowest[h]]]
         if through_low > oh:
-            oh = through_low
+            omega[h] = through_low
+            if oh:
+                split[h] = split[rest] | (h ^ rest)
+            continue
         omega[h] = oh
         if oh < 2:
             continue
+        low = h ^ rest
         carried = split[rest]
         if omega[carried | low] < oh and omega[rest ^ carried] < oh:
             split[h] = carried | low

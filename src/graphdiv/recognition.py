@@ -14,12 +14,18 @@ q, the smallest image holds a smaller vertex in p than in q, so placing p
 keeps only the vertices above it in q. These "above" pairs are (0, 4) for
 P5, (0, 1), (0, 2), (0, 3), (0, 4) and (1, 4) for C5, and (0, 1) for the
 bull. The searches of these three are compiled at import, any other
-pattern's on its call; ``_search_source`` returns a search's source. The
-hole and antihole search first splits the set into pieces, by components
-and anticomponents of its 2-core, and keeps only the non-bipartite ones
-with at least 5 vertices: an odd hole is connected, anticonnected and an
-odd cycle, so it lies inside one of them.
-It then grows k-subsets in ascending order inside the piece of their first
+pattern's on its call; ``_search_source`` returns a search's source.
+
+The hole and antihole search first splits the set into pieces, by
+components and anticomponents of its 2-core, and keeps only the
+non-bipartite ones with at least 5 vertices: an odd hole is connected,
+anticonnected and an odd cycle, so it lies inside one of them. It then
+decides, then orders. For each odd length k, shortest first, the generated
+search of C_k asks each piece whether it holds an induced C_k (on the
+co-rows for antiholes); C5's search is compiled at import and each longer
+one on first use. On a set with no odd hole, such as most graphs of an
+exhaustive sweep, that is all the work. At the first length with a yes,
+it grows k-subsets in ascending order inside the piece of their first
 member and ends a branch as soon as no 2-regular set can complete it
 (chordless-cycle pruning in the spirit of Uno & Satoh, arXiv:1404.7610).
 Both return the witness of a plain scan in the same order: the
@@ -77,6 +83,8 @@ from .core import (
 from .errors import BudgetExceededError
 
 PERFECTION_BUDGET = 16
+# CPython nests at most 20 loops in one function: one per slot but the last.
+_SEARCH_SLOTS = 21
 
 P5_PATTERN = path_graph(5)
 C5_PATTERN = cycle_graph(5)
@@ -150,17 +158,26 @@ def _search_plan(pattern: Graph) -> tuple:
 def _search_source(pattern: Graph) -> str:
     """Python source of the search that ``find_induced`` runs for
     ``pattern``: ``search(adj, full)`` returns the smallest image tuple of
-    an induced copy in the graph with rows ``adj`` on the vertices of
-    ``full``, or None.
+    an induced copy in the subgraph on the vertices of ``full`` under the
+    rows ``adj``, or None. The rows may reach outside ``full``; no vertex
+    outside it is ever placed.
 
     Slot i loops over ``c{i}``, its candidates. Placing ``v{i}`` (bit
     ``b{i}``) narrows each later slot j in one statement, ``m{i}_{j}`` from
     ``m{i-1}_{j}``, or ``c{j}`` when j = i + 1, and moves on to the next
-    candidate as soon as one of them is empty. The last slot takes the
-    lowest bit of its candidates.
+    candidate as soon as one of them is empty. Slot 0 narrows every later
+    slot, by a co-row, which ``_co_rows`` restricts to ``full``, or by a row
+    and ``full``, so later slots hold vertices of ``full`` only. The last
+    slot takes the lowest bit of its candidates.
+
+    CPython nests at most 20 loops in one function, so a search holds at
+    most ``_SEARCH_SLOTS`` = 21 slots; a larger pattern raises
+    ``BudgetExceededError``.
     """
     slots = _search_plan(pattern)
     k = len(slots)
+    if k > _SEARCH_SLOTS:
+        raise BudgetExceededError(f"induced search limited to {_SEARCH_SLOTS} pattern vertices, asked for {k}")
     lines = ["def search(adj, full):"]
     if any(t & 1 for slot in slots for _, t in slot):
         lines.append("    co = _co_rows(adj, full)")
@@ -179,6 +196,8 @@ def _search_source(pattern: Graph) -> str:
             narrowed = ("co" if t & 1 else "adj") + f"[v{i}]"
             if i:
                 narrowed = f"m{i - 1}_{j} & {narrowed}"
+            elif not t & 1:
+                narrowed += " & full"
             if t & 2:
                 narrowed += f" & -(b{i} << 1)"
             lines += [f"{pad}    {mask} = {narrowed}", f"{pad}    if not {mask}:", f"{pad}        continue"]
@@ -197,6 +216,10 @@ def _compile_search(pattern: Graph):
 
 
 _SEARCHES = {pattern: _compile_search(pattern) for pattern in (P5_PATTERN, C5_PATTERN, BULL_PATTERN)}
+# The odd cycles that the hole and antihole search can ask for, built at
+# import; each one's search is compiled on first use (``_cycle_search``).
+_ODD_CYCLES = {k: cycle_graph(k) for k in range(5, PERFECTION_BUDGET + 1, 2)}
+_CYCLE_SEARCHES = {5: _SEARCHES[C5_PATTERN]}
 
 
 def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
@@ -236,7 +259,9 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     where ``m0_4 = co[v0] & -(b0 << 1)``; ``_search_source(P5_PATTERN)``
     returns the whole search. The searches of P5, C5 and the bull are
     compiled once, at import (``_SEARCHES``); any other pattern's is
-    compiled on each call.
+    compiled on each call. CPython nests at most 20 loops in one function,
+    so a pattern with more than 21 vertices (and no more than ``g``)
+    raises ``BudgetExceededError``.
     """
     if pattern.n > g.n:
         return None
@@ -364,17 +389,49 @@ def _can_saturate(adj, later: int, zero: int, one: int) -> bool:
     return True
 
 
+def _cycle_search(k: int):
+    """The generated search of the cycle C_k; C5's is compiled at import,
+    each longer one on its first use."""
+    search = _CYCLE_SEARCHES.get(k)
+    if search is None:
+        search = _CYCLE_SEARCHES[k] = _compile_search(_ODD_CYCLES[k])
+    return search
+
+
 def _first_odd_cycle(kind: str, adj, full: int, shortest: int = 5):
     """First induced odd cycle of length at least ``shortest`` on ``full``
     under the rows ``adj``, shortest first, in cycle order.
 
     The search runs on the pieces of ``_odd_cycle_pieces``, one of which
-    holds every such cycle. For each odd k, shortest first, it adds members
-    in ascending order, and once the first member is chosen the others come
-    from its piece only. So the k-subsets come in the order of
-    ``itertools.combinations``, minus those that span two pieces or miss
-    them. A member with two neighbours in the set is saturated. A branch
-    ends when:
+    holds every such cycle. It first decides, then orders. For each odd k,
+    shortest first, the generated search of C_k (``_cycle_search``) asks
+    each piece with k or more vertices whether it holds an induced C_k; on
+    a set with no such cycle that is the whole search. At the first k with
+    a yes, ``_ordered_cycle`` returns the first such cycle.
+    """
+    count = full.bit_count()
+    if count > PERFECTION_BUDGET:
+        raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
+    pieces = _odd_cycle_pieces(adj, full, shortest)
+    if not pieces:
+        return None
+    longest = max(piece.bit_count() for piece in pieces)
+    for k in range(shortest, longest + 1, 2):
+        search = _cycle_search(k)
+        if any(piece.bit_count() >= k and search(adj, piece) for piece in pieces):
+            return Embedding(f"{kind}({k})", _ordered_cycle(adj, pieces, k))
+    return None
+
+
+def _ordered_cycle(adj, pieces: list, k: int):
+    """The first induced k-cycle inside one of ``pieces``, in cycle order,
+    or None.
+
+    It adds members in ascending order, and once the first member is
+    chosen the others come from its piece only. So the k-subsets come in
+    the order of ``itertools.combinations``, minus those that span two
+    pieces or miss them. A member with two neighbours in the set is
+    saturated. A branch ends when:
 
     - a member would get three neighbours in the set (a vertex that a
       saturated member sees is never tried);
@@ -385,12 +442,6 @@ def _first_odd_cycle(kind: str, adj, full: int, shortest: int = 5):
     Only 2-regular sets are completed, so the first one that is a single
     cycle is the first combination ``_induced_cycle_order`` accepts.
     """
-    count = full.bit_count()
-    if count > PERFECTION_BUDGET:
-        raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
-    pieces = _odd_cycle_pieces(adj, full, shortest)
-    if not pieces:
-        return None
     home = [0] * len(adj)
     spread = 0
     for piece in pieces:
@@ -398,7 +449,6 @@ def _first_odd_cycle(kind: str, adj, full: int, shortest: int = 5):
         for v in _bits(piece):
             home[v] = piece
     chosen = []
-
     def extend(cand, slots, inside, zero, one, blocked):
         # cand: later vertices no saturated member sees; zero and one: the
         # members with no neighbour and with one neighbour in ``inside``.
@@ -447,22 +497,20 @@ def _first_odd_cycle(kind: str, adj, full: int, shortest: int = 5):
             chosen.pop()
         return None
 
-    longest = max(piece.bit_count() for piece in pieces)
-    for k in range(shortest, longest + 1, 2):
-        rest = spread
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            # The rest of the set comes from the later members of the first
-            # member's piece, and two of them must be its neighbours.
-            later = home[v] & ~(2 * low - 1)
-            if later.bit_count() >= k - 1 and (adj[v] & later).bit_count() >= 2:
-                chosen.append(v)
-                order = extend(later, k - 1, low, low, 0, 0)
-                if order is not None:
-                    return Embedding(f"{kind}({k})", order)
-                chosen.pop()
+    rest = spread
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        # The rest of the set comes from the later members of the first
+        # member's piece, and two of them must be its neighbours.
+        later = home[v] & ~(2 * low - 1)
+        if later.bit_count() >= k - 1 and (adj[v] & later).bit_count() >= 2:
+            chosen.append(v)
+            order = extend(later, k - 1, low, low, 0, 0)
+            if order is not None:
+                return order
+            chosen.pop()
     return None
 
 

@@ -132,6 +132,13 @@ def first_odd_hole(g: Graph, vertices=None):
     return None
 
 
+def has_induced_cycle(g: Graph, k: int, vertices=None) -> bool:
+    """Does ``g`` restricted to ``vertices`` (all of ``g`` by default) hold
+    an induced cycle on exactly ``k`` vertices?"""
+    vertices = sorted(range(g.n) if vertices is None else vertices)
+    return any(_induces_cycle(g, s) for s in itertools.combinations(vertices, k))
+
+
 def has_odd_hole(g: Graph) -> bool:
     for k in range(5, g.n + 1, 2):
         for s in subsets(range(g.n), k):

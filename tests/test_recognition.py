@@ -42,7 +42,10 @@ from graphdiv.harness import exhaustive_corpus
 from graphdiv.recognition import (
     PERFECTION_BUDGET,
     PRIME,
+    _SEARCHES,
+    _co_rows,
     _compile_search,
+    _cycle_search,
     _decompose,
     _homogeneous_split,
     _search_plan,
@@ -77,6 +80,26 @@ class TestFindInduced:
 
     def test_empty_pattern(self):
         assert find_induced(cycle_graph(4), empty_graph(0)).vertices == ()
+
+    def test_search_places_only_vertices_of_full(self):
+        # C5 on 0..4 plus vertex 5, a twin of vertex 1. Vertices 0, 2, 3, 4
+        # and 5 form a C5 again, but 0b011101 leaves out 1 and 5 and holds
+        # only four vertices.
+        g = twin_substitute(cycle_graph(5), 1, adjacent=False)
+        assert g.adj[5] == g.adj[1]
+        search = _SEARCHES[C5_PATTERN]
+        assert search(g.adj, 0b011101) is None
+        assert search(g.adj, 0b111101) == (0, 4, 3, 2, 5)
+        assert search(g.adj, 0b111111) == (0, 1, 2, 3, 4)
+
+    def test_slot_limit(self):
+        # CPython nests at most 20 loops, one per slot but the last
+        with pytest.raises(BudgetExceededError, match="limited to 21 pattern vertices, asked for 22"):
+            find_induced(path_graph(30), path_graph(22))
+        assert find_induced(path_graph(30), path_graph(21)).vertices == tuple(range(21))
+        # every cycle the hole search may ask for compiles
+        for k in range(5, PERFECTION_BUDGET + 1, 2):
+            assert _compile_search(cycle_graph(k))(cycle_graph(k).adj, (1 << k) - 1) == tuple(range(k))
 
 
 class TestNamedFinders:
@@ -455,6 +478,61 @@ class TestExactWitnesses:
             assert _vertices(find_odd_hole(g, None)) == hole
             assert _vertices(find_odd_antihole(complement(g), None)) == hole
             assert _vertices(find_odd_antihole(g, None)) == naive.first_odd_hole(complement(g))
+
+
+class TestCycleDecisions:
+    """The hole and antihole search first asks the generated search of C_k
+    whether a piece holds an induced C_k, and orders the k-subsets only
+    once one does."""
+
+    def test_decisions_agree_with_naive(self, levels):
+        rng = random.Random("decide/cycles")
+        cases = [(g, None) for n in range(9) for g in levels[n]] + [(g, None) for g in _piece_graphs(rng)]
+        # each odd cycle up to 15 with one more vertex, joined to it, apart
+        # from it or a twin of a cycle vertex, and the complements, on all
+        # of their vertices
+        for k in range(5, 16, 2):
+            for g in (
+                _combine(cycle_graph(k), empty_graph(1), join=rng.random() < 0.5),
+                twin_substitute(cycle_graph(k), rng.randrange(k), adjacent=rng.random() < 0.5),
+            ):
+                g = _relabel(g, rng)
+                cases += [(g, (1 << g.n) - 1), (complement(g), (1 << g.n) - 1)]
+        seen = Counter()
+        for g, fixed in cases:
+            everything = (1 << g.n) - 1
+            for side, rows, host in (("rows", g.adj, g), ("co-rows", _co_rows(g.adj, everything), complement(g))):
+                mask = fixed if fixed is not None else rng.getrandbits(g.n) | rng.getrandbits(g.n)
+                members = VertexSet(g.n, mask).members()
+                for k in range(5, min(len(members), 15) + 1, 2):
+                    found = _cycle_search(k)(rows, mask)
+                    assert (found is not None) == naive.has_induced_cycle(host, k, members), (side, k, g.adj, mask)
+                    if found is not None:
+                        assert set(found) <= set(members)
+                        assert embedding_is_valid(host, cycle_graph(k), Embedding("cycle", found))
+                        seen[side, k] += 1
+        assert all(seen[side, 5] > 1000 for side in ("rows", "co-rows")), seen
+        assert all(seen[side, k] >= 2 for side in ("rows", "co-rows") for k in range(7, 16, 2)), seen
+
+    def test_no_odd_hole_is_never_ordered(self, monkeypatch, levels):
+        # on a graph with no odd hole the decisions answer no at every
+        # length, so no k-subset is completed and checked for one cycle
+        calls = Counter()
+        original = graphdiv.recognition._induced_cycle_order
+
+        def counted(adj, combo, mask):
+            calls[len(combo)] += 1
+            return original(adj, combo, mask)
+
+        free = [g for g in levels[8] if find_odd_hole(g, None) is None]
+        assert len(free) == 8899
+        monkeypatch.setattr(graphdiv.recognition, "_induced_cycle_order", counted)
+        find_odd_hole.cache_clear()
+        assert all(find_odd_hole(g, None) is None for g in free)
+        assert not calls, calls
+        find_odd_hole.cache_clear()
+        assert find_odd_hole(cycle_graph(7), None).pattern_name == "odd-hole(7)"
+        assert calls == {7: 1}
 
 
 def _lift(emb, vmap):
