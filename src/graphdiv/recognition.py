@@ -2,9 +2,10 @@
 
 Every finder is exhaustive (no false negatives at the sizes it accepts)
 and returns a witness embedding when the pattern is present, so a caller
-can always re-check a positive answer independently.
+can always re-check a positive answer independently. One rule picks the
+witness: the lexicographically smallest image tuple of the pattern, and
+for an odd hole or antihole that of the shortest odd cycle.
 
-Both searches try only vertices that can extend the partial witness.
 ``find_induced`` runs a search generated for its pattern: one ``while``
 loop per pattern slot, nested in slot order, over that slot's candidate
 mask. Placing a vertex narrows the mask of every later slot, each in one
@@ -19,18 +20,13 @@ pattern's on its call; ``_search_source`` returns a search's source.
 The hole and antihole search first splits the set into pieces, by
 components and anticomponents of its 2-core, and keeps only the
 non-bipartite ones with at least 5 vertices: an odd hole is connected,
-anticonnected and an odd cycle, so it lies inside one of them. It then
-decides, then orders. For each odd length k, shortest first, the generated
-search of C_k asks each piece whether it holds an induced C_k (on the
-co-rows for antiholes); C5's search is compiled at import and each longer
-one on first use. On a set with no odd hole, such as most graphs of an
-exhaustive sweep, that is all the work. At the first length with a yes,
-it grows k-subsets in ascending order inside the piece of their first
-member and ends a branch as soon as no 2-regular set can complete it
-(chordless-cycle pruning in the spirit of Uno & Satoh, arXiv:1404.7610).
-Both return the witness of a plain scan in the same order: the
-lexicographically smallest image tuple, and the first odd cycle among the
-shortest, in ``itertools.combinations`` order.
+anticonnected and an odd cycle, so it lies inside one of them. For each
+odd length k, shortest first, it runs the generated search of C_k on each
+piece (on the co-rows for antiholes), and at the first length with an
+image it returns the smallest image of all pieces. C5's search is
+compiled at import and each longer one on first use. The smallest image
+of a cycle lists it from its smallest vertex toward that vertex's smaller
+neighbour, so a hole's witness is in cycle order.
 
 Homogeneous sets and perfection are read off the modular decomposition of
 the subgraph (``_decompose``). ``find_homogeneous_set`` returns the set
@@ -38,8 +34,8 @@ that perfect division contracts: a child of the root, or its first two.
 One rule decides imperfection: ``imperfection_witness`` runs the hole
 search and, on a set with no odd hole, the antihole search from length 7,
 since an odd antihole of length 5 is a C5. ``classify`` asks it of the
-whole graph, reads its odd hole off the witness and searches C5 only when
-that hole has 5 vertices. ``is_perfect`` asks it of each prime quotient
+whole graph, reads its odd hole off the witness, and its C5 off that hole
+when the hole has 5 vertices. ``is_perfect`` asks it of each prime quotient
 (one representative per child): a graph is perfect iff every such quotient
 is (Lovász, Discrete Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds the
 largest prime quotient there, while the witness finders count the whole
@@ -58,7 +54,7 @@ lookups, for the benchmark tracer that reads its ``cache_info()``.
 passes ``within`` positionally, None included. ``find_p5``, ``find_c5`` and
 ``find_bull`` remember the last graph, which the class checks after
 ``classify`` and after a coloring of the same graph hit (P5 7,732 / 12,346
-and C5 3,866 / 7,301 on ``exhaustive-n8``, bull 600 / 600 on
+and C5 3,866 / 3,866 on ``exhaustive-n8``, bull 600 / 600 on
 ``perfect-reach-n16``). The antihole search runs only after a hole search
 that found nothing, and is not cached.
 """
@@ -90,6 +86,7 @@ P5_PATTERN = path_graph(5)
 C5_PATTERN = cycle_graph(5)
 # Triangle 0-1-2 with pendant 3 at 0 and pendant 4 at 1.
 BULL_PATTERN = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+_NAMED_PATTERNS = {"P5": P5_PATTERN, "C5": C5_PATTERN, "bull": BULL_PATTERN}
 
 
 @dataclass(frozen=True)
@@ -118,17 +115,18 @@ def embedding_is_valid(g: Graph, pattern: Graph, emb: Embedding) -> bool:
 
 
 def pattern_for_name(name: str) -> Graph:
-    """The pattern graph an embedding name refers to."""
-    if name == "P5":
-        return P5_PATTERN
-    if name == "C5":
-        return C5_PATTERN
-    if name == "bull":
-        return BULL_PATTERN
-    if name.startswith("odd-hole(") and name.endswith(")"):
-        return cycle_graph(int(name[9:-1]))
-    if name.startswith("odd-antihole(") and name.endswith(")"):
-        return complement(cycle_graph(int(name[13:-1])))
+    """The pattern graph an embedding name refers to. Only the names that
+    the finders emit are accepted: ``P5``, ``C5``, ``bull``, and
+    ``odd-hole(k)`` and ``odd-antihole(k)`` for each odd k from 5 to
+    ``PERFECTION_BUDGET``, in plain digits. Any other name raises
+    ``ValueError``."""
+    if name in _NAMED_PATTERNS:
+        return _NAMED_PATTERNS[name]
+    for k, cycle in _ODD_CYCLES.items():
+        if name == f"odd-hole({k})":
+            return cycle
+        if name == f"odd-antihole({k})":
+            return complement(cycle)
     raise ValueError(f"unknown pattern name: {name}")
 
 
@@ -209,9 +207,13 @@ def _search_source(pattern: Graph) -> str:
 
 
 def _compile_search(pattern: Graph):
-    """The search of ``_search_source(pattern)``, compiled."""
+    """The search of ``_search_source(pattern)``, compiled. Its file name
+    spells out the pattern, as in ``<induced search, 5 vertices, edges 0-1
+    1-2 2-3 3-4>`` for P5, so profiles and tracebacks keep the searches of
+    different patterns apart."""
+    edges = " ".join(f"{u}-{v}" for u, v in pattern.edges()) or "none"
     namespace = {"_co_rows": _co_rows}
-    exec(compile(_search_source(pattern), "<induced search>", "exec"), namespace)
+    exec(compile(_search_source(pattern), f"<induced search, {pattern.n} vertices, edges {edges}>", "exec"), namespace)
     return namespace["search"]
 
 
@@ -285,30 +287,6 @@ def find_bull(g: Graph):
     return find_induced(g, BULL_PATTERN, "bull")
 
 
-def _induced_cycle_order(adj, combo, mask):
-    """Cycle order of ``combo``, the ascending members of ``mask``, where
-    each member has two neighbours in ``mask``: the order if they form a
-    single cycle, else None.
-
-    Starts at the smallest member and walks toward its smaller neighbor,
-    so the returned tuple is canonical for the vertex set.
-    """
-    k = len(combo)
-    start = combo[0]
-    nbrs = adj[start] & mask
-    second = (nbrs & -nbrs).bit_length() - 1
-    order = [start, second]
-    prev, cur = start, second
-    for _ in range(k - 2):
-        nxt_mask = (adj[cur] & mask) ^ (1 << prev)
-        nxt = (nxt_mask & -nxt_mask).bit_length() - 1
-        order.append(nxt)
-        prev, cur = cur, nxt
-    if len(set(order)) != k or not adj[order[-1]] >> start & 1:
-        return None
-    return tuple(order)
-
-
 def _two_core(adj, mask: int) -> int:
     """The vertices of ``mask`` left after repeatedly dropping those with
     fewer than two neighbours in what is left; only they can lie on a cycle."""
@@ -373,22 +351,6 @@ def _odd_cycle_pieces(adj, mask: int, shortest: int) -> list:
     return pieces
 
 
-def _can_saturate(adj, later: int, zero: int, one: int) -> bool:
-    """True when each vertex of ``one`` has a neighbour in ``later`` and each
-    vertex of ``zero`` has two."""
-    while one:
-        u = one & -one
-        one ^= u
-        if not adj[u.bit_length() - 1] & later:
-            return False
-    while zero:
-        u = zero & -zero
-        zero ^= u
-        if (adj[u.bit_length() - 1] & later).bit_count() < 2:
-            return False
-    return True
-
-
 def _cycle_search(k: int):
     """The generated search of the cycle C_k; C5's is compiled at import,
     each longer one on its first use."""
@@ -399,139 +361,51 @@ def _cycle_search(k: int):
 
 
 def _first_odd_cycle(kind: str, adj, full: int, shortest: int = 5):
-    """First induced odd cycle of length at least ``shortest`` on ``full``
-    under the rows ``adj``, shortest first, in cycle order.
+    """The smallest image tuple of C_k on ``full`` under the rows ``adj``,
+    for the least odd k >= ``shortest`` with an induced C_k there, or None.
+    The tuple is in cycle order: the cycle's smallest vertex, then its
+    smaller neighbour on the cycle, and so on around.
 
-    The search runs on the pieces of ``_odd_cycle_pieces``, one of which
-    holds every such cycle. It first decides, then orders. For each odd k,
-    shortest first, the generated search of C_k (``_cycle_search``) asks
-    each piece with k or more vertices whether it holds an induced C_k; on
-    a set with no such cycle that is the whole search. At the first k with
-    a yes, ``_ordered_cycle`` returns the first such cycle.
+    Every such cycle lies in one of the disjoint pieces of
+    ``_odd_cycle_pieces``. So for each odd k, shortest first, the generated
+    search of C_k (``_cycle_search``) takes the smallest image in each piece
+    with k or more vertices, and the smallest of those is the smallest on
+    ``full``. This is the rule of every finder: ``find_c5`` and the C5
+    witness of ``classify`` are the same tuple whenever the shortest odd
+    hole has 5 vertices.
     """
     count = full.bit_count()
     if count > PERFECTION_BUDGET:
         raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
     pieces = _odd_cycle_pieces(adj, full, shortest)
-    if not pieces:
-        return None
-    longest = max(piece.bit_count() for piece in pieces)
-    for k in range(shortest, longest + 1, 2):
+    for k in range(shortest, max((piece.bit_count() for piece in pieces), default=0) + 1, 2):
         search = _cycle_search(k)
-        if any(piece.bit_count() >= k and search(adj, piece) for piece in pieces):
-            return Embedding(f"{kind}({k})", _ordered_cycle(adj, pieces, k))
-    return None
-
-
-def _ordered_cycle(adj, pieces: list, k: int):
-    """The first induced k-cycle inside one of ``pieces``, in cycle order,
-    or None.
-
-    It adds members in ascending order, and once the first member is
-    chosen the others come from its piece only. So the k-subsets come in
-    the order of ``itertools.combinations``, minus those that span two
-    pieces or miss them. A member with two neighbours in the set is
-    saturated. A branch ends when:
-
-    - a member would get three neighbours in the set (a vertex that a
-      saturated member sees is never tried);
-    - a member short of two neighbours cannot find them among the later
-      vertices that no saturated member sees;
-    - fewer of those vertices remain than slots.
-
-    Only 2-regular sets are completed, so the first one that is a single
-    cycle is the first combination ``_induced_cycle_order`` accepts.
-    """
-    home = [0] * len(adj)
-    spread = 0
-    for piece in pieces:
-        spread |= piece
-        for v in _bits(piece):
-            home[v] = piece
-    chosen = []
-    def extend(cand, slots, inside, zero, one, blocked):
-        # cand: later vertices no saturated member sees; zero and one: the
-        # members with no neighbour and with one neighbour in ``inside``.
-        while cand.bit_count() >= slots:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            nbrs = adj[v] & inside
-            degree = nbrs.bit_count()
-            if degree > 2:
-                continue
-            now_blocked = blocked
-            saturated = nbrs & one
-            while saturated:
-                u = saturated & -saturated
-                saturated ^= u
-                now_blocked |= adj[u.bit_length() - 1]
-            now_zero = zero & ~nbrs
-            now_one = (one & ~nbrs) | (zero & nbrs)
-            if degree == 2:
-                now_blocked |= adj[v]
-            elif degree == 1:
-                now_one |= low
-            else:
-                now_zero |= low
-            left = slots - 1
-            later = cand & ~now_blocked
-            chosen.append(v)
-            if left == 1:
-                # The last vertex joins the two ends a and b of a path, and
-                # the set is one cycle for every such vertex or for none.
-                if not now_zero and now_one.bit_count() == 2:
-                    a = now_one & -now_one
-                    last = later & adj[a.bit_length() - 1] & adj[(now_one ^ a).bit_length() - 1]
-                    if last:
-                        w = last & -last
-                        chosen.append(w.bit_length() - 1)
-                        order = _induced_cycle_order(adj, chosen, inside | low | w)
-                        if order is not None:
-                            return order
-                        chosen.pop()
-            elif later.bit_count() >= left and _can_saturate(adj, later, now_zero, now_one):
-                order = extend(later, left, inside | low, now_zero, now_one, now_blocked)
-                if order is not None:
-                    return order
-            chosen.pop()
-        return None
-
-    rest = spread
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        # The rest of the set comes from the later members of the first
-        # member's piece, and two of them must be its neighbours.
-        later = home[v] & ~(2 * low - 1)
-        if later.bit_count() >= k - 1 and (adj[v] & later).bit_count() >= 2:
-            chosen.append(v)
-            order = extend(later, k - 1, low, low, 0, 0)
-            if order is not None:
-                return order
-            chosen.pop()
+        image = min(filter(None, (search(adj, piece) for piece in pieces if piece.bit_count() >= k)), default=None)
+        if image is not None:
+            return Embedding(f"{kind}({k})", image)
     return None
 
 
 @lru_cache(maxsize=1 << 16)
 def find_odd_hole(g: Graph, within: VertexSet = None):
-    """First induced odd cycle of length at least 5 in ``g[within]`` (all
-    of ``g`` by default), shortest first, in cycle order."""
+    """Shortest induced odd cycle of length at least 5 in ``g[within]``
+    (all of ``g`` by default), as its smallest image tuple, which is in
+    cycle order."""
     return _first_odd_cycle("odd-hole", g.adj, _within_mask(g, within))
 
 
 def find_odd_antihole(g: Graph, within: VertexSet = None):
-    """First induced odd antihole of length at least 5 in ``g[within]``
-    (all of ``g`` by default), a C5 included, in complement-cycle order.
+    """Shortest induced odd antihole of length at least 5 in ``g[within]``
+    (all of ``g`` by default), a C5 included, as the smallest image tuple
+    of its cycle in the complement, which is in complement-cycle order.
     No package code calls it, so it is not cached."""
     full = _within_mask(g, within)
     return _first_odd_cycle("odd-antihole", _co_rows(g.adj, full), full)
 
 
 def imperfection_witness(g: Graph, within: VertexSet = None):
-    """The first odd hole of ``g[within]`` (all of ``g`` by default), else
-    its first odd antihole from length 7 (a C5 is reported as a hole), or
+    """The odd hole of ``find_odd_hole(g, within)``, else the shortest odd
+    antihole of ``g[within]`` (all of ``g`` by default) from length 7 (a C5 is reported as a hole), or
     None when that subgraph is perfect."""
     hole = find_odd_hole(g, within)
     if hole is not None:
@@ -795,12 +669,13 @@ class ClassReport:
 
 def classify(g: Graph) -> ClassReport:
     """Run all finders and assemble a consistent report. The odd hole is
-    the imperfection witness when it is a hole, and C5 is searched only
-    when that hole has 5 vertices."""
+    the imperfection witness when it is a hole, and the C5 witness is that
+    hole when it has 5 vertices: both are the smallest image tuple of C5,
+    so ``find_c5`` would return the same one."""
     imperfection = imperfection_witness(g, None)
     hole = imperfection if imperfection is not None and imperfection.pattern_name.startswith("odd-hole") else None
     p5 = find_p5(g)
-    c5 = find_c5(g) if hole is not None and len(hole.vertices) == 5 else None
+    c5 = Embedding("C5", hole.vertices) if hole is not None and len(hole.vertices) == 5 else None
     bull = find_bull(g)
     return ClassReport(
         p5_free=p5 is None,

@@ -13,7 +13,7 @@ current choice of homogeneous set with the same pair closures.
 import functools
 import itertools
 
-from graphdiv import Graph, VertexSet, canonical_graph
+from graphdiv import Graph, VertexSet, canonical_graph, cycle_graph, induced_subgraph
 from graphdiv.core import _bits
 
 
@@ -110,25 +110,16 @@ def first_induced(g: Graph, pattern: Graph):
     return tuple(image) if extend() else None
 
 
-def _cycle_order(g: Graph, cycle):
-    """The vertices of an induced cycle, from its smallest vertex toward
-    that vertex's smaller neighbor."""
-    order = [cycle[0], min(u for u in cycle if g.has_edge(cycle[0], u))]
-    while len(order) < len(cycle):
-        order.append(next(u for u in cycle if g.has_edge(order[-1], u) and u != order[-2]))
-    return tuple(order)
-
-
 def first_odd_hole(g: Graph, vertices=None):
     """The first odd hole of ``g`` restricted to ``vertices`` (all of ``g``
-    by default), in cycle order: the least odd length k >= 5, then the
-    first k-subset in ``itertools.combinations`` order. None when there is
-    no odd hole."""
-    vertices = sorted(range(g.n) if vertices is None else vertices)
-    for k in range(5, len(vertices) + 1, 2):
-        for s in itertools.combinations(vertices, k):
-            if _induces_cycle(g, s):
-                return _cycle_order(g, s)
+    by default): ``first_induced`` of C_k on that induced subgraph for the
+    least odd k >= 5 where it finds one, mapped back to ``g``'s vertices.
+    None when there is no odd hole."""
+    sub, vmap = induced_subgraph(g, VertexSet.of(g.n, range(g.n) if vertices is None else vertices))
+    for k in range(5, sub.n + 1, 2):
+        image = first_induced(sub, cycle_graph(k))
+        if image is not None:
+            return tuple(vmap[v] for v in image)
     return None
 
 

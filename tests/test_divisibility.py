@@ -528,23 +528,25 @@ class TestClassCheckCache:
 
     def test_perfect_class_checks_after_classify_do_not_search_again(self, searches):
         # a bull-free graph whose shortest odd hole is a C5: classify
-        # searches each pattern once, and the class checks of
-        # perfect_divide and of every division of the coloring reuse them
+        # searches P5 and the bull once and reads its C5 off the hole, and
+        # the class checks of perfect_divide and of every division of the
+        # coloring reuse them
         g = twin_substitute(cycle_graph(5), 0, adjacent=True)
         classify(g)
         perfect_divide(g)
         color_via_perfect_division(g)
-        assert searches == ["P5", "C5", "bull"]
+        assert searches == ["P5", "bull"]
 
     def test_two_divide_rejects_with_the_c5_of_classify(self, searches):
-        # the shortest odd hole is a C5, so classify searches C5 and the
-        # class check of two_divide reuses its witness
+        # the shortest odd hole is a C5, so classify reads its C5 off the
+        # hole, and the C5 that the class check of two_divide searches is
+        # that same witness
         g = twin_substitute(cycle_graph(5), 0, adjacent=False)
         report = classify(g)
         with pytest.raises(NotInClassError) as err:
             two_divide(g)
         assert err.value.witnesses == (report.c5_witness,)
-        assert searches == ["P5", "C5", "bull"]
+        assert searches == ["P5", "bull", "C5"]
 
 
 def _in_perfect_divide_class(g):
