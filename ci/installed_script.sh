@@ -63,6 +63,7 @@ $GRAPHDIV classify --in ca7.g6 --out ca7.json
 python -c "import json; r = json.load(open('ca7.json'))['records']; c = r[0]['class']; assert len(r) == 1 and c['perfect'] is False and c['witnesses']['imperfection']['pattern'] == 'odd-antihole(7)', r"
 $GRAPHDIV classify --in ca7.g6 --filter perfect --out ca7p.json
 python -c "import json; r = json.load(open('ca7p.json'))['records']; assert r == [], r"
+python -c "from graphdiv import find_induced, path_graph; e = find_induced(path_graph(40), path_graph(31)); assert e.vertices == tuple(range(31)), e"
 code=0; $GRAPHDIV classify --random 40,0.5,1 || code=$?; test "$code" -eq 2
 code=0; $GRAPHDIV conjecture --max-n 10 || code=$?; test "$code" -eq 2
 code=0; $GRAPHDIV classify --exhaustive 4 --budget-ms -1 || code=$?; test "$code" -eq 2

@@ -8,25 +8,26 @@ for an odd hole or antihole that of the shortest odd cycle.
 
 ``find_induced`` runs a search generated for its pattern: one ``while``
 loop per pattern slot, nested in slot order, over that slot's candidate
-mask. Placing a vertex narrows the mask of every later slot, each in one
-straight-line statement, and the loop moves on as soon as one of them is
-empty. Where an automorphism of the pattern first moves slot p, to slot
-q, the smallest image holds a smaller vertex in p than in q, so placing p
-keeps only the vertices above it in q. These "above" pairs are (0, 4) for
-P5, (0, 1), (0, 2), (0, 3), (0, 4) and (1, 4) for C5, and (0, 1) for the
-bull. The searches of these three are compiled at import, any other
-pattern's on its call; ``_search_source`` returns a search's source.
+mask, chained on into a next function after every 20 loops. Its caller
+passes the rows and the co-rows. Placing a vertex narrows the mask of
+every later slot, each in one straight-line statement, and the loop moves
+on as soon as one of them is empty. Where an automorphism of the pattern
+first moves slot p, to slot q, the smallest image holds a smaller vertex
+in p than in q, so placing p keeps only the vertices above it in q. These
+"above" pairs are (0, 4) for P5, (0, 1), (0, 2), (0, 3), (0, 4) and (1,
+4) for C5, and (0, 1) for the bull. One table, ``_SEARCHES``, holds the
+searches of these three, compiled at import, and of each odd cycle, on
+first use; any other pattern's is compiled on its call.
 
 The hole and antihole search first splits the set into pieces, by
 components and anticomponents of its 2-core, and keeps only the
 non-bipartite ones with at least 5 vertices: an odd hole is connected,
 anticonnected and an odd cycle, so it lies inside one of them. For each
-odd length k, shortest first, it runs the generated search of C_k on each
-piece (on the co-rows for antiholes), and at the first length with an
-image it returns the smallest image of all pieces. C5's search is
-compiled at import and each longer one on first use. The smallest image
-of a cycle lists it from its smallest vertex toward that vertex's smaller
-neighbour, so a hole's witness is in cycle order.
+odd length k, shortest first, it runs the search of C_k on each piece
+(with rows and co-rows swapped for antiholes), and at the first length
+with an image it returns the smallest image of all pieces. The smallest
+image of a cycle lists it from its smallest vertex toward that vertex's
+smaller neighbour, so a hole's witness is in cycle order.
 
 Homogeneous sets and perfection are read off the modular decomposition of
 the subgraph (``_decompose``). ``find_homogeneous_set`` returns the set
@@ -79,8 +80,8 @@ from .core import (
 from .errors import BudgetExceededError
 
 PERFECTION_BUDGET = 16
-# CPython nests at most 20 loops in one function: one per slot but the last.
-_SEARCH_SLOTS = 21
+# Loops per generated function; CPython 3.10 to 3.12 nest at most 20.
+_CHAIN = 20
 
 P5_PATTERN = path_graph(5)
 C5_PATTERN = cycle_graph(5)
@@ -155,34 +156,38 @@ def _search_plan(pattern: Graph) -> tuple:
 
 def _search_source(pattern: Graph) -> str:
     """Python source of the search that ``find_induced`` runs for
-    ``pattern``: ``search(adj, full)`` returns the smallest image tuple of
-    an induced copy in the subgraph on the vertices of ``full`` under the
-    rows ``adj``, or None. The rows may reach outside ``full``; no vertex
-    outside it is ever placed.
+    ``pattern``: ``search(adj, co, full)`` returns the smallest image tuple
+    of an induced copy in the subgraph on the vertices of ``full`` under the
+    rows ``adj`` and their co-rows ``co``, or None. Rows and co-rows may
+    reach outside ``full``; no vertex outside it is ever placed.
 
     Slot i loops over ``c{i}``, its candidates. Placing ``v{i}`` (bit
     ``b{i}``) narrows each later slot j in one statement, ``m{i}_{j}`` from
     ``m{i-1}_{j}``, or ``c{j}`` when j = i + 1, and moves on to the next
     candidate as soon as one of them is empty. Slot 0 narrows every later
-    slot, by a co-row, which ``_co_rows`` restricts to ``full``, or by a row
-    and ``full``, so later slots hold vertices of ``full`` only. The last
-    slot takes the lowest bit of its candidates.
+    slot by a row or co-row and ``full``, so later slots hold vertices of
+    ``full`` only. The last slot takes the lowest bit of its candidates.
 
-    CPython nests at most 20 loops in one function, so a search holds at
-    most ``_SEARCH_SLOTS`` = 21 slots; a larger pattern raises
-    ``BudgetExceededError``.
+    CPython 3.10 to 3.12 nest at most 20 loops in one function. So after
+    every 20 loops the innermost one passes its live masks, ``c{i}`` and
+    each ``m{i-1}_{j}``, to ``search_{i}``, the next function of the
+    chain, which returns the rest of the image or None. A search of at
+    most 21 slots is one function.
     """
     slots = _search_plan(pattern)
     k = len(slots)
-    if k > _SEARCH_SLOTS:
-        raise BudgetExceededError(f"induced search limited to {_SEARCH_SLOTS} pattern vertices, asked for {k}")
-    lines = ["def search(adj, full):"]
-    if any(t & 1 for slot in slots for _, t in slot):
-        lines.append("    co = _co_rows(adj, full)")
-    if k:
-        lines.append("    c0 = full")
+    lines = ["def search(adj, co, full):", "    c0 = full"]
     for i in range(k - 1):
-        pad = "    " * (i + 1)
+        if i and not i % _CHAIN:
+            live = ", ".join([f"c{i}"] + [f"m{i - 1}_{j}" for j in range(i + 1, k)])
+            pad = "    " * (_CHAIN + 1)
+            lines += [
+                f"{pad}rest = search_{i}(adj, co, {live})",
+                f"{pad}if rest is not None:",
+                f"{pad}    return (" + ", ".join(f"v{h}" for h in range(i - _CHAIN, i)) + ") + rest",
+                f"def search_{i}(adj, co, {live}):",
+            ]
+        pad = "    " * (i % _CHAIN + 1)
         lines += [
             f"{pad}while c{i}:",
             f"{pad}    b{i} = c{i} & -c{i}",
@@ -192,17 +197,15 @@ def _search_source(pattern: Graph) -> str:
         for j, t in slots[i]:
             mask = f"c{j}" if j == i + 1 else f"m{i}_{j}"
             narrowed = ("co" if t & 1 else "adj") + f"[v{i}]"
-            if i:
-                narrowed = f"m{i - 1}_{j} & {narrowed}"
-            elif not t & 1:
-                narrowed += " & full"
+            narrowed = f"m{i - 1}_{j} & {narrowed}" if i else narrowed + " & full"
             if t & 2:
                 narrowed += f" & -(b{i} << 1)"
             lines += [f"{pad}    {mask} = {narrowed}", f"{pad}    if not {mask}:", f"{pad}        continue"]
-    image = [f"v{i}" for i in range(k - 1)]
+    first = max(k - 2, 0) // _CHAIN * _CHAIN
+    image = [f"v{i}" for i in range(first, k - 1)]
     if k:
         image.append(f"(c{k - 1} & -c{k - 1}).bit_length() - 1")
-    lines.append("    " * max(k, 1) + "return (" + ", ".join(image) + "," * (k == 1) + ")")
+    lines.append("    " * max(k - first, 1) + "return (" + ", ".join(image) + "," * (k == 1) + ")")
     return "\n".join(lines) + "\n"
 
 
@@ -212,16 +215,14 @@ def _compile_search(pattern: Graph):
     1-2 2-3 3-4>`` for P5, so profiles and tracebacks keep the searches of
     different patterns apart."""
     edges = " ".join(f"{u}-{v}" for u, v in pattern.edges()) or "none"
-    namespace = {"_co_rows": _co_rows}
+    namespace = {}
     exec(compile(_search_source(pattern), f"<induced search, {pattern.n} vertices, edges {edges}>", "exec"), namespace)
     return namespace["search"]
 
 
+# The odd cycles' searches join the table on first use (``_first_odd_cycle``).
 _SEARCHES = {pattern: _compile_search(pattern) for pattern in (P5_PATTERN, C5_PATTERN, BULL_PATTERN)}
-# The odd cycles that the hole and antihole search can ask for, built at
-# import; each one's search is compiled on first use (``_cycle_search``).
 _ODD_CYCLES = {k: cycle_graph(k) for k in range(5, PERFECTION_BUDGET + 1, 2)}
-_CYCLE_SEARCHES = {5: _SEARCHES[C5_PATTERN]}
 
 
 def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
@@ -258,16 +259,16 @@ def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
             while c2:
                 ...
 
-    where ``m0_4 = co[v0] & -(b0 << 1)``; ``_search_source(P5_PATTERN)``
-    returns the whole search. The searches of P5, C5 and the bull are
-    compiled once, at import (``_SEARCHES``); any other pattern's is
-    compiled on each call. CPython nests at most 20 loops in one function,
-    so a pattern with more than 21 vertices (and no more than ``g``)
-    raises ``BudgetExceededError``.
+    where ``m0_4 = co[v0] & full & -(b0 << 1)``; ``_search_source(P5_PATTERN)``
+    returns the whole search, chained past 20 loops for a pattern of any
+    size. ``_SEARCHES`` holds P5's, C5's and the bull's, compiled at import,
+    and each odd cycle's once a hole search used it; any other pattern's is
+    compiled on each call.
     """
     if pattern.n > g.n:
         return None
-    image = (_SEARCHES.get(pattern) or _compile_search(pattern))(g.adj, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    image = (_SEARCHES.get(pattern) or _compile_search(pattern))(g.adj, _co_rows(g.adj, full), full)
     return None if image is None else Embedding(name, image)
 
 
@@ -351,36 +352,37 @@ def _odd_cycle_pieces(adj, mask: int, shortest: int) -> list:
     return pieces
 
 
-def _cycle_search(k: int):
-    """The generated search of the cycle C_k; C5's is compiled at import,
-    each longer one on its first use."""
-    search = _CYCLE_SEARCHES.get(k)
-    if search is None:
-        search = _CYCLE_SEARCHES[k] = _compile_search(_ODD_CYCLES[k])
-    return search
-
-
-def _first_odd_cycle(kind: str, adj, full: int, shortest: int = 5):
-    """The smallest image tuple of C_k on ``full`` under the rows ``adj``,
-    for the least odd k >= ``shortest`` with an induced C_k there, or None.
-    The tuple is in cycle order: the cycle's smallest vertex, then its
-    smaller neighbour on the cycle, and so on around.
+def _first_odd_cycle(kind: str, rows, full: int, shortest: int = 5):
+    """The smallest image tuple of C_k on ``full``, for the least odd k >=
+    ``shortest`` with an induced C_k there, or None: under the host's
+    ``rows`` for an odd hole, under their co-rows for an odd antihole. The
+    tuple is in cycle order: the cycle's smallest vertex, then its smaller
+    neighbour on the cycle, and so on around.
 
     Every such cycle lies in one of the disjoint pieces of
     ``_odd_cycle_pieces``. So for each odd k, shortest first, the generated
-    search of C_k (``_cycle_search``) takes the smallest image in each piece
-    with k or more vertices, and the smallest of those is the smallest on
-    ``full``. This is the rule of every finder: ``find_c5`` and the C5
-    witness of ``classify`` are the same tuple whenever the shortest odd
-    hole has 5 vertices.
+    search of C_k takes the smallest image in each piece with k or more
+    vertices, and the smallest of those is the smallest on ``full``. This
+    is the rule of every finder: ``find_c5`` and the C5 witness of
+    ``classify`` are the same tuple whenever the shortest odd hole has 5
+    vertices. An antihole search passes the host's rows as the co-rows of
+    its co-rows; a hole search builds co-rows once it has a piece.
     """
     count = full.bit_count()
     if count > PERFECTION_BUDGET:
         raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
-    pieces = _odd_cycle_pieces(adj, full, shortest)
+    co = None
+    if kind == "odd-antihole":
+        rows, co = _co_rows(rows, full), rows
+    pieces = _odd_cycle_pieces(rows, full, shortest)
+    if pieces and co is None:
+        co = _co_rows(rows, full)
     for k in range(shortest, max((piece.bit_count() for piece in pieces), default=0) + 1, 2):
-        search = _cycle_search(k)
-        image = min(filter(None, (search(adj, piece) for piece in pieces if piece.bit_count() >= k)), default=None)
+        cycle = _ODD_CYCLES[k]
+        search = _SEARCHES.get(cycle)
+        if search is None:
+            search = _SEARCHES[cycle] = _compile_search(cycle)
+        image = min(filter(None, (search(rows, co, piece) for piece in pieces if piece.bit_count() >= k)), default=None)
         if image is not None:
             return Embedding(f"{kind}({k})", image)
     return None
@@ -399,8 +401,7 @@ def find_odd_antihole(g: Graph, within: VertexSet = None):
     (all of ``g`` by default), a C5 included, as the smallest image tuple
     of its cycle in the complement, which is in complement-cycle order.
     No package code calls it, so it is not cached."""
-    full = _within_mask(g, within)
-    return _first_odd_cycle("odd-antihole", _co_rows(g.adj, full), full)
+    return _first_odd_cycle("odd-antihole", g.adj, _within_mask(g, within))
 
 
 def imperfection_witness(g: Graph, within: VertexSet = None):
@@ -410,8 +411,7 @@ def imperfection_witness(g: Graph, within: VertexSet = None):
     hole = find_odd_hole(g, within)
     if hole is not None:
         return hole
-    full = _within_mask(g, within)
-    return _first_odd_cycle("odd-antihole", _co_rows(g.adj, full), full, 7)
+    return _first_odd_cycle("odd-antihole", g.adj, _within_mask(g, within), 7)
 
 
 LEAF = "leaf"

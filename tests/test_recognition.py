@@ -42,10 +42,10 @@ from graphdiv.harness import exhaustive_corpus
 from graphdiv.recognition import (
     PERFECTION_BUDGET,
     PRIME,
+    _ODD_CYCLES,
     _SEARCHES,
     _co_rows,
     _compile_search,
-    _cycle_search,
     _decompose,
     _homogeneous_split,
     _search_plan,
@@ -84,30 +84,45 @@ class TestFindInduced:
     def test_search_places_only_vertices_of_full(self):
         # C5 on 0..4 plus vertex 5, a twin of vertex 1. Vertices 0, 2, 3, 4
         # and 5 form a C5 again, but 0b011101 leaves out 1 and 5 and holds
-        # only four vertices.
+        # only four vertices. The rows and co-rows reach all six vertices.
         g = twin_substitute(cycle_graph(5), 1, adjacent=False)
         assert g.adj[5] == g.adj[1]
+        co = _co_rows(g.adj, 0b111111)
         search = _SEARCHES[C5_PATTERN]
-        assert search(g.adj, 0b011101) is None
-        assert search(g.adj, 0b111101) == (0, 4, 3, 2, 5)
-        assert search(g.adj, 0b111111) == (0, 1, 2, 3, 4)
+        assert search(g.adj, co, 0b011101) is None
+        assert search(g.adj, co, 0b111101) == (0, 4, 3, 2, 5)
+        assert search(g.adj, co, 0b111111) == (0, 1, 2, 3, 4)
+        # C5 plus vertex 5, a twin of vertex 2: on 0, 1, 3 and 4 the co-rows
+        # of 0 and 1 still reach 5, which closes a C5 outside full
+        g = twin_substitute(cycle_graph(5), 2, adjacent=False)
+        assert search(g.adj, _co_rows(g.adj, 0b111111), 0b011011) is None
 
-    def test_slot_limit(self):
-        # CPython nests at most 20 loops, one per slot but the last
-        with pytest.raises(BudgetExceededError, match="limited to 21 pattern vertices, asked for 22"):
-            find_induced(path_graph(30), path_graph(22))
-        assert find_induced(path_graph(30), path_graph(21)).vertices == tuple(range(21))
+    def test_long_patterns(self):
+        # past 20 loops the search runs on in a chain of generated functions
+        assert find_induced(path_graph(40), path_graph(31)).vertices == tuple(range(31))
+        rng = random.Random("induced/long")
+        for n in (20, 21, 22, 41, 42):
+            for pattern in (path_graph(n), cycle_graph(n)):
+                hosts = [path_graph(n + 2), cycle_graph(n + 1), twin_substitute(pattern, rng.randrange(n), adjacent=True)]
+                for host in hosts:
+                    host = _relabel(host, rng)
+                    assert _vertices(find_induced(host, pattern)) == naive.first_induced(host, pattern), (n, host.adj)
         # every cycle the hole search may ask for compiles
         for k in range(5, PERFECTION_BUDGET + 1, 2):
-            assert _compile_search(cycle_graph(k))(cycle_graph(k).adj, (1 << k) - 1) == tuple(range(k))
+            c = cycle_graph(k)
+            assert _compile_search(c)(c.adj, _co_rows(c.adj, (1 << k) - 1), (1 << k) - 1) == tuple(range(k))
 
     def test_each_search_has_its_own_code_name(self):
         # profiles key a function by (file, line, name), so the searches of
         # different patterns must not share all three
-        codes = [_SEARCHES[p].__code__ for p in (P5_PATTERN, C5_PATTERN, BULL_PATTERN)] + [_cycle_search(7).__code__]
+        find_odd_hole(cycle_graph(7), None)
+        codes = [_SEARCHES[p].__code__ for p in (P5_PATTERN, C5_PATTERN, BULL_PATTERN, _ODD_CYCLES[7])]
         names = {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes}
         assert len(names) == len(codes), names
         assert codes[0].co_filename == "<induced search, 5 vertices, edges 0-1 1-2 2-3 3-4>"
+        # the one table holds only the package's own patterns
+        find_induced(path_graph(8), path_graph(6))
+        assert set(_SEARCHES) <= {P5_PATTERN, C5_PATTERN, BULL_PATTERN} | set(_ODD_CYCLES.values())
 
 
 class TestNamedFinders:
@@ -464,16 +479,27 @@ class TestExactWitnesses:
         p5 = _search_source(P5_PATTERN)
         # one loop per slot but the last; one narrowing statement per later
         # slot, the above pair (0, 4) cut to the vertices above v0
+        assert p5.startswith("def search(adj, co, full):\n    c0 = full\n")
         assert p5.count("while ") == 4
-        assert "    m0_4 = co[v0] & -(b0 << 1)\n" in p5
+        assert "    m0_4 = co[v0] & full & -(b0 << 1)\n" in p5
         assert "    c2 = m0_2 & adj[v1]\n" in p5
         assert p5.endswith("return (v0, v1, v2, v3, (c4 & -c4).bit_length() - 1)\n")
-        # a pattern with no non-edge builds no co-rows
+        # a pattern with no non-edge reads no co-row
         assert "co[" not in _search_source(complete_graph(4))
         # one slot returns the lowest vertex at once; no slot, the empty image
         assert "while" not in _search_source(complete_graph(1))
-        assert _compile_search(complete_graph(1))((0, 0, 0), 0b110) == (1,)
-        assert _compile_search(empty_graph(0))((), 0) == ()
+        assert _compile_search(complete_graph(1))((0, 0, 0), (6, 5, 3), 0b110) == (1,)
+        assert _compile_search(empty_graph(0))((), (), 0) == ()
+        # at most 20 loops in one function: a longer search passes its live
+        # masks on to the next function of a chain
+        assert "search_" not in _search_source(path_graph(21))
+        p22 = _search_source(path_graph(22))
+        assert p22.count("while ") == 21
+        assert "    rest = search_20(adj, co, c20, m19_21)\n" in p22
+        assert "\ndef search_20(adj, co, c20, m19_21):\n    while c20:\n" in p22
+        assert p22.endswith("\n        return (v20, (c21 & -c21).bit_length() - 1)\n")
+        p42 = _search_source(path_graph(42))
+        assert p42.count("\ndef ") == 2 and "return (v20, v21," in p42 and "(v40, (c41" in p42
 
     def test_odd_holes_and_antiholes_within(self, levels):
         rng = random.Random("witness/holes")
@@ -530,14 +556,15 @@ class TestCycleDecisions:
             ):
                 g = _relabel(g, rng)
                 cases += [(g, (1 << g.n) - 1), (complement(g), (1 << g.n) - 1)]
+        searches = {k: _compile_search(cycle_graph(k)) for k in range(5, 16, 2)}
         seen = Counter()
         for g, fixed in cases:
-            everything = (1 << g.n) - 1
-            for side, rows, host in (("rows", g.adj, g), ("co-rows", _co_rows(g.adj, everything), complement(g))):
+            co = _co_rows(g.adj, (1 << g.n) - 1)
+            for side, rows, co_rows, host in (("rows", g.adj, co, g), ("co-rows", co, g.adj, complement(g))):
                 mask = fixed if fixed is not None else rng.getrandbits(g.n) | rng.getrandbits(g.n)
                 members = VertexSet(g.n, mask).members()
                 for k in range(5, min(len(members), 15) + 1, 2):
-                    found = _cycle_search(k)(rows, mask)
+                    found = searches[k](rows, co_rows, mask)
                     assert (found is not None) == naive.has_induced_cycle(host, k, members), (side, k, g.adj, mask)
                     if found is not None:
                         assert set(found) <= set(members)
@@ -545,6 +572,30 @@ class TestCycleDecisions:
                         seen[side, k] += 1
         assert all(seen[side, 5] > 1000 for side in ("rows", "co-rows")), seen
         assert all(seen[side, k] >= 2 for side in ("rows", "co-rows") for k in range(7, 16, 2)), seen
+
+    def test_long_cycles_agree_with_naive(self):
+        # each odd cycle from 17 to 31 with one more vertex, joined to it,
+        # apart from it, or an adjacent or non-adjacent twin of a cycle
+        # vertex; searched on its rows and as the co-rows of its complement
+        rng = random.Random("decide/long-cycles")
+        cases = 0
+        for k in range(17, 32, 2):
+            cycle = cycle_graph(k)
+            search = _compile_search(cycle)
+            for g in (
+                _combine(cycle, empty_graph(1), join=True),
+                _combine(cycle, empty_graph(1), join=False),
+                twin_substitute(cycle, rng.randrange(k), adjacent=True),
+                twin_substitute(cycle, rng.randrange(k), adjacent=False),
+            ):
+                g = _relabel(g, rng)
+                full = (1 << g.n) - 1
+                want = naive.first_induced(g, cycle)
+                assert search(g.adj, _co_rows(g.adj, full), full) == want, (k, g.adj)
+                h = complement(g)
+                assert search(_co_rows(h.adj, full), h.adj, full) == want, (k, g.adj)
+                cases += 2
+        assert cases == 64
 
 
 def _lift(emb, vmap):
