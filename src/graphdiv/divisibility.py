@@ -10,16 +10,16 @@ the parts belong to the graph and calls the same private one. The clique
 budget's check and its message live in one helper,
 ``core._check_clique_budget``. Verification policy:
 
-- ``_two_divide`` checks its division once, before it returns. In
-  ``_perfect_divide`` each recombination (``_merge``) checks its merge on
-  its ``within``, the quotient plus the contracted set, and each quotient
-  checks that the contracted set is homogeneous. As in the paper, the
-  contracted set is divided only when the quotient puts its
-  representative on the P side, so no division that the merge would
-  discard is made or checked. ``_perfect_divide`` checks the final
-  division, unless the last recombination already covered all of
-  ``within``; the colorings check each finished coloring once, in
-  ``coloring._certified``.
+- Each core checks the division it returns once, on all of ``within``:
+  ``_two_divide`` with ``_verify_two_masks``, ``_perfect_divide`` with
+  ``_verify_perfect_masks``. Inside ``_perfect_divide`` each quotient
+  checks that the contracted set is homogeneous, and each recombination
+  (``_merge``) only that its divisions cover their parts: a merged P side
+  is a perfect P with a perfect P substituted for one vertex, so perfect
+  by Lovász's replication lemma. As in the paper, the contracted set is
+  divided only when the quotient puts its representative on the P side.
+  The public ``recombine`` verifies its merge; the colorings check each
+  finished coloring once more, in ``coloring._certified``.
 - ``perfect_divide``'s recursion runs on masks, weight tuples and the
   trees it holds. ``verify_perfect_division``,
   ``quotient_by_homogeneous_set``, ``recombine``,
@@ -505,7 +505,8 @@ def recombine(
     side, it is replaced by the perfect part of the inner division, and the
     inner W part joins W; ``inner_division`` None is a ValueError there.
     The merged division is verified on ``within`` under ``w`` (including
-    perfection of the combined P side) before being returned.
+    perfection of the combined P side) before being returned; the merge
+    itself, ``_merge``, verifies nothing.
     """
     full = _within_mask(g, within)
     if not x.mask or x.mask & ~full:
@@ -521,15 +522,19 @@ def recombine(
     weights = (1,) * g.n if w is None else w.weights
     quotient = (quotient_division.p.mask, quotient_division.w_side.mask)
     log = []
-    p, w_side = _merge(g, weights, x.mask, quotient, inner, full, log)
+    p, w_side = _merge(x.mask, quotient, inner, full, log)
+    ok, reason = _verify_perfect_masks(g, weights, p, w_side, full)
+    if not ok:
+        raise TheoremViolationError(f"recombination failed verification: {reason}", log=map(_perfect_step_dict, log))
     return PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, steps=tuple(log))
 
 
-def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner, full: int, log: list) -> tuple:
-    """``recombine`` on masks: ``quotient`` is a ``(p, w)`` mask pair, and
-    so is ``inner``, or None when the representative lands on W. Appends
-    the recombination step to ``log``, then returns the merged ``(p, w)``
-    masks once the merge is verified on ``full``."""
+def _merge(x_mask: int, quotient: tuple, inner, full: int, log: list) -> tuple:
+    """``recombine`` on masks, without its verification: ``quotient`` is a
+    ``(p, w)`` mask pair, and so is ``inner``, or None when the
+    representative lands on W. Checks that both pairs cover their parts of
+    ``full``, appends the recombination step to ``log`` and returns the
+    merged ``(p, w)`` masks."""
     rep_bit = x_mask & -x_mask
     if quotient[0] | quotient[1] != (full & ~x_mask) | rep_bit:
         raise ValueError("quotient division does not cover the quotient")
@@ -545,9 +550,6 @@ def _merge(g: Graph, weights: tuple, x_mask: int, quotient: tuple, inner, full: 
         p = (quotient[0] & ~rep_bit) | inner[0]
         w_side = quotient[1] | inner[1]
     log.append(("recombination", in_w, x_mask, p, w_side))
-    ok, reason = _verify_perfect_masks(g, weights, p, w_side, full)
-    if not ok:
-        raise TheoremViolationError(f"recombination failed verification: {reason}", log=map(_perfect_step_dict, log))
     return p, w_side
 
 
@@ -591,9 +593,9 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
     recombined; the two decompositions are the tree with the set contracted
     and the set's own subtree. Otherwise the graph is prime and the
     smallest vertex v with a perfect non-neighborhood yields the split
-    (M(v) + v, N(v)). Every recombination and the final result are
-    verified, once each; ``w`` None means unit weights. Class membership
-    is checked on the whole host, once per call, even for a smaller
+    (M(v) + v, N(v)). Only the division returned is verified, once, on
+    all of ``within``; ``w`` None means unit weights. Class membership is
+    checked on the whole host, once per call, even for a smaller
     ``within``; heredity then covers every ``within``.
     """
     weights = (1,) * g.n if w is None else w.weights
@@ -619,11 +621,9 @@ def _perfect_divide(g: Graph, weights: tuple, full: int) -> tuple:
             p_mask = _divide_all_positive(g, weights, _decompose(g.adj, u_mask), log)[0]
         except ValueError as exc:
             raise TheoremViolationError(f"perfect division failed a self-check: {exc}", log=map(_perfect_step_dict, log)) from exc
-    # ``_merge`` has verified a division of all of ``full`` that ends in it
-    if u_mask != full or log[-1][0] != "recombination":
-        ok, reason = _verify_perfect_masks(g, weights, p_mask, full & ~p_mask, full)
-        if not ok:
-            raise TheoremViolationError(f"perfect division failed verification: {reason}", log=map(_perfect_step_dict, log))
+    ok, reason = _verify_perfect_masks(g, weights, p_mask, full & ~p_mask, full)
+    if not ok:
+        raise TheoremViolationError(f"perfect division failed verification: {reason}", log=map(_perfect_step_dict, log))
     return p_mask, tuple(log)
 
 
@@ -649,7 +649,7 @@ def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> t
     quotient = _divide_all_positive(g, q_weights, q_tree, log)
     # the merge uses a division of x only when its representative lands on P
     inner = None if quotient[1] & (1 << rep) else _divide_all_positive(g, weights, x_tree, log)
-    return _merge(g, weights, x_mask, quotient, inner, mask, log)
+    return _merge(x_mask, quotient, inner, mask, log)
 
 
 def classify_against_c5(g: Graph, c, v: int) -> C5Classification:

@@ -200,6 +200,38 @@ class TestPerfectDivisionColoring:
         _, cert = color_via_perfect_division(c5)
         assert cert.colors_used == 3
 
+    @pytest.mark.parametrize(
+        "g, merges",
+        [
+            (cycle_graph(5), 0),
+            (complete_graph(4), 3),
+            (twin_substitute(cycle_graph(5), 0, adjacent=True), 2),
+            (twin_substitute(twin_substitute(cycle_graph(5), 0, adjacent=True), 2, adjacent=False), 3),
+        ],
+        ids=["C5", "K4", "C5-true-twin", "C5-two-twins"],
+    )
+    def test_recursion_verifies_each_division_once(self, monkeypatch, g, merges):
+        # the counterpart of the two-division pin: each division the
+        # coloring makes is verified once, by its core's final check, and
+        # none of the merges inside it is verified on its own
+        counts = dict.fromkeys(["_perfect_divide", "_verify_perfect_masks", "_merge"], 0)
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for module in (graphdiv.divisibility, graphdiv.coloring):
+            for name in counts:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        color_via_perfect_division(g)
+        assert counts["_perfect_divide"] >= 1
+        assert counts["_verify_perfect_masks"] == counts["_perfect_divide"]
+        assert counts["_merge"] == merges
+
     def test_small_sweep(self):
         for n in range(1, 7):
             for g in nonisomorphic_graphs(n):

@@ -258,8 +258,29 @@ class TestRecombine:
         # weight, so the output cannot verify
         q = PerfectDivision(VertexSet(4), VertexSet.of(4, [0, 1, 3]), weight=WeightFn.unit(4))
         inner = PerfectDivision(VertexSet(4), VertexSet.of(4, [0, 2]), weight=WeightFn.unit(4))
-        with pytest.raises(TheoremViolationError):
+        with pytest.raises(TheoremViolationError, match="recombination failed verification"):
             _c4_recombine(q, inner)
+
+    @pytest.mark.parametrize(
+        "side, reason",
+        [("w", "maximum clique weight of W is 3, not below 3"), ("p", "P side is not perfect")],
+        ids=["all-on-w", "all-on-p"],
+    )
+    def test_recombine_verifies_the_merge_it_returns(self, side, reason):
+        # C5 with a true twin 5 of vertex 0 contracts x = {0, 5} to 0; a
+        # hand-built quotient division puts all of the quotient C5 on one
+        # side. The merge covers its parts, so only recombine's own check
+        # can refuse it, and its error carries the one recombination step
+        g = twin_substitute(cycle_graph(5), 0, adjacent=True)
+        x, q_mask = VertexSet.of(6, [0, 5]), VertexSet.of(6, range(5))
+        q = PerfectDivision(VertexSet(6), q_mask) if side == "w" else PerfectDivision(q_mask, VertexSet(6))
+        inner = PerfectDivision(x, VertexSet(6))
+        with pytest.raises(TheoremViolationError) as caught:
+            recombine(g, WeightFn.unit(6), x, q, inner)
+        assert str(caught.value) == f"recombination failed verification: {reason}"
+        case = "xhat-in-w" if side == "w" else "xhat-in-p"
+        merged = {"p": [], "w": list(range(6))} if side == "w" else {"p": list(range(6)), "w": []}
+        assert caught.value.log == [{"kind": "recombination", "case": case, "x": [0, 5], **merged}]
 
     def test_inner_division_may_be_none_only_when_xhat_lands_on_w(self):
         # on W the whole contracted set joins W, so its division is unused
@@ -744,11 +765,11 @@ class TestNoGraphBelowTheBoundary:
     def test_perfect_division_decomposes_once_and_keeps_its_checks(self, monkeypatch, weights, merges, divisions):
         # the recursion lifts from the tree it holds and builds no weight
         # function; each quotient still checks its set is homogeneous (on
-        # masks), each recombination is verified, and the final check runs
-        # when no recombination covered all of the graph (a zero weight).
-        # A contracted set is divided only when its representative lands on
-        # P: dividing every one took 7 merges and 15 divisions under unit
-        # weights and 6 and 13 under the others
+        # masks), no recombination is verified on its own, and the division
+        # returned is verified once, whether or not a recombination ends the
+        # log. A contracted set is divided only when its representative
+        # lands on P: dividing every one took 7 merges and 15 divisions
+        # under unit weights and 6 and 13 under the others
         g = _twin_substituted_c5()
         w = None if weights is None else WeightFn.of(weights)
         calls = {"WeightFn": 0}
@@ -769,14 +790,11 @@ class TestNoGraphBelowTheBoundary:
 
         monkeypatch.setattr(WeightFn, "__post_init__", counted_init)
         kinds = [step["kind"] for step in perfect_divide(g, w).log]
-        # both divisions end in a recombination; the zero weight leaves
-        # vertex 2 out of it, so only then is the final check new
         assert kinds[-1] == "recombination"
-        final_is_new = weights is not None
         assert calls["_decompose"] == 1
         assert calls["WeightFn"] <= 1
         assert calls["_is_homogeneous_mask"] == kinds.count("quotient") > 2
-        assert calls["_verify_perfect_masks"] == kinds.count("recombination") + final_is_new
+        assert calls["_verify_perfect_masks"] == 1
         assert (calls["_merge"], calls["_divide_all_positive"]) == (merges, divisions)
 
     def test_perfect_division_and_coloring_call_no_public_step(self, monkeypatch):

@@ -42,6 +42,8 @@ FAILURE_LOGS = {
         {"kind": "recombination", "case": "xhat-in-w", "x": [4, 7], "p": [0, 2, 3], "w": [1, 4, 7]},
         {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 2, "rejected": [], "p": [2, 6], "w": []},
         {"kind": "recombination", "case": "xhat-in-p", "x": [2, 6], "p": [0, 2, 3, 6], "w": [1, 4, 7]},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "rejected": [], "p": [0], "w": [5]},
+        {"kind": "recombination", "case": "xhat-in-p", "x": [0, 5], "p": [0, 2, 3, 6], "w": [1, 4, 5, 7]},
     ],
     "prime": [
         {"kind": "restrict", "positive": [0, 1, 2, 3, 4, 5], "zero": []},
@@ -167,30 +169,30 @@ class TestDrivers:
         assert record["log"] == log
 
     def test_failed_recombination_reports_the_log_so_far(self, monkeypatch):
-        # C5 with twins of 0, 2 and 4 takes several quotients; the second
-        # recombination is forced to fail through the mask-level verifier
-        # that each merge calls
+        # C5 with twins of 0, 2 and 4 takes several quotients and ends in a
+        # recombination. No merge is verified on its own, so the one call
+        # of the mask-level verifier is the final check, and its forced
+        # failure reports the whole log
         g = cycle_graph(5)
         for v in (0, 2, 4):
             g = twin_substitute(g, v, adjacent=v != 2)
         graphs = graphs_with_ids([g])
         log = run_divide(graphs, mode="perfect")[0]["log"]
-        original = graphdiv.divisibility._verify_perfect_masks
         calls = []
 
-        def fail_second(*args):
+        def forced(*args):
             calls.append(args)
-            return (False, "forced") if len(calls) == 2 else original(*args)
+            return False, "forced"
 
-        monkeypatch.setattr(graphdiv.divisibility, "_verify_perfect_masks", fail_second)
+        monkeypatch.setattr(graphdiv.divisibility, "_verify_perfect_masks", forced)
         record = run_divide(graphs, mode="perfect")[0]
         assert record["status"] == "theorem-violation"
-        assert record["error"] == "recombination failed verification: forced"
+        assert record["error"] == "perfect division failed verification: forced"
+        assert len(calls) == 1
         kinds = [step["kind"] for step in record["log"]]
         assert kinds[0] == "restrict" and kinds[-1] == "recombination"
-        assert kinds.count("recombination") == 2 < [step["kind"] for step in log].count("recombination")
-        assert kinds.count("quotient") >= 2
-        assert record["log"] == log[: len(kinds)]
+        assert kinds.count("recombination") == 3 and kinds.count("quotient") == 3
+        assert record["log"] == log
 
     def test_prime_set_without_a_split_reports_its_vertices(self, monkeypatch):
         # C5 with a true twin of 0: the quotient by {0, 5} is the prime C5
@@ -234,28 +236,19 @@ class TestDrivers:
 
     @pytest.mark.parametrize("case", sorted(FAILURE_LOGS))
     def test_failure_logs_are_plain_dicts_in_divide_and_color(self, monkeypatch, case):
-        # "merge": the second merge check of C5 with twins of 0, 2 and 4
-        # fails below the top level, so the log is the prefix the recursion
-        # puts in front plus the failing recombination; "prime": the
-        # quotient C5 of C5 with a true twin finds no split; "two": the
+        # "merge": the final check of C5 with twins of 0, 2 and 4 fails
+        # after three merges, so the log is the whole derivation; "prime":
+        # the quotient C5 of C5 with a true twin finds no split; "two": the
         # final check of a two-division with an isolated vertex and both
         # vertex-choice rules
-        def fail_second_call(original):
-            calls = []
-
-            def fake(*args):
-                calls.append(args)
-                return (False, "forced") if len(calls) == 2 else original(*args)
-
-            return fake
-
         twins = cycle_graph(5)
         for v in (0, 2, 4):
             twins = twin_substitute(twins, v, adjacent=v != 2)
         g, mode, name, fake, error = {
             "merge": (
-                twins, "perfect", "_verify_perfect_masks", fail_second_call,
-                "recombination failed verification: forced",
+                twins, "perfect", "_verify_perfect_masks",
+                lambda original: lambda *args: (False, "forced"),
+                "perfect division failed verification: forced",
             ),
             "prime": (
                 twin_substitute(cycle_graph(5), 0, adjacent=True), "perfect", "_perfect_nonneighborhood_vertex",
@@ -298,8 +291,8 @@ class TestDrivers:
     @pytest.mark.parametrize("weights", [None, [1, 1, 1, 1, 0, 1]])
     def test_perfect_divide_checks_the_whole_graph_once(self, monkeypatch, weights):
         # C5 with a true twin of 0 has the homogeneous set {0, 5}, so the
-        # top level ends in a recombination; with unit weights its check
-        # is the final one, with a zero weight the final check is new
+        # top level ends in a recombination; the merge verifies nothing, so
+        # the final check is the only one, with or without a zero weight
         covered = []
         original = graphdiv.divisibility._verify_perfect_masks
 
@@ -312,7 +305,7 @@ class TestDrivers:
         record = run_divide(graphs_with_ids([g]), mode="perfect", weights_spec=weights)[0]
         assert record["status"] == "ok"
         assert any(step["kind"] == "quotient" for step in record["log"])
-        assert covered.count(0b111111) == 1
+        assert covered == [0b111111]
 
     def test_color_records(self):
         records = run_color(graphs_with_ids([cycle_graph(4)]), mode="two")
