@@ -42,6 +42,7 @@ $GRAPHDIV verify --division t7.json --out t7v.json
 python -c "import json; r = json.load(open('t7v.json'))['records']; ok = [x for x in r if x['status'] == 'ok']; assert len(r) == len(ok) == 624, (len(r), len(ok))"
 $GRAPHDIV color --mode two --exhaustive 7 --filter p5free,c5free --out c7.json
 python -c "import json; r = json.load(open('c7.json'))['records']; assert len(r) == 624 and all(x['status'] == 'ok' for x in r), len(r)"
+python -c "import hashlib, json; from graphdiv.report import scrub_volatile; t = json.dumps(scrub_volatile(json.load(open('c7.json'))), sort_keys=True, indent=2); d = hashlib.sha256(t.encode()).hexdigest()[:16]; assert d == '6253c6ed025a91b6', d"
 $GRAPHDIV verify --division c7.json --out c7v.json
 python -c "import json; r = json.load(open('c7v.json'))['records']; ok = [x for x in r if x['status'] == 'ok']; assert len(r) == len(ok) == 624, (len(r), len(ok))"
 $GRAPHDIV classify --exhaustive 7 --out e.json

@@ -5,21 +5,26 @@ is exactly the additive accounting behind their bounds: the two-division
 route stays within 2^(omega-1) colors, the perfect-division route within
 omega*(omega+1)/2. Certificates record both numbers so audits are cheap.
 Each checks its host's class once, as its division does, then recurses on
-masks through the division's core: by heredity every set it divides is in
-the class, and the core verifies each division it returns once, through
-its mask verifier, as the public division does. No division is built below
-either coloring, and ``clique_number`` runs once, for the certificate. The
-two-division coloring builds no vertex set either. The perfect-division
-coloring wraps each P side in one vertex set and hands it to
-``chromatic_number_exact``, whose lower bound runs ``_max_clique_mask`` on
-that side.
+masks through the division's core, which verifies nothing: by heredity
+every set it divides is in the class. The finished coloring is checked
+once, by ``_certified``, and that alone decides the result. A division
+that would stop the recursion from shrinking its set raises
+``TheoremViolationError`` at once. On any failed check the coloring reruns
+the public division on each set it divided, in order, so the first bad
+division raises with its own log; if all pass, the first error stands.
+
+No division is built below either coloring on success, and
+``clique_number`` runs once, for the certificate. The two-division
+coloring builds no vertex set either. The perfect-division coloring wraps
+each P side in one vertex set and hands it to ``chromatic_number_exact``,
+whose lower bound runs ``_max_clique_mask`` on that side.
 """
 
 from dataclasses import dataclass
 
 from .core import Graph, VertexSet, _bits, chromatic_number_exact, clique_number
 from .errors import TheoremViolationError
-from .divisibility import _perfect_divide, _require_p5c5_free, _require_perfect_divide_class, _two_divide
+from .divisibility import _perfect_divide, _require_p5c5_free, _require_perfect_divide_class, _two_divide, perfect_divide, two_divide
 
 POWER_OF_TWO = "power-of-two"
 QUADRATIC = "quadratic"
@@ -90,6 +95,21 @@ def _certified(g: Graph, assignment, used: int, kind: str) -> tuple:
     return coloring, certificate
 
 
+def _checked(g: Graph, kind: str, rec, assignment: list, divided: list) -> tuple:
+    """``_certified`` on the coloring that ``rec`` makes of all of ``g``.
+    On any failed check, the public division of ``kind`` is rerun on each
+    set in ``divided``, in order, so the first bad division raises
+    ``TheoremViolationError`` with its own log; if every rerun passes, the
+    first error stands."""
+    try:
+        return _certified(g, assignment, rec((1 << g.n) - 1, 0), kind)
+    except TheoremViolationError:
+        divide = two_divide if kind == POWER_OF_TWO else perfect_divide
+        for mask in divided:
+            divide(g, within=VertexSet(g.n, mask))
+        raise
+
+
 def color_via_two_division(g: Graph):
     """Color a (P5, C5)-free graph by recursive two-division.
 
@@ -99,6 +119,7 @@ def color_via_two_division(g: Graph):
     """
     _require_p5c5_free(g)
     assignment = [0] * g.n
+    divided = []
 
     def rec(mask: int, base: int) -> int:
         if not mask:
@@ -107,12 +128,14 @@ def color_via_two_division(g: Graph):
             for v in _bits(mask):
                 assignment[v] = base
             return 1
+        divided.append(mask)
         a_mask = _two_divide(g, mask)[0]
+        if a_mask & ~mask or a_mask in (0, mask):
+            raise TheoremViolationError("two-division's A side is not a non-empty proper subset of its set")
         used_a = rec(a_mask, base)
         return used_a + rec(mask & ~a_mask, base + used_a)
 
-    used = rec((1 << g.n) - 1, 0)
-    return _certified(g, assignment, used, POWER_OF_TWO)
+    return _checked(g, POWER_OF_TWO, rec, assignment, divided)
 
 
 def color_via_perfect_division(g: Graph):
@@ -126,15 +149,18 @@ def color_via_perfect_division(g: Graph):
     """
     _require_perfect_divide_class(g)
     assignment = [0] * g.n
+    divided = []
 
     def rec(mask: int, base: int) -> int:
         if not mask:
             return 0
+        divided.append(mask)
         p_mask = _perfect_divide(g, (1,) * g.n, mask)[0]
+        if not p_mask or p_mask & ~mask:
+            raise TheoremViolationError("perfect division's P side is not a non-empty subset of its set")
         used_p, p_colors = chromatic_number_exact(g, VertexSet(g.n, p_mask))
         for v in _bits(p_mask):
             assignment[v] = base + p_colors[v]
         return used_p + rec(mask & ~p_mask, base + used_p)
 
-    used = rec((1 << g.n) - 1, 0)
-    return _certified(g, assignment, used, QUADRATIC)
+    return _checked(g, QUADRATIC, rec, assignment, divided)

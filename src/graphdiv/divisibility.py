@@ -3,23 +3,24 @@
 The two constructions never trust their own guarantees, so the package
 doubles as a proof checker at the sizes it handles. Both have one shape: a
 public entry (``two_divide``, ``perfect_divide``), then a core that divides
-on masks (``_two_divide``, ``_perfect_divide``), then one private verifier
-on masks (``_verify_two_masks``, ``_verify_perfect_masks``). The public
-verifier (``verify_two_division``, ``verify_perfect_division``) checks that
-the parts belong to the graph and calls the same private one. The clique
+on masks (``_two_divide``, ``_perfect_divide``), then the public verifier
+(``verify_two_division``, ``verify_perfect_division``). The clique
 budget's check and its message live in one helper,
 ``core._check_clique_budget``. Verification policy:
 
-- Each core checks the division it returns once, on all of ``within``:
-  ``_two_divide`` with ``_verify_two_masks``, ``_perfect_divide`` with
-  ``_verify_perfect_masks``. Inside ``_perfect_divide`` each quotient
-  checks that the contracted set is homogeneous, and each recombination
-  (``_merge``) only that its divisions cover their parts: a merged P side
-  is a perfect P with a perfect P substituted for one vertex, so perfect
-  by Lovász's replication lemma. As in the paper, the contracted set is
-  divided only when the quotient puts its representative on the P side.
-  The public ``recombine`` verifies its merge; the colorings check each
-  finished coloring once more, in ``coloring._certified``.
+- A result is checked once, where it leaves the package. ``two_divide``,
+  ``perfect_divide`` and ``recombine`` check the division they return with
+  its public verifier, on all of ``within``; the colorings check each
+  finished coloring, in ``coloring._certified``; ``harness.run_verify``
+  checks a stored record.
+- The cores only divide: they return ``(mask, steps)`` and verify nothing.
+  ``_perfect_divide`` keeps the checks that guard its construction: each
+  quotient checks that the contracted set is homogeneous, each
+  recombination (``_merge``) that its divisions cover their parts, and a
+  prime set without a split fails. A merged P side is a perfect P with a
+  perfect P substituted for one vertex, so perfect by Lovász's replication
+  lemma. As in the paper, the contracted set is divided only when the
+  quotient puts its representative on the P side.
 - ``perfect_divide``'s recursion runs on masks, weight tuples and the
   trees it holds. ``verify_perfect_division``,
   ``quotient_by_homogeneous_set``, ``recombine``,
@@ -36,8 +37,9 @@ budget's check and its message live in one helper,
   in ``NotInClassError``, never in a failed check.
 - Both constructions record each derivation step as a flat tuple of ints
   and masks, in ``steps``; ``.log`` renders them to member-list dicts each
-  time it is read. ``harness.run_divide`` reads it once per record, the
-  colorings never do.
+  time it is read. ``harness.run_divide`` reads it once per record; a
+  coloring reads none, unless a check fails and it reruns the public
+  division on the sets it divided.
 - A failed self-check raises ``TheoremViolationError`` with the
   derivation log up to the failed step, that step included where it has
   one, rendered to plain dicts where it is raised. A class precondition
@@ -242,30 +244,24 @@ def _require_p5c5_free(g: Graph):
 
 def verify_two_division(g: Graph, d: TwoDivision, within: VertexSet = None):
     """Re-check a claimed two-division of ``g[within]`` (all of ``g`` by
-    default) with the exact clique oracle.
+    default) with the exact clique oracle: the check that ``two_divide``
+    makes.
 
-    Returns ``(ok, reason)``; ``reason`` names the violated clause. Once
-    the parts belong to ``g``, the clauses are those of
-    ``_verify_two_masks``, the check that ``two_divide`` makes.
+    Returns ``(ok, reason)``; ``reason`` names the violated clause. Both
+    parts lie inside ``within`` once they cover it, so its budget check
+    covers all three clique searches.
     """
     full = _within_mask(g, within)
     if d.a.host_size != g.n or d.b.host_size != g.n:
         return False, "parts do not belong to this graph"
-    return _verify_two_masks(g.adj, d.a.mask, d.b.mask, full)
-
-
-def _verify_two_masks(adj, a: int, b: int, full: int):
-    """``verify_two_division`` on masks of the rows ``adj``, once the parts
-    are known to belong to their graph. Both parts lie inside ``full`` once
-    they cover it, so its budget check covers all three clique searches."""
-    if a & b:
+    if d.a.mask & d.b.mask:
         return False, "parts overlap"
-    if a | b != full:
+    if d.a.mask | d.b.mask != full:
         return False, "parts do not cover the vertex set"
     _check_clique_budget(full.bit_count())
-    w = _max_clique_mask(adj, full)[0]
-    for name, part in (("A", a), ("B", b)):
-        size = _max_clique_mask(adj, part)[0]
+    w = _max_clique_mask(g.adj, full)[0]
+    for name, part in (("A", d.a.mask), ("B", d.b.mask)):
+        size = _max_clique_mask(g.adj, part)[0]
         if size >= w:
             return False, f"clique number of {name} is {size}, not below {w}"
     return True, None
@@ -274,35 +270,40 @@ def _verify_two_masks(adj, a: int, b: int, full: int):
 def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: VertexSet = None):
     """Re-check a claimed perfect division of ``g[within]`` (all of ``g``
     by default): partition, perfection of the p side, and the strict
-    weight drop on the w side.
+    weight drop on the w side. It is the check that ``perfect_divide`` and
+    ``recombine`` make.
 
     ``w`` may be None for unit weights. When the maximum clique weight of
     ``within`` is 0 (all-zero weights) the drop condition is vacuous, since
     no set can go below 0; the division only needs to be a partition then.
+    The W clause is decided as the module's policy states; when it fails,
+    the best weight of ``within`` equals W's.
     """
     full = _within_mask(g, within)
     if d.p.host_size != g.n or d.w_side.host_size != g.n:
         return False, "parts do not belong to this graph"
     weights = (1,) * g.n if w is None else w.weights
-    return _verify_perfect_masks(g, weights, d.p.mask, d.w_side.mask, full)
-
-
-def _verify_perfect_masks(g: Graph, weights: tuple, p_mask: int, w_mask: int, full: int):
-    """``verify_perfect_division`` on masks of ``g`` and a weight tuple,
-    once the parts are known to belong to ``g``. The W clause is decided
-    as the module's policy states; when it fails, the best weight of
-    ``full`` equals W's."""
-    if p_mask & w_mask:
+    if d.p.mask & d.w_side.mask:
         return False, "parts overlap"
-    if (p_mask | w_mask) != full:
+    if (d.p.mask | d.w_side.mask) != full:
         return False, "parts do not cover the vertex set"
-    if not _is_perfect_mask(g, p_mask):
+    if not _is_perfect_mask(g, d.p.mask):
         return False, "P side is not perfect"
     _check_weight_clique(g.adj, weights, full)
-    side = _max_weight_clique_mask(g.adj, weights, w_mask)[0]
+    side = _max_weight_clique_mask(g.adj, weights, d.w_side.mask)[0]
     if side and not _outweighs(g.adj, weights, full, side):
         return False, f"maximum clique weight of W is {side}, not below {side}"
     return True, None
+
+
+def _verified(division, check: tuple, what: str):
+    """``division``, once its public verifier's ``check`` passed; otherwise
+    ``TheoremViolationError`` naming ``what`` and the clause, with the
+    division's log."""
+    ok, reason = check
+    if not ok:
+        raise TheoremViolationError(f"{what} failed verification: {reason}", log=division.log)
+    return division
 
 
 def two_divide(g: Graph, within: VertexSet = None) -> TwoDivision:
@@ -315,41 +316,38 @@ def two_divide(g: Graph, within: VertexSet = None) -> TwoDivision:
     the vertices of N with a neighbor in the first uncovered component,
     pick the one with the most neighbors in M (smallest id on ties); its
     neighborhood becomes the A side. Edgeless components go wholly into A.
-    The union of the per-component sides is verified on masks, by
-    ``_verify_two_masks``, before being returned. Class membership is
-    checked on the whole host, once per call, even for a smaller
-    ``within``; heredity then covers every ``within``.
+    The division is checked once, by ``verify_two_division``, before it is
+    returned; a failure raises ``TheoremViolationError`` with its log.
+    Class membership is checked on the whole host, once per call, even for
+    a smaller ``within``; heredity then covers every ``within``.
     """
     _require_p5c5_free(g)
     full = _within_mask(g, within)
     a_mask, steps = _two_divide(g, full)
-    return TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, full & ~a_mask), steps=steps)
+    d = TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, full & ~a_mask), steps=steps)
+    return _verified(d, verify_two_division(g, d, within), "two-division")
 
 
 def _two_divide(g: Graph, full: int) -> tuple:
-    """``two_divide`` on the mask of ``within``, its host's class checked: (A mask, steps)."""
+    """``two_divide`` on the mask of ``within``, its host's class checked
+    and nothing verified: (A mask, steps)."""
     adj = g.adj
     if not any(adj[v] & full for v in _bits(full)):
         raise DegenerateCliqueError("clique number is at most 1; there is nothing to divide")
     comps = _mask_components(adj, full)
     log = [("component-split", *comps)]
     a_mask = 0
-    b_mask = 0
     for comp in comps:
-        if all(adj[v] & comp == 0 for v in _bits(comp)):
-            a_mask |= comp
-            log.append(("base-partition", 0, comp, 0))
-            continue
-        ca, cb = _divide_connected(adj, comp, log)
-        a_mask |= ca
-        b_mask |= cb
-    ok, reason = _verify_two_masks(adj, a_mask, b_mask, full)
-    if not ok:
-        raise TheoremViolationError(f"two-division failed verification: {reason}", log=map(_two_step_dict, log))
+        a_mask |= _divide_component(adj, comp, log)
     return a_mask, tuple(log)
 
 
-def _divide_connected(adj, comp: int, log: list):
+def _divide_component(adj, comp: int, log: list) -> int:
+    """The A side of the connected component ``comp``, all of it when it
+    is edgeless; its B side is the rest of ``comp``."""
+    if all(adj[v] & comp == 0 for v in _bits(comp)):
+        log.append(("base-partition", 0, comp, 0))
+        return comp
     v = (comp & -comp).bit_length() - 1
     n_mask = adj[v] & comp
     m_mask = comp & ~n_mask & ~(1 << v)
@@ -362,24 +360,15 @@ def _divide_connected(adj, comp: int, log: list):
             break
     if uncovered is None:
         a = m_mask | (1 << v)
-        b = n_mask
-        log.append(("base-partition", 1, a, b))
-        return a, b
-    candidates = [u for u in _bits(n_mask) if adj[u] & uncovered]
-    chosen = None
-    best_count = -1
-    scored = []
-    for u in candidates:
-        count = (adj[u] & m_mask).bit_count()
-        scored.append((u, count))
-        if count > best_count:
-            chosen = u
-            best_count = count
+        log.append(("base-partition", 1, a, n_mask))
+        return a
+    scored = [(u, (adj[u] & m_mask).bit_count()) for u in _bits(n_mask) if adj[u] & uncovered]
+    # max keeps the first of equal counts: the smallest id on ties
+    chosen = max(scored, key=lambda pair: pair[1])[0]
     log.append(("vertex-choice", 1, uncovered, chosen, *scored))
     a = adj[chosen] & comp
-    b = comp & ~a
-    log.append(("base-partition", 2, a, b))
-    return a, b
+    log.append(("base-partition", 2, a, comp & ~a))
+    return a
 
 
 def is_two_divisible_oracle(g: Graph):
@@ -504,9 +493,11 @@ def recombine(
     joins W, and ``inner_division`` may be None. If it landed on the P
     side, it is replaced by the perfect part of the inner division, and the
     inner W part joins W; ``inner_division`` None is a ValueError there.
-    The merged division is verified on ``within`` under ``w`` (including
-    perfection of the combined P side) before being returned; the merge
-    itself, ``_merge``, verifies nothing.
+    The merged division is checked once, by ``verify_perfect_division`` on
+    ``within`` under ``w`` (including perfection of the combined P side),
+    before it is returned; a failure raises ``TheoremViolationError`` with
+    the recombination step as its log. The merge itself, ``_merge``,
+    verifies nothing.
     """
     full = _within_mask(g, within)
     if not x.mask or x.mask & ~full:
@@ -519,14 +510,11 @@ def recombine(
         if (inner_division.p | inner_division.w_side).host_size != x.host_size:
             raise ValueError("inner division does not cover the contracted part")
         inner = (inner_division.p.mask, inner_division.w_side.mask)
-    weights = (1,) * g.n if w is None else w.weights
     quotient = (quotient_division.p.mask, quotient_division.w_side.mask)
     log = []
     p, w_side = _merge(x.mask, quotient, inner, full, log)
-    ok, reason = _verify_perfect_masks(g, weights, p, w_side, full)
-    if not ok:
-        raise TheoremViolationError(f"recombination failed verification: {reason}", log=map(_perfect_step_dict, log))
-    return PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, steps=tuple(log))
+    d = PerfectDivision(VertexSet(g.n, p), VertexSet(g.n, w_side), weight=w, steps=tuple(log))
+    return _verified(d, verify_perfect_division(g, w, d, within), "recombination")
 
 
 def _merge(x_mask: int, quotient: tuple, inner, full: int, log: list) -> tuple:
@@ -593,10 +581,11 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
     recombined; the two decompositions are the tree with the set contracted
     and the set's own subtree. Otherwise the graph is prime and the
     smallest vertex v with a perfect non-neighborhood yields the split
-    (M(v) + v, N(v)). Only the division returned is verified, once, on
-    all of ``within``; ``w`` None means unit weights. Class membership is
-    checked on the whole host, once per call, even for a smaller
-    ``within``; heredity then covers every ``within``.
+    (M(v) + v, N(v)). Only the division returned is checked, once, by
+    ``verify_perfect_division`` on all of ``within``; a failure raises
+    ``TheoremViolationError`` with its log. ``w`` None means unit weights.
+    Class membership is checked on the whole host, once per call, even for
+    a smaller ``within``; heredity then covers every ``within``.
     """
     weights = (1,) * g.n if w is None else w.weights
     if len(weights) != g.n:
@@ -604,11 +593,15 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
     _require_perfect_divide_class(g)
     full = _within_mask(g, within)
     p_mask, steps = _perfect_divide(g, weights, full)
-    return PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, steps=steps)
+    d = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, steps=steps)
+    return _verified(d, verify_perfect_division(g, w, d, within), "perfect division")
 
 
 def _perfect_divide(g: Graph, weights: tuple, full: int) -> tuple:
-    """``perfect_divide`` on weights and a mask, its host's class checked: (P mask, steps)."""
+    """``perfect_divide`` on weights and a mask, its host's class checked:
+    (P mask, steps). It keeps the checks of its construction, the
+    quotients' homogeneity, the merges' covers and the prime-set failure,
+    but verifies no division."""
     u_mask = 0
     for v in _bits(full):
         if weights[v] > 0:
@@ -621,9 +614,6 @@ def _perfect_divide(g: Graph, weights: tuple, full: int) -> tuple:
             p_mask = _divide_all_positive(g, weights, _decompose(g.adj, u_mask), log)[0]
         except ValueError as exc:
             raise TheoremViolationError(f"perfect division failed a self-check: {exc}", log=map(_perfect_step_dict, log)) from exc
-    ok, reason = _verify_perfect_masks(g, weights, p_mask, full & ~p_mask, full)
-    if not ok:
-        raise TheoremViolationError(f"perfect division failed verification: {reason}", log=map(_perfect_step_dict, log))
     return p_mask, tuple(log)
 
 

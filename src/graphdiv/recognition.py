@@ -45,9 +45,9 @@ largest prime quotient there, while the witness finders count the whole
 A cache stays only where traffic hits it (hits / misses in the record
 phase of ``bench/run.py``, seed 1, caches cleared after set-up). A coloring
 checks its class once, so the hits come from calls on the same graph.
-``find_odd_hole`` is cached on ``(g, within)``: 931 / 847 on
+``find_odd_hole`` is cached on ``(g, within)``: 763 / 847 on
 ``perfect-reach-n16``, 600 of them the ``divide`` record re-checking the
-graph its coloring just checked and 331 prime quotients asked again, and
+graph its coloring just checked and 163 prime quotients asked again, and
 3,293 / 1,609 on ``perfect-weighted``, 3,277 of them the same graph under
 its three weightings. ``find_homogeneous_set`` is cached likewise, with no
 lookups, for the benchmark tracer that reads its ``cache_info()``.

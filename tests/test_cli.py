@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import graphdiv.coloring
 import graphdiv.divisibility
 import graphdiv.harness
 from graphdiv import (
@@ -297,10 +298,25 @@ class TestColor:
         assert lines[1] == f"{emit_graph6(c5)},,,,,"
 
     def test_csv_theorem_violation_exit(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(graphdiv.divisibility, "_verify_two_masks", lambda *args: (False, "forced"))
-        code, lines = self._csv(tmp_path, "two", cycle_graph(4))
-        assert code == EXIT_THEOREM_VIOLATION
-        assert lines[1] == f"{emit_graph6(cycle_graph(4))},,,,,"
+        # a core that returns the whole set or an empty side as A, or an
+        # empty P side, ends in theorem-violation, never in a RecursionError
+        cases = [
+            ("two", "_two_divide", cycle_graph(4), lambda full: full),
+            ("two", "_two_divide", cycle_graph(4), lambda full: 0),
+            ("perfect", "_perfect_divide", cycle_graph(5), lambda full: 0),
+        ]
+        for mode, name, g, pick in cases:
+            original = getattr(graphdiv.divisibility, name)
+
+            def bad(g, *args, _original=original, _pick=pick):
+                return _pick(args[-1]), _original(g, *args)[1]
+
+            for module in (graphdiv.divisibility, graphdiv.coloring):
+                monkeypatch.setattr(module, name, bad)
+            code, lines = self._csv(tmp_path, mode, g)
+            assert code == EXIT_THEOREM_VIOLATION, (mode, lines)
+            assert lines[1] == f"{emit_graph6(g)},,,,,"
+            monkeypatch.undo()
 
     def test_csv_budget_ms(self, tmp_path):
         code, lines = self._csv(tmp_path, "two", cycle_graph(4), "--budget-ms", "0.000001")

@@ -125,12 +125,12 @@ class TestTwoDivisionColoring:
         ids=["C4", "K5", "bull", "two-rules"],
     )
     def test_recursion_stays_on_masks(self, monkeypatch, g):
-        # below the coloring, each division checks itself once through the
-        # mask verifier and builds no division or vertex set; the clique
-        # oracle runs once, for the certificate
-        counts = dict.fromkeys(
-            ["_two_divide", "_verify_two_masks", "verify_two_division", "clique_number", "TwoDivision", "VertexSet"], 0
-        )
+        # below the coloring, the core divides without verifying and builds
+        # no division or vertex set; no division verifier runs, and the
+        # clique oracle runs once, for the certificate
+        verifiers = [name for name in vars(graphdiv.divisibility) if "verify" in name]
+        assert {"verify_two_division", "verify_perfect_division"} <= set(verifiers)
+        counts = dict.fromkeys(["_two_divide", "clique_number", "TwoDivision", "VertexSet", *verifiers], 0)
 
         def counted(name, original):
             def call(*args, **kwargs):
@@ -145,8 +145,9 @@ class TestTwoDivisionColoring:
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         color_via_two_division(g)
         assert counts["_two_divide"] >= 1
-        assert counts["_verify_two_masks"] == counts["_two_divide"]
-        assert [counts[name] for name in ("verify_two_division", "TwoDivision", "VertexSet")] == [0, 0, 0]
+        assert {name: counts[name] for name in ("TwoDivision", "VertexSet", *verifiers)} == dict.fromkeys(
+            ("TwoDivision", "VertexSet", *verifiers), 0
+        )
         assert counts["clique_number"] == 1
 
 
@@ -212,9 +213,12 @@ class TestPerfectDivisionColoring:
     )
     def test_recursion_verifies_each_division_once(self, monkeypatch, g, merges):
         # the counterpart of the two-division pin: each division the
-        # coloring makes is verified once, by its core's final check, and
-        # none of the merges inside it is verified on its own
-        counts = dict.fromkeys(["_perfect_divide", "_verify_perfect_masks", "_merge"], 0)
+        # coloring makes is checked once, through the finished coloring's
+        # certificate, so no division verifier runs, neither on a division
+        # nor on a merge inside it; the clique oracle runs once
+        verifiers = [name for name in vars(graphdiv.divisibility) if "verify" in name]
+        assert {"verify_two_division", "verify_perfect_division"} <= set(verifiers)
+        counts = dict.fromkeys(["_perfect_divide", "_merge", "clique_number", *verifiers], 0)
 
         def counted(name, original):
             def call(*args, **kwargs):
@@ -229,8 +233,9 @@ class TestPerfectDivisionColoring:
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         color_via_perfect_division(g)
         assert counts["_perfect_divide"] >= 1
-        assert counts["_verify_perfect_masks"] == counts["_perfect_divide"]
+        assert {name: counts[name] for name in verifiers} == dict.fromkeys(verifiers, 0)
         assert counts["_merge"] == merges
+        assert counts["clique_number"] == 1
 
     def test_small_sweep(self):
         for n in range(1, 7):
@@ -322,6 +327,31 @@ class TestAuditBounds:
         # the JSON color record carries every CSV column but chi and slack
         record = run_color([("c5", c5)], mode="perfect")[0]
         assert record["certificate"] == {"omega": 2, "kind": "quadratic", "bound": 3, "used": 3}
+
+    @pytest.mark.parametrize(
+        "coloring, divide, bound, g, used",
+        [
+            (color_via_two_division, "two_divide", "power_of_two_bound", complete_graph(3), 3),
+            (color_via_perfect_division, "perfect_divide", "quadratic_bound", cycle_graph(5), 3),
+        ],
+        ids=["two", "perfect"],
+    )
+    def test_a_failed_certificate_stands_when_every_division_holds(self, monkeypatch, coloring, divide, bound, g, used):
+        # with the bound forced to 1 the certificate fails; the coloring
+        # reruns the public division on each set it divided, all pass, and
+        # the certificate's own error is the one raised
+        reruns = []
+        original = getattr(graphdiv.coloring, divide)
+
+        def counted(g, within):
+            reruns.append(within.mask)
+            return original(g, within=within)
+
+        monkeypatch.setattr(graphdiv.coloring, bound, lambda omega: 1)
+        monkeypatch.setattr(graphdiv.coloring, divide, counted)
+        with pytest.raises(TheoremViolationError, match=f"^division coloring spent {used} colors, above the bound 1$"):
+            coloring(g)
+        assert reruns[0] == (1 << g.n) - 1 and len(reruns) >= 2
 
     def test_slack_is_never_negative(self):
         corpus = []

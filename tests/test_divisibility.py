@@ -766,14 +766,14 @@ class TestNoGraphBelowTheBoundary:
         # the recursion lifts from the tree it holds and builds no weight
         # function; each quotient still checks its set is homogeneous (on
         # masks), no recombination is verified on its own, and the division
-        # returned is verified once, whether or not a recombination ends the
-        # log. A contracted set is divided only when its representative
+        # returned is verified once, by the public verifier, whether or not
+        # a recombination ends the log. A contracted set is divided only when its representative
         # lands on P: dividing every one took 7 merges and 15 divisions
         # under unit weights and 6 and 13 under the others
         g = _twin_substituted_c5()
         w = None if weights is None else WeightFn.of(weights)
         calls = {"WeightFn": 0}
-        for name in ("_decompose", "_verify_perfect_masks", "_is_homogeneous_mask", "_merge", "_divide_all_positive"):
+        for name in ("_decompose", "verify_perfect_division", "_is_homogeneous_mask", "_merge", "_divide_all_positive"):
             original = getattr(graphdiv.divisibility, name)
             calls[name] = 0
 
@@ -794,7 +794,7 @@ class TestNoGraphBelowTheBoundary:
         assert calls["_decompose"] == 1
         assert calls["WeightFn"] <= 1
         assert calls["_is_homogeneous_mask"] == kinds.count("quotient") > 2
-        assert calls["_verify_perfect_masks"] == 1
+        assert calls["verify_perfect_division"] == 1
         assert (calls["_merge"], calls["_divide_all_positive"]) == (merges, divisions)
 
     def test_perfect_division_and_coloring_call_no_public_step(self, monkeypatch):

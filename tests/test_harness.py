@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import graphdiv.coloring
 import graphdiv.divisibility
 import graphdiv.harness
 from graphdiv import (
@@ -162,7 +163,7 @@ class TestDrivers:
     def test_divide_reports_a_failed_self_check(self, monkeypatch):
         graphs = graphs_with_ids([cycle_graph(4)])
         log = run_divide(graphs, mode="two")[0]["log"]
-        monkeypatch.setattr(graphdiv.divisibility, "_verify_two_masks", lambda *args: (False, "forced"))
+        monkeypatch.setattr(graphdiv.divisibility, "verify_two_division", lambda *args: (False, "forced"))
         record = run_divide(graphs, mode="two")[0]
         assert record["status"] == "theorem-violation"
         assert record["error"] == "two-division failed verification: forced"
@@ -171,8 +172,8 @@ class TestDrivers:
     def test_failed_recombination_reports_the_log_so_far(self, monkeypatch):
         # C5 with twins of 0, 2 and 4 takes several quotients and ends in a
         # recombination. No merge is verified on its own, so the one call
-        # of the mask-level verifier is the final check, and its forced
-        # failure reports the whole log
+        # of the verifier is the check of the division perfect_divide
+        # returns, and its forced failure reports the whole log
         g = cycle_graph(5)
         for v in (0, 2, 4):
             g = twin_substitute(g, v, adjacent=v != 2)
@@ -184,7 +185,7 @@ class TestDrivers:
             calls.append(args)
             return False, "forced"
 
-        monkeypatch.setattr(graphdiv.divisibility, "_verify_perfect_masks", forced)
+        monkeypatch.setattr(graphdiv.divisibility, "verify_perfect_division", forced)
         record = run_divide(graphs, mode="perfect")[0]
         assert record["status"] == "theorem-violation"
         assert record["error"] == "perfect division failed verification: forced"
@@ -236,19 +237,20 @@ class TestDrivers:
 
     @pytest.mark.parametrize("case", sorted(FAILURE_LOGS))
     def test_failure_logs_are_plain_dicts_in_divide_and_color(self, monkeypatch, case):
-        # "merge": the final check of C5 with twins of 0, 2 and 4 fails
-        # after three merges, so the log is the whole derivation; "prime":
-        # the quotient C5 of C5 with a true twin finds no split; "two": the
-        # final check of a two-division with an isolated vertex and both
-        # vertex-choice rules
+        # "merge": the core puts all of C5 with twins of 0, 2 and 4 on W
+        # after three merges, so the check fails with the whole derivation
+        # as its log; "prime": the quotient C5 of C5 with a true twin finds
+        # no split; "two": the core puts all of a two-division with an
+        # isolated vertex and both vertex-choice rules on A. A coloring
+        # cannot recurse on such a division, so it reruns the public one
         twins = cycle_graph(5)
         for v in (0, 2, 4):
             twins = twin_substitute(twins, v, adjacent=v != 2)
         g, mode, name, fake, error = {
             "merge": (
-                twins, "perfect", "_verify_perfect_masks",
-                lambda original: lambda *args: (False, "forced"),
-                "perfect division failed verification: forced",
+                twins, "perfect", "_perfect_divide",
+                lambda original: lambda g, weights, full: (0, original(g, weights, full)[1]),
+                "perfect division failed verification: maximum clique weight of W is 4, not below 4",
             ),
             "prime": (
                 twin_substitute(cycle_graph(5), 0, adjacent=True), "perfect", "_perfect_nonneighborhood_vertex",
@@ -256,24 +258,58 @@ class TestDrivers:
                 "prime graph on [0, 1, 2, 3, 4] has no vertex with perfect non-neighborhood",
             ),
             "two": (
-                parse_graph6("F?XXw"), "two", "_verify_two_masks",
-                lambda original: lambda *args: (False, "forced"),
-                "two-division failed verification: forced",
+                parse_graph6("F?XXw"), "two", "_two_divide",
+                lambda original: lambda g, full: (full, original(g, full)[1]),
+                "two-division failed verification: clique number of A is 3, not below 3",
             ),
         }[case]
         original = getattr(graphdiv.divisibility, name)
+        for module in (graphdiv.divisibility, graphdiv.coloring):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fake(original))
         for run in (run_divide, run_color):
-            monkeypatch.setattr(graphdiv.divisibility, name, fake(original))
             record = run(graphs_with_ids([g]), mode=mode)[0]
             assert (record["status"], record["error"]) == ("theorem-violation", error)
             assert all(type(step) is dict for step in record["log"])
             assert record["log"] == FAILURE_LOGS[case], run.__name__
 
+    @pytest.mark.parametrize(
+        "mode, side, error",
+        [
+            ("two", "whole", "two-division failed verification: clique number of A is 2, not below 2"),
+            ("two", "empty", "two-division failed verification: clique number of B is 2, not below 2"),
+            ("two", "lowest", "two-division failed verification: clique number of B is 2, not below 2"),
+            ("perfect", "empty", "perfect division failed verification: maximum clique weight of W is 2, not below 2"),
+            ("perfect", "lowest", "perfect division failed verification: maximum clique weight of W is 2, not below 2"),
+        ],
+        ids=["two-whole", "two-empty", "two-lowest", "perfect-empty", "perfect-lowest"],
+    )
+    def test_a_bad_core_fails_the_coloring_with_its_division_log(self, monkeypatch, mode, side, error):
+        # a core that returns the whole set or an empty side would keep the
+        # recursion on the same set; one that peels off the lowest vertex
+        # spends more colors than C4's bound 2 or C5's bound 3, so the
+        # certificate fails. Either way the coloring reruns the public
+        # division, whose check names the bad division with its log
+        g = cycle_graph(4) if mode == "two" else cycle_graph(5)
+        graphs = graphs_with_ids([g])
+        log = run_divide(graphs, mode=mode)[0]["log"]
+        name = "_two_divide" if mode == "two" else "_perfect_divide"
+        original = getattr(graphdiv.divisibility, name)
+        pick = {"whole": lambda full: full, "empty": lambda full: 0, "lowest": lambda full: full & -full}[side]
+
+        def bad(g, *args):
+            return pick(args[-1]), original(g, *args)[1]
+
+        for module in (graphdiv.divisibility, graphdiv.coloring):
+            monkeypatch.setattr(module, name, bad)
+        record = run_color(graphs, mode=mode)[0]
+        assert (record["status"], record["error"], record["log"]) == ("theorem-violation", error, log)
+
     @pytest.mark.parametrize("mode", ["two", "perfect"])
     def test_divide_verifies_each_division_once(self, monkeypatch, mode):
-        # C4 and C5 have no homogeneous set, so the division's own final
-        # check is the only verifier call; both divisions check on masks
-        name = "_verify_two_masks" if mode == "two" else "_verify_perfect_masks"
+        # C4 and C5 have no homogeneous set; either way the public division
+        # checks the division it returns, and nothing else does
+        name = "verify_two_division" if mode == "two" else "verify_perfect_division"
         calls = []
         original = getattr(graphdiv.divisibility, name)
 
@@ -292,15 +328,16 @@ class TestDrivers:
     def test_perfect_divide_checks_the_whole_graph_once(self, monkeypatch, weights):
         # C5 with a true twin of 0 has the homogeneous set {0, 5}, so the
         # top level ends in a recombination; the merge verifies nothing, so
-        # the final check is the only one, with or without a zero weight
+        # perfect_divide's check is the only one, with or without a zero
+        # weight
         covered = []
-        original = graphdiv.divisibility._verify_perfect_masks
+        original = graphdiv.divisibility.verify_perfect_division
 
-        def counted(g, weights, p_mask, w_mask, full):
-            covered.append(p_mask | w_mask)
-            return original(g, weights, p_mask, w_mask, full)
+        def counted(g, w, d, within):
+            covered.append(d.p.mask | d.w_side.mask)
+            return original(g, w, d, within)
 
-        monkeypatch.setattr(graphdiv.divisibility, "_verify_perfect_masks", counted)
+        monkeypatch.setattr(graphdiv.divisibility, "verify_perfect_division", counted)
         g = twin_substitute(cycle_graph(5), 0, adjacent=True)
         record = run_divide(graphs_with_ids([g]), mode="perfect", weights_spec=weights)[0]
         assert record["status"] == "ok"
