@@ -67,6 +67,9 @@ python -c "import json; r = json.load(open('ca7.json'))['records']; c = r[0]['cl
 $GRAPHDIV classify --in ca7.g6 --filter perfect --out ca7p.json
 python -c "import json; r = json.load(open('ca7p.json'))['records']; assert r == [], r"
 python -c "from graphdiv import find_induced, path_graph; e = find_induced(path_graph(40), path_graph(31)); assert e.vertices == tuple(range(31)), e"
+python -c "import random; from graphdiv import Graph, complement, cycle_graph, emit_graph6; rng = random.Random('ci/odd-cycles'); gs = [h for k in range(7, 16, 2) for h in (cycle_graph(k), complement(cycle_graph(k)))]; ps = [rng.sample(range(g.n), g.n) for g in gs]; open('ck.g6', 'w').write(''.join(emit_graph6(Graph.from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])) + '\\n' for g, p in zip(gs, ps)))"
+$GRAPHDIV classify --in ck.g6 --out ck.json
+python -c "import json; from graphdiv import Embedding, embedding_is_valid, parse_graph6, pattern_for_name; w = [(parse_graph6(x['graph6']), x['class']['witnesses']['imperfection']) for x in json.load(open('ck.json'))['records']]; names = sorted(e['pattern'] for _, e in w); assert names == sorted(f'odd-{kind}({k})' for k in range(7, 16, 2) for kind in ('hole', 'antihole')), names; bad = [e for g, e in w if not (e['pattern'].endswith(f'({g.n})') and embedding_is_valid(g, pattern_for_name(e['pattern']), Embedding(e['pattern'], tuple(e['vertices']))))]; assert not bad, bad"
 code=0; $GRAPHDIV classify --random 40,0.5,1 || code=$?; test "$code" -eq 2
 code=0; $GRAPHDIV conjecture --max-n 10 || code=$?; test "$code" -eq 2
 code=0; $GRAPHDIV classify --exhaustive 4 --budget-ms -1 || code=$?; test "$code" -eq 2

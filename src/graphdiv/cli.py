@@ -8,9 +8,10 @@ class flags all hold; --budget-ms takes a number >= 0. --weights applies
 to divide --mode perfect only. Reports are versioned JSON; color --format
 csv renders the same records as the table id,omega,chi,used,bound,slack
 (chi is computed from the record's graph6 and blank above 16 vertices; a
-failed coloring is the row id,,,,,). conjecture sweeps 1..--max-n
-vertices; a counterexample is verify-failed, and a 2-divisible graph with
-an odd hole is theorem-violation. verify rejects a report of another
+failed coloring is the row id,,,,,). conjecture sweeps every graph on
+1..--max-n vertices and takes no --seed; a counterexample is
+verify-failed, and a 2-divisible graph with an odd hole is
+theorem-violation. verify rejects a report of another
 schema version, and fails a record whose graph6 string does not parse
 without stopping the others.
 
@@ -89,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjecture", parents=[out], help="sweep small graphs for 2-divisibility vs odd-hole-freeness")
     p_conj.add_argument("--max-n", type=int, required=True, metavar="N")
-    p_conj.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -129,7 +129,7 @@ def color_via_two_division(g: Graph):
                 assignment[v] = base
             return 1
         divided.append(mask)
-        a_mask = _two_divide(g, mask)[0]
+        a_mask = _two_divide(g.adj, mask)[0]
         if a_mask & ~mask or a_mask in (0, mask):
             raise TheoremViolationError("two-division's A side is not a non-empty proper subset of its set")
         used_a = rec(a_mask, base)
@@ -155,7 +155,7 @@ def color_via_perfect_division(g: Graph):
         if not mask:
             return 0
         divided.append(mask)
-        p_mask = _perfect_divide(g, (1,) * g.n, mask)[0]
+        p_mask = _perfect_divide(g.adj, (1,) * g.n, mask)[0]
         if not p_mask or p_mask & ~mask:
             raise TheoremViolationError("perfect division's P side is not a non-empty subset of its set")
         used_p, p_colors = chromatic_number_exact(g, VertexSet(g.n, p_mask))

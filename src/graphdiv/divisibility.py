@@ -21,8 +21,8 @@ budget's check and its message live in one helper,
   perfect P substituted for one vertex, so perfect by Lovász's replication
   lemma. As in the paper, the contracted set is divided only when the
   quotient puts its representative on the P side.
-- ``perfect_divide``'s recursion runs on masks, weight tuples and the
-  trees it holds. ``verify_perfect_division``,
+- The cores and their recursion read only the host's rows, weight
+  tuples, masks and the trees they hold. ``verify_perfect_division``,
   ``quotient_by_homogeneous_set``, ``recombine``,
   ``find_perfect_nonneighborhood_vertex``, ``is_perfect`` and
   ``is_homogeneous`` validate their arguments and call the mask forms the
@@ -287,7 +287,7 @@ def verify_perfect_division(g: Graph, w: WeightFn, d: PerfectDivision, within: V
         return False, "parts overlap"
     if (d.p.mask | d.w_side.mask) != full:
         return False, "parts do not cover the vertex set"
-    if not _is_perfect_mask(g, d.p.mask):
+    if not _is_perfect_mask(g.adj, d.p.mask):
         return False, "P side is not perfect"
     _check_weight_clique(g.adj, weights, full)
     side = _max_weight_clique_mask(g.adj, weights, d.w_side.mask)[0]
@@ -323,15 +323,14 @@ def two_divide(g: Graph, within: VertexSet = None) -> TwoDivision:
     """
     _require_p5c5_free(g)
     full = _within_mask(g, within)
-    a_mask, steps = _two_divide(g, full)
+    a_mask, steps = _two_divide(g.adj, full)
     d = TwoDivision(VertexSet(g.n, a_mask), VertexSet(g.n, full & ~a_mask), steps=steps)
     return _verified(d, verify_two_division(g, d, within), "two-division")
 
 
-def _two_divide(g: Graph, full: int) -> tuple:
-    """``two_divide`` on the mask of ``within``, its host's class checked
-    and nothing verified: (A mask, steps)."""
-    adj = g.adj
+def _two_divide(adj, full: int) -> tuple:
+    """``two_divide`` on the host's rows and the mask of ``within``, its
+    host's class checked and nothing verified: (A mask, steps)."""
     if not any(adj[v] & full for v in _bits(full)):
         raise DegenerateCliqueError("clique number is at most 1; there is nothing to divide")
     comps = _mask_components(adj, full)
@@ -464,16 +463,16 @@ def quotient_by_homogeneous_set(g: Graph, w: WeightFn, x: VertexSet, within: Ver
         raise ValueError("weight function length does not match the graph")
     _check_set(g, x)  # before ``_decompose`` reads x's rows
     full = _within_mask(g, within)
-    return WeightFn(_quotient_weights(g, weights, _decompose(g.adj, x.mask), full))
+    return WeightFn(_quotient_weights(g.adj, weights, _decompose(g.adj, x.mask), full))
 
 
-def _quotient_weights(g: Graph, weights: tuple, x_tree: Module, full: int) -> tuple:
-    """``quotient_by_homogeneous_set`` on a weight tuple and the mask of
-    ``within``, for the set that ``x_tree`` decomposes."""
-    if not _is_homogeneous_mask(g.adj, x_tree.mask, full):
+def _quotient_weights(adj, weights: tuple, x_tree: Module, full: int) -> tuple:
+    """``quotient_by_homogeneous_set`` on the host's rows, a weight tuple
+    and the mask of ``within``, for the set that ``x_tree`` decomposes."""
+    if not _is_homogeneous_mask(adj, x_tree.mask, full):
         raise ValueError("x is not a homogeneous set of g")
     lifted = list(weights)
-    lifted[(x_tree.mask & -x_tree.mask).bit_length() - 1] = _module_weight(g.adj, weights, x_tree)
+    lifted[(x_tree.mask & -x_tree.mask).bit_length() - 1] = _module_weight(adj, weights, x_tree)
     return tuple(lifted)
 
 
@@ -499,6 +498,7 @@ def recombine(
     the recombination step as its log. The merge itself, ``_merge``,
     verifies nothing.
     """
+    _check_set(g, x)
     full = _within_mask(g, within)
     if not x.mask or x.mask & ~full:
         raise ValueError("x is not a non-empty subset of within")
@@ -544,13 +544,14 @@ def _merge(x_mask: int, quotient: tuple, inner, full: int, log: list) -> tuple:
 def find_perfect_nonneighborhood_vertex(g: Graph, within: VertexSet = None):
     """Smallest vertex of ``within`` (all of ``g`` by default) whose
     non-neighborhood inside ``within`` induces a perfect graph, or None."""
-    return _perfect_nonneighborhood_vertex(g, _within_mask(g, within))
+    return _perfect_nonneighborhood_vertex(g.adj, _within_mask(g, within))
 
 
-def _perfect_nonneighborhood_vertex(g: Graph, full: int):
-    """``find_perfect_nonneighborhood_vertex`` on the mask of ``within``."""
+def _perfect_nonneighborhood_vertex(adj, full: int):
+    """``find_perfect_nonneighborhood_vertex`` on the host's rows and the
+    mask of ``within``."""
     for v in _bits(full):
-        if _is_perfect_mask(g, full & ~g.adj[v] & ~(1 << v)):
+        if _is_perfect_mask(adj, full & ~adj[v] & ~(1 << v)):
             return v
     return None
 
@@ -592,16 +593,16 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
         raise ValueError("weight function length does not match the graph")
     _require_perfect_divide_class(g)
     full = _within_mask(g, within)
-    p_mask, steps = _perfect_divide(g, weights, full)
+    p_mask, steps = _perfect_divide(g.adj, weights, full)
     d = PerfectDivision(VertexSet(g.n, p_mask), VertexSet(g.n, full & ~p_mask), weight=w, steps=steps)
     return _verified(d, verify_perfect_division(g, w, d, within), "perfect division")
 
 
-def _perfect_divide(g: Graph, weights: tuple, full: int) -> tuple:
-    """``perfect_divide`` on weights and a mask, its host's class checked:
-    (P mask, steps). It keeps the checks of its construction, the
-    quotients' homogeneity, the merges' covers and the prime-set failure,
-    but verifies no division."""
+def _perfect_divide(adj, weights: tuple, full: int) -> tuple:
+    """``perfect_divide`` on the host's rows, weights and a mask, its host's
+    class checked: (P mask, steps). It keeps the checks of its
+    construction, the quotients' homogeneity, the merges' covers and the
+    prime-set failure, but verifies no division."""
     u_mask = 0
     for v in _bits(full):
         if weights[v] > 0:
@@ -611,34 +612,34 @@ def _perfect_divide(g: Graph, weights: tuple, full: int) -> tuple:
     if u_mask:
         # the input is checked: a quotient's or a merge's ValueError is a bug
         try:
-            p_mask = _divide_all_positive(g, weights, _decompose(g.adj, u_mask), log)[0]
+            p_mask = _divide_all_positive(adj, weights, _decompose(adj, u_mask), log)[0]
         except ValueError as exc:
             raise TheoremViolationError(f"perfect division failed a self-check: {exc}", log=map(_perfect_step_dict, log)) from exc
     return p_mask, tuple(log)
 
 
-def _divide_all_positive(g: Graph, weights: tuple, tree: Module, log: list) -> tuple:
+def _divide_all_positive(adj, weights: tuple, tree: Module, log: list) -> tuple:
     """Divide the subgraph that ``tree`` decomposes, all of whose weights
     are positive, into ``(p, w)`` masks."""
     mask = tree.mask
     split = _homogeneous_split(tree)
     if split is None:
-        v = _perfect_nonneighborhood_vertex(g, mask)
+        v = _perfect_nonneighborhood_vertex(adj, mask)
         if v is None:
             message = f"prime graph on {_members(mask)} has no vertex with perfect non-neighborhood"
             raise TheoremViolationError(message, log=map(_perfect_step_dict, log))
-        p_mask = mask & ~g.adj[v]
-        w_mask = mask & g.adj[v]
+        p_mask = mask & ~adj[v]
+        w_mask = mask & adj[v]
         log.append(("base-partition", v, mask & ((1 << v) - 1), p_mask, w_mask))
         return p_mask, w_mask
     x_tree, q_tree = split
     x_mask = x_tree.mask
     rep = (x_mask & -x_mask).bit_length() - 1
-    q_weights = _quotient_weights(g, weights, x_tree, mask)
+    q_weights = _quotient_weights(adj, weights, x_tree, mask)
     log.append(("quotient", x_mask, rep, q_weights[rep], q_tree.mask))
-    quotient = _divide_all_positive(g, q_weights, q_tree, log)
+    quotient = _divide_all_positive(adj, q_weights, q_tree, log)
     # the merge uses a division of x only when its representative lands on P
-    inner = None if quotient[1] & (1 << rep) else _divide_all_positive(g, weights, x_tree, log)
+    inner = None if quotient[1] & (1 << rep) else _divide_all_positive(adj, weights, x_tree, log)
     return _merge(x_mask, quotient, inner, mask, log)
 
 

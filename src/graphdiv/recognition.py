@@ -4,60 +4,58 @@ Every finder is exhaustive (no false negatives at the sizes it accepts)
 and returns a witness embedding when the pattern is present, so a caller
 can always re-check a positive answer independently. One rule picks the
 witness: the lexicographically smallest image tuple of the pattern, and
-for an odd hole or antihole that of the shortest odd cycle.
+for an odd hole or antihole that of the shortest odd cycle. Below the
+public entries every search reads only rows and masks of the host.
 
-``find_induced`` runs a search generated for its pattern: one ``while``
-loop per pattern slot, nested in slot order, over that slot's candidate
-mask, chained on into a next function after every 20 loops. Its caller
-passes the rows and the co-rows. Placing a vertex narrows the mask of
-every later slot, each in one straight-line statement, and the loop moves
-on as soon as one of them is empty. Where an automorphism of the pattern
-first moves slot p, to slot q, the smallest image holds a smaller vertex
-in p than in q, so placing p keeps only the vertices above it in q. These
-"above" pairs are (0, 4) for P5, (0, 1), (0, 2), (0, 3), (0, 4) and (1,
-4) for C5, and (0, 1) for the bull. One table, ``_SEARCHES``, holds the
-searches of these three, compiled at import, and of each odd cycle, on
-first use; any other pattern's is compiled on its call.
+``find_induced`` runs a search generated for its pattern
+(``_search_source``): one ``while`` loop per pattern slot, nested in slot
+order, over that slot's candidate mask. Placing a vertex narrows the mask
+of every later slot by its row or by its non-neighbours, and the loop
+moves on as soon as one of them is empty. Where an automorphism of the
+pattern first moves slot p, to slot q, the smallest image holds a smaller
+vertex in p than in q, so placing p keeps only the vertices above it in
+q. These "above" pairs are (0, 4) for P5, (0, 1), (0, 2), (0, 3), (0, 4)
+and (1, 4) for C5, and (0, 1) for the bull. One table, ``_SEARCHES``,
+holds the searches of these three, compiled at import, and of each odd
+cycle, on first use; any other pattern's is compiled on its call.
 
 The hole and antihole search first splits the set into pieces, by
 components and anticomponents of its 2-core, and keeps only the
 non-bipartite ones with at least 5 vertices: an odd hole is connected,
 anticonnected and an odd cycle, so it lies inside one of them. For each
-odd length k, shortest first, it runs the search of C_k on each piece
-(with rows and co-rows swapped for antiholes), and at the first length
-with an image it returns the smallest image of all pieces. The smallest
-image of a cycle lists it from its smallest vertex toward that vertex's
-smaller neighbour, so a hole's witness is in cycle order.
+odd length k, shortest first, it runs the search of C_k on each piece (on
+the complement's rows for antiholes), and at the first length with an
+image it returns the smallest image of all pieces. The smallest image of
+a cycle lists it from its smallest vertex toward that vertex's smaller
+neighbour, so a hole's witness is in cycle order.
 
 Homogeneous sets and perfection are read off the modular decomposition of
 the subgraph (``_decompose``). ``find_homogeneous_set`` returns the set
 that perfect division contracts: a child of the root, or its first two.
-One rule decides imperfection: ``imperfection_witness`` runs the hole
-search and, on a set with no odd hole, the antihole search from length 7,
-since an odd antihole of length 5 is a C5. ``classify`` asks it of the
-whole graph, reads its odd hole off the witness, and its C5 off that hole
-when the hole has 5 vertices. ``is_perfect`` asks it of each prime quotient
-(one representative per child): a graph is perfect iff every such quotient
-is (Lovász, Discrete Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds the
-largest prime quotient there, while the witness finders count the whole
-``within`` set against it.
+One rule decides imperfection, ``_imperfection``: the hole search and, on
+a set with no odd hole, the antihole search from length 7, since an odd
+antihole of length 5 is a C5. ``classify`` asks ``imperfection_witness``
+of the whole graph, reads its odd hole off the witness, and its C5 off
+that hole when the hole has 5 vertices. ``is_perfect`` runs the rule on
+the mask of each prime quotient (one representative per child), with no
+cache: a graph is perfect iff every such quotient is (Lovász, Discrete
+Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds the largest prime
+quotient there, while the witness finders count the whole ``within`` set
+against it.
 
-A cache stays only where traffic hits it (hits / misses in the record
-phase of ``bench/run.py``, seed 1, caches cleared after set-up). A coloring
-checks its class once, so the hits come from calls on the same graph.
-``find_odd_hole`` is cached on ``(g, within)``: 763 / 847 on
-``perfect-reach-n16``, 600 of them the ``divide`` record re-checking the
-graph its coloring just checked and 163 prime quotients asked again, and
-3,293 / 1,609 on ``perfect-weighted``, 3,277 of them the same graph under
-its three weightings. ``find_homogeneous_set`` is cached likewise, with no
-lookups, for the benchmark tracer that reads its ``cache_info()``.
-``lru_cache`` keys ``f(g)`` and ``f(g, None)`` apart, so the package always
-passes ``within`` positionally, None included. ``find_p5``, ``find_c5`` and
+Caches see only public calls (hits / misses in the record phase of
+``bench/run.py``, seed 1, caches cleared after set-up). ``find_odd_hole``
+is cached on ``(g, within)``: 600 / 600 on ``perfect-reach-n16``, each hit
+a ``divide`` record re-checking the graph its coloring just checked, and
+3,277 / 1,601 on ``perfect-weighted``, the same graph under its three
+weightings. ``find_homogeneous_set`` is cached likewise, with no lookups,
+for the benchmark tracer that reads its ``cache_info()``. ``lru_cache``
+keys ``f(g)`` and ``f(g, None)`` apart, so the package always passes
+``within`` positionally, None included. ``find_p5``, ``find_c5`` and
 ``find_bull`` remember the last graph, which the class checks after
 ``classify`` and after a coloring of the same graph hit (P5 7,732 / 12,346
 and C5 3,866 / 3,866 on ``exhaustive-n8``, bull 600 / 600 on
-``perfect-reach-n16``). The antihole search runs only after a hole search
-that found nothing, and is not cached.
+``perfect-reach-n16``). The antihole search is not cached.
 """
 
 from dataclasses import dataclass
@@ -132,9 +130,9 @@ def pattern_for_name(name: str) -> Graph:
 
 
 def _search_plan(pattern: Graph) -> tuple:
-    """For each slot i of ``pattern``, its later slots j with the rows that
-    narrow slot j once slot i is placed: 0 for rows and 1 for co-rows, plus
-    2 when (i, j) is an above pair.
+    """For each slot i of ``pattern``, its later slots j with what narrows
+    slot j once slot i is placed: 0 for the placed vertex's row and 1 for
+    its non-neighbours, plus 2 when (i, j) is an above pair.
 
     (p, q) is an above pair when some automorphism σ fixes the slots before
     p and moves p to q. The copy with the image of σ(i) in slot i first
@@ -156,36 +154,60 @@ def _search_plan(pattern: Graph) -> tuple:
 
 def _search_source(pattern: Graph) -> str:
     """Python source of the search that ``find_induced`` runs for
-    ``pattern``: ``search(adj, co, full)`` returns the smallest image tuple
-    of an induced copy in the subgraph on the vertices of ``full`` under the
-    rows ``adj`` and their co-rows ``co``, or None. Rows and co-rows may
-    reach outside ``full``; no vertex outside it is ever placed.
+    ``pattern``: ``search(adj, full)`` returns the smallest image tuple of
+    an induced copy in the subgraph on the vertices of ``full`` under the
+    rows ``adj``, or None. Rows may reach outside ``full``; no vertex
+    outside it is ever placed.
 
-    Slot i loops over ``c{i}``, its candidates. Placing ``v{i}`` (bit
-    ``b{i}``) narrows each later slot j in one statement, ``m{i}_{j}`` from
-    ``m{i-1}_{j}``, or ``c{j}`` when j = i + 1, and moves on to the next
-    candidate as soon as one of them is empty. Slot 0 narrows every later
-    slot by a row or co-row and ``full``, so later slots hold vertices of
-    ``full`` only. The last slot takes the lowest bit of its candidates.
+    Slot i loops over ``c{i}``, its candidates, in ascending order, the
+    order of a scan over all vertices minus the rejects, and the last slot
+    takes the lowest bit of its candidates, so the first complete image is
+    the smallest. Placing ``v{i}`` (bit ``b{i}``) reads its row once,
+    ``a{i}``, and narrows each later slot j in one statement, ``m{i}_{j}``
+    from ``m{i-1}_{j}``, or ``c{j}`` when j = i + 1: first the slots of the
+    pattern's edges by the row, then those of its non-edges by the
+    non-neighbours ``n{i} = ~a{i} ^ b{i}``, and for an above pair (i, j) by
+    ``-(b{i} << 1)``, the vertices above ``v{i}``, too. The loop moves on
+    as soon as one of them is empty (forward checking). Slot 0 narrows by
+    ``full`` too, so later slots hold vertices of ``full`` only. For P5
+    (above pair (0, 4)) the loop of slot 1 reads::
 
-    CPython 3.10 to 3.12 nest at most 20 loops in one function. So after
-    every 20 loops the innermost one passes its live masks, ``c{i}`` and
-    each ``m{i-1}_{j}``, to ``search_{i}``, the next function of the
-    chain, which returns the rest of the image or None. A search of at
-    most 21 slots is one function.
+        while c1:
+            b1 = c1 & -c1
+            c1 ^= b1
+            v1 = b1.bit_length() - 1
+            a1 = adj[v1]
+            c2 = m0_2 & a1
+            if not c2:
+                continue
+            n1 = ~a1 ^ b1
+            m1_3 = m0_3 & n1
+            if not m1_3:
+                continue
+            m1_4 = m0_4 & n1
+            if not m1_4:
+                continue
+            while c2:
+                ...
+
+    where ``m0_4 = n0 & full & -(b0 << 1)``. CPython 3.10 to 3.12 nest at
+    most 20 loops in one function. So after every 20 loops the innermost
+    one passes its live masks, ``c{i}`` and each ``m{i-1}_{j}``, to
+    ``search_{i}``, the next function of the chain, which returns the rest
+    of the image or None. A search of at most 21 slots is one function.
     """
     slots = _search_plan(pattern)
     k = len(slots)
-    lines = ["def search(adj, co, full):", "    c0 = full"]
+    lines = ["def search(adj, full):", "    c0 = full"]
     for i in range(k - 1):
         if i and not i % _CHAIN:
             live = ", ".join([f"c{i}"] + [f"m{i - 1}_{j}" for j in range(i + 1, k)])
             pad = "    " * (_CHAIN + 1)
             lines += [
-                f"{pad}rest = search_{i}(adj, co, {live})",
+                f"{pad}rest = search_{i}(adj, {live})",
                 f"{pad}if rest is not None:",
                 f"{pad}    return (" + ", ".join(f"v{h}" for h in range(i - _CHAIN, i)) + ") + rest",
-                f"def search_{i}(adj, co, {live}):",
+                f"def search_{i}(adj, {live}):",
             ]
         pad = "    " * (i % _CHAIN + 1)
         lines += [
@@ -193,10 +215,15 @@ def _search_source(pattern: Graph) -> str:
             f"{pad}    b{i} = c{i} & -c{i}",
             f"{pad}    c{i} ^= b{i}",
             f"{pad}    v{i} = b{i}.bit_length() - 1",
+            f"{pad}    a{i} = adj[v{i}]",
         ]
-        for j, t in slots[i]:
+        # the edge slots first, then the non-edge slots, each in slot order
+        plan = sorted(slots[i], key=lambda slot: slot[1] & 1)
+        for h, (j, t) in enumerate(plan):
+            if t & 1 and not (h and plan[h - 1][1] & 1):
+                lines.append(f"{pad}    n{i} = ~a{i} ^ b{i}")
             mask = f"c{j}" if j == i + 1 else f"m{i}_{j}"
-            narrowed = ("co" if t & 1 else "adj") + f"[v{i}]"
+            narrowed = f"n{i}" if t & 1 else f"a{i}"
             narrowed = f"m{i - 1}_{j} & {narrowed}" if i else narrowed + " & full"
             if t & 2:
                 narrowed += f" & -(b{i} << 1)"
@@ -227,48 +254,15 @@ _ODD_CYCLES = {k: cycle_graph(k) for k in range(5, PERFECTION_BUDGET + 1, 2)}
 
 def find_induced(g: Graph, pattern: Graph, name: str = "pattern"):
     """First induced copy of ``pattern`` in ``g`` (lexicographically smallest
-    image tuple under the vertex order), or None.
-
-    The search is generated from the pattern: one ``while`` loop per slot
-    but the last, nested in slot order, each over its slot's candidate
-    mask. Placing vertex v (bit b) in slot i narrows the mask of every
-    later slot j in one statement: by v's row where the pattern has the
-    edge ij and by its co-row where it has not, and for an above pair (i,
-    j) also by ``-(b << 1)``, the vertices above v, since the smallest
-    image tuple has them there. The loop moves on to its next vertex as
-    soon as one of those masks is empty (forward checking). Rows and
-    co-rows leave out the vertex itself, so no vertex is placed twice.
-    Each loop tries the bits of its mask in ascending order, the order of a
-    scan over all vertices minus the rejects, and the last slot takes the
-    lowest bit of its mask, so the first complete image is the smallest.
-    For P5 (above pair (0, 4)) the loop of slot 1 reads::
-
-        while c1:
-            b1 = c1 & -c1
-            c1 ^= b1
-            v1 = b1.bit_length() - 1
-            c2 = m0_2 & adj[v1]
-            if not c2:
-                continue
-            m1_3 = m0_3 & co[v1]
-            if not m1_3:
-                continue
-            m1_4 = m0_4 & co[v1]
-            if not m1_4:
-                continue
-            while c2:
-                ...
-
-    where ``m0_4 = co[v0] & full & -(b0 << 1)``; ``_search_source(P5_PATTERN)``
-    returns the whole search, chained past 20 loops for a pattern of any
-    size. ``_SEARCHES`` holds P5's, C5's and the bull's, compiled at import,
-    and each odd cycle's once a hole search used it; any other pattern's is
-    compiled on each call.
-    """
+    image tuple under the vertex order), or None: the search that
+    ``_search_source`` generates for the pattern, run on ``g``'s rows.
+    ``_SEARCHES`` holds P5's, C5's and the bull's, compiled at import, and
+    each odd cycle's once a hole search used it; any other pattern's is
+    compiled on each call."""
     if pattern.n > g.n:
         return None
     full = (1 << g.n) - 1
-    image = (_SEARCHES.get(pattern) or _compile_search(pattern))(g.adj, _co_rows(g.adj, full), full)
+    image = (_SEARCHES.get(pattern) or _compile_search(pattern))(g.adj, full)
     return None if image is None else Embedding(name, image)
 
 
@@ -355,7 +349,7 @@ def _odd_cycle_pieces(adj, mask: int, shortest: int) -> list:
 def _first_odd_cycle(kind: str, rows, full: int, shortest: int = 5):
     """The smallest image tuple of C_k on ``full``, for the least odd k >=
     ``shortest`` with an induced C_k there, or None: under the host's
-    ``rows`` for an odd hole, under their co-rows for an odd antihole. The
+    ``rows`` for an odd hole, under the complement's for an odd antihole. The
     tuple is in cycle order: the cycle's smallest vertex, then its smaller
     neighbour on the cycle, and so on around.
 
@@ -365,24 +359,21 @@ def _first_odd_cycle(kind: str, rows, full: int, shortest: int = 5):
     vertices, and the smallest of those is the smallest on ``full``. This
     is the rule of every finder: ``find_c5`` and the C5 witness of
     ``classify`` are the same tuple whenever the shortest odd hole has 5
-    vertices. An antihole search passes the host's rows as the co-rows of
-    its co-rows; a hole search builds co-rows once it has a piece.
+    vertices. An antihole search builds the complement's rows on ``full``
+    once and searches them as its rows.
     """
     count = full.bit_count()
     if count > PERFECTION_BUDGET:
         raise BudgetExceededError(f"{kind} search limited to {PERFECTION_BUDGET} vertices, asked for {count}")
-    co = None
     if kind == "odd-antihole":
-        rows, co = _co_rows(rows, full), rows
+        rows = _co_rows(rows, full)
     pieces = _odd_cycle_pieces(rows, full, shortest)
-    if pieces and co is None:
-        co = _co_rows(rows, full)
     for k in range(shortest, max((piece.bit_count() for piece in pieces), default=0) + 1, 2):
         cycle = _ODD_CYCLES[k]
         search = _SEARCHES.get(cycle)
         if search is None:
             search = _SEARCHES[cycle] = _compile_search(cycle)
-        image = min(filter(None, (search(rows, co, piece) for piece in pieces if piece.bit_count() >= k)), default=None)
+        image = min(filter(None, (search(rows, piece) for piece in pieces if piece.bit_count() >= k)), default=None)
         if image is not None:
             return Embedding(f"{kind}({k})", image)
     return None
@@ -405,13 +396,18 @@ def find_odd_antihole(g: Graph, within: VertexSet = None):
 
 
 def imperfection_witness(g: Graph, within: VertexSet = None):
-    """The odd hole of ``find_odd_hole(g, within)``, else the shortest odd
-    antihole of ``g[within]`` (all of ``g`` by default) from length 7 (a C5 is reported as a hole), or
-    None when that subgraph is perfect."""
-    hole = find_odd_hole(g, within)
-    if hole is not None:
-        return hole
-    return _first_odd_cycle("odd-antihole", g.adj, _within_mask(g, within), 7)
+    """The witness of ``_imperfection`` on ``g[within]`` (all of ``g`` by
+    default), with the hole search's answer read from the cached
+    ``find_odd_hole(g, within)``; None when that subgraph is perfect."""
+    return _imperfection(g.adj, _within_mask(g, within), find_odd_hole(g, within))
+
+
+def _imperfection(adj, full: int, hole):
+    """The one imperfection rule on the subgraph on ``full``, given
+    ``hole``, the hole search's answer there: that odd hole, else the
+    shortest odd antihole from length 7, since one of length 5 is a C5 and
+    so a hole; None when the subgraph is perfect."""
+    return hole if hole is not None else _first_odd_cycle("odd-antihole", adj, full, 7)
 
 
 LEAF = "leaf"
@@ -564,18 +560,16 @@ def is_perfect(g: Graph, within: VertexSet = None) -> bool:
     A graph is perfect iff the quotient at every prime node of its modular
     decomposition is (substitution keeps perfection, and an odd hole or
     antihole, being prime, lies inside one child or meets each child of
-    some prime node at most once). So ``imperfection_witness`` searches only
+    some prime node at most once). So the imperfection rule searches only
     the prime quotients with 5 or more representatives, and the budget
     counts the largest of them; a degenerate quotient is complete or edgeless.
     """
-    return _is_perfect_mask(g, _within_mask(g, within))
+    return _is_perfect_mask(g.adj, _within_mask(g, within))
 
 
-def _is_perfect_mask(g: Graph, mask: int) -> bool:
-    """``is_perfect`` on a mask of ``g``'s vertices. Each prime quotient
-    goes to ``imperfection_witness`` as a ``VertexSet``, the key of the
-    odd-hole cache."""
-    adj = g.adj
+def _is_perfect_mask(adj, mask: int) -> bool:
+    """``is_perfect`` on the rows ``adj`` and a mask: ``_imperfection`` runs
+    on each prime quotient's mask, with no cache."""
     todo = [mask]
     while todo:
         mask = todo.pop()
@@ -583,8 +577,8 @@ def _is_perfect_mask(g: Graph, mask: int) -> bool:
             continue
         kind, parts = _split(adj, mask)
         if kind == PRIME and len(parts) >= 5:
-            quotient = VertexSet(g.n, sum(p & -p for p in parts))
-            if imperfection_witness(g, quotient) is not None:
+            quotient = sum(p & -p for p in parts)
+            if _imperfection(adj, quotient, _first_odd_cycle("odd-hole", adj, quotient)) is not None:
                 return False
         todo.extend(parts)
     return True

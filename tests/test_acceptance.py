@@ -524,7 +524,7 @@ REPORT_DIGESTS = {
     "divide": "baf82c18d4d127e8",
     "divide-two": "f85502f3df7fb24c",
     "color": "7ab40d03c9fe9938",
-    "conjecture": "3ad439e181b197da",
+    "conjecture": "e1df0ea132f475e7",
     "divide-weighted": "1d78be0f17f975bf",
     "color-perfect": "3a2b41ae61d28624",
     "classify-exhaustive": "2c569cb34f1f7b48",
@@ -553,7 +553,7 @@ def test_criterion_9_report_determinism(tmp_path, monkeypatch):
             "color", "--mode", "two", "--exhaustive", "6",
             "--filter", "p5free,c5free", "--seed", "17",
         ]),
-        "conjecture": (EXIT_OK, ["conjecture", "--max-n", "5", "--seed", "17"]),
+        "conjecture": (EXIT_OK, ["conjecture", "--max-n", "5"]),
         "divide-weighted": (EXIT_OK, [
             "divide", "--mode", "perfect", "--exhaustive", "6",
             "--filter", "bullfree,p5free", "--weights", "w.json", "--seed", "17",

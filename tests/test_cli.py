@@ -609,6 +609,14 @@ class TestConjectureCommand:
         assert code == EXIT_OK
         report = _load(out)
         assert report["summary"]["counterexamples"] == []
+        assert report["seed"] is None
+
+    def test_seed_is_a_usage_error(self, capsys):
+        # the sweep draws nothing at random, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--max-n", "5", "--seed", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def _sweep(self, tmp_path):
         out = tmp_path / "conjecture.json"

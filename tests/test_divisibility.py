@@ -300,6 +300,19 @@ class TestRecombine:
         with pytest.raises(ValueError, match="inner division"):
             _c4_recombine(q, PerfectDivision(VertexSet.of(4, [0]), VertexSet(4)))
 
+    def test_x_must_belong_to_the_graph(self):
+        # C4 with a non-adjacent twin 4 of vertex 0 contracts x = {0, 4}. An
+        # x of a 6-vertex host has its mask in range, and an inner division
+        # on x's host covers it, so only x's own host check refuses it
+        g = twin_substitute(cycle_graph(4), 0, adjacent=False)
+        q = PerfectDivision(VertexSet.of(5, [1, 3]), VertexSet.of(5, [0, 2]))
+        foreign = VertexSet(6, 0b10001)
+        with pytest.raises(ValueError, match="vertex set does not belong to this graph"):
+            recombine(g, None, foreign, q, PerfectDivision(foreign, VertexSet(6)))
+        x = VertexSet(5, 0b10001)
+        d = recombine(g, None, x, q, PerfectDivision(x, VertexSet(5)))
+        assert (d.p.members(), d.w_side.members()) == ((1, 3), (0, 2, 4))
+
     def test_merges_and_verifies_within(self):
         # C4 plus vertex 4 seeing only 0: the quotient of the C4 by {0, 2}
         # leaves vertex 4 out, and so does the merged division
@@ -741,7 +754,7 @@ def _twin_substituted_c5():
 class TestNoGraphBelowTheBoundary:
     def test_perfect_division_and_coloring_build_no_graph(self, monkeypatch):
         # a Graph is built and validated where it enters the program; the
-        # oracles below work on its rows and a vertex set
+        # kernels below work on its rows and masks
         g = _twin_substituted_c5()
         report = classify(g)
         assert g.n == 12 and report.bull_free and report.p5_free and not report.perfect
@@ -757,6 +770,46 @@ class TestNoGraphBelowTheBoundary:
         color_via_perfect_division(g)
         assert any(step["kind"] == "quotient" for step in d.log)
         assert built == []
+
+    def test_perfect_division_and_coloring_build_no_set_and_ask_no_cache(self, monkeypatch):
+        # M(0) of P7 is a prime P5, so the prime step's perfection test runs
+        # the imperfection rule on a quotient's mask. Each entry looks up
+        # the hole cache once, in its class check, and no vertex set is
+        # built while the core or the perfection test runs
+        built = []
+        depth = [0]
+        post_init = VertexSet.__post_init__
+
+        def counted(self):
+            built.append(depth[0])
+            post_init(self)
+
+        def below(original):
+            def call(*args):
+                depth[0] += 1
+                try:
+                    return original(*args)
+                finally:
+                    depth[0] -= 1
+
+            return call
+
+        monkeypatch.setattr(VertexSet, "__post_init__", counted)
+        for module, name in (
+            (graphdiv.divisibility, "_perfect_divide"),
+            (graphdiv.coloring, "_perfect_divide"),
+            (graphdiv.divisibility, "_is_perfect_mask"),
+        ):
+            monkeypatch.setattr(module, name, below(getattr(module, name)))
+        g = path_graph(7)
+        for entry in (perfect_divide, color_via_perfect_division):
+            before = find_odd_hole.cache_info()
+            built.clear()
+            entry(g)
+            after = find_odd_hole.cache_info()
+            lookups = after.hits + after.misses - before.hits - before.misses
+            assert (lookups, sum(map(bool, built))) == (1, 0), entry.__name__
+            assert built, entry.__name__  # the entry's own sets
 
     @pytest.mark.parametrize(
         "weights, merges, divisions",

@@ -84,18 +84,18 @@ class TestFindInduced:
     def test_search_places_only_vertices_of_full(self):
         # C5 on 0..4 plus vertex 5, a twin of vertex 1. Vertices 0, 2, 3, 4
         # and 5 form a C5 again, but 0b011101 leaves out 1 and 5 and holds
-        # only four vertices. The rows and co-rows reach all six vertices.
+        # only four vertices. The rows reach all six vertices, and the
+        # non-neighbours derived from them reach every vertex outside full.
         g = twin_substitute(cycle_graph(5), 1, adjacent=False)
         assert g.adj[5] == g.adj[1]
-        co = _co_rows(g.adj, 0b111111)
         search = _SEARCHES[C5_PATTERN]
-        assert search(g.adj, co, 0b011101) is None
-        assert search(g.adj, co, 0b111101) == (0, 4, 3, 2, 5)
-        assert search(g.adj, co, 0b111111) == (0, 1, 2, 3, 4)
-        # C5 plus vertex 5, a twin of vertex 2: on 0, 1, 3 and 4 the co-rows
-        # of 0 and 1 still reach 5, which closes a C5 outside full
+        for full, want in ((0b011101, None), (0b111101, (0, 4, 3, 2, 5)), (0b111111, (0, 1, 2, 3, 4))):
+            assert search(g.adj, full) == want == _first_induced_within(g, C5_PATTERN, full)
+        # C5 plus vertex 5, a twin of vertex 2: on 0, 1, 3 and 4 the
+        # non-neighbours of 0 and 1 still reach 5, which closes a C5
+        # outside full
         g = twin_substitute(cycle_graph(5), 2, adjacent=False)
-        assert search(g.adj, _co_rows(g.adj, 0b111111), 0b011011) is None
+        assert search(g.adj, 0b011011) is None
 
     def test_long_patterns(self):
         # past 20 loops the search runs on in a chain of generated functions
@@ -110,7 +110,7 @@ class TestFindInduced:
         # every cycle the hole search may ask for compiles
         for k in range(5, PERFECTION_BUDGET + 1, 2):
             c = cycle_graph(k)
-            assert _compile_search(c)(c.adj, _co_rows(c.adj, (1 << k) - 1), (1 << k) - 1) == tuple(range(k))
+            assert _compile_search(c)(c.adj, (1 << k) - 1) == tuple(range(k)) == naive.first_induced(c, c)
 
     def test_each_search_has_its_own_code_name(self):
         # profiles key a function by (file, line, name), so the searches of
@@ -278,6 +278,14 @@ class TestPerfection:
             is_perfect(g)
         assert searches["odd-antihole", 5] == 0, searches
         assert searches["odd-hole", 5] > 100 and searches["odd-antihole", 7] > 100, searches
+
+
+def _first_induced_within(g, pattern, full):
+    """``naive.first_induced`` on the subgraph induced on ``full``, in
+    ``g``'s vertices; ``induced_subgraph`` keeps their order."""
+    h, vmap = induced_subgraph(g, VertexSet(g.n, full))
+    image = naive.first_induced(h, pattern)
+    return None if image is None else tuple(vmap[v] for v in image)
 
 
 def _relabel(g, rng):
@@ -479,24 +487,28 @@ class TestExactWitnesses:
         p5 = _search_source(P5_PATTERN)
         # one loop per slot but the last; one narrowing statement per later
         # slot, the above pair (0, 4) cut to the vertices above v0
-        assert p5.startswith("def search(adj, co, full):\n    c0 = full\n")
+        assert p5.startswith("def search(adj, full):\n    c0 = full\n")
         assert p5.count("while ") == 4
-        assert "    m0_4 = co[v0] & full & -(b0 << 1)\n" in p5
-        assert "    c2 = m0_2 & adj[v1]\n" in p5
+        # each placement reads its row once, narrows the edge slots first,
+        # then derives its non-neighbours once for the non-edge slots
+        assert p5.count("adj[") == 4 and p5.count(" = ~a") == 3
+        assert "            a1 = adj[v1]\n            c2 = m0_2 & a1\n" in p5
+        assert "    n0 = ~a0 ^ b0\n" in p5 and "    m0_4 = n0 & full & -(b0 << 1)\n" in p5
+        assert p5.index("c1 = a0 & full") < p5.index("n0 = ") < p5.index("m0_2 = n0 & full")
         assert p5.endswith("return (v0, v1, v2, v3, (c4 & -c4).bit_length() - 1)\n")
-        # a pattern with no non-edge reads no co-row
-        assert "co[" not in _search_source(complete_graph(4))
+        # a pattern with no non-edge derives no non-neighbours
+        assert "~a" not in _search_source(complete_graph(4))
         # one slot returns the lowest vertex at once; no slot, the empty image
         assert "while" not in _search_source(complete_graph(1))
-        assert _compile_search(complete_graph(1))((0, 0, 0), (6, 5, 3), 0b110) == (1,)
-        assert _compile_search(empty_graph(0))((), (), 0) == ()
+        assert _compile_search(complete_graph(1))((0, 0, 0), 0b110) == (1,)
+        assert _compile_search(empty_graph(0))((), 0) == ()
         # at most 20 loops in one function: a longer search passes its live
         # masks on to the next function of a chain
         assert "search_" not in _search_source(path_graph(21))
         p22 = _search_source(path_graph(22))
         assert p22.count("while ") == 21
-        assert "    rest = search_20(adj, co, c20, m19_21)\n" in p22
-        assert "\ndef search_20(adj, co, c20, m19_21):\n    while c20:\n" in p22
+        assert "    rest = search_20(adj, c20, m19_21)\n" in p22
+        assert "\ndef search_20(adj, c20, m19_21):\n    while c20:\n" in p22
         assert p22.endswith("\n        return (v20, (c21 & -c21).bit_length() - 1)\n")
         p42 = _search_source(path_graph(42))
         assert p42.count("\ndef ") == 2 and "return (v20, v21," in p42 and "(v40, (c41" in p42
@@ -540,8 +552,9 @@ class TestExactWitnesses:
 
 class TestCycleDecisions:
     """The hole and antihole search runs the generated search of C_k on
-    each piece; on rows and on co-rows it finds an induced C_k exactly when
-    one is there."""
+    each piece; on the host's rows and on the complement's rows that the
+    antihole search builds, it finds an induced C_k exactly when one is
+    there."""
 
     def test_decisions_agree_with_naive(self, levels):
         rng = random.Random("decide/cycles")
@@ -559,24 +572,26 @@ class TestCycleDecisions:
         searches = {k: _compile_search(cycle_graph(k)) for k in range(5, 16, 2)}
         seen = Counter()
         for g, fixed in cases:
-            co = _co_rows(g.adj, (1 << g.n) - 1)
-            for side, rows, co_rows, host in (("rows", g.adj, co, g), ("co-rows", co, g.adj, complement(g))):
+            for side, host in (("rows", g), ("complement", complement(g))):
                 mask = fixed if fixed is not None else rng.getrandbits(g.n) | rng.getrandbits(g.n)
                 members = VertexSet(g.n, mask).members()
+                # the complement's rows on the mask, as the antihole search builds them
+                rows = g.adj if side == "rows" else _co_rows(g.adj, mask)
                 for k in range(5, min(len(members), 15) + 1, 2):
-                    found = searches[k](rows, co_rows, mask)
+                    found = searches[k](rows, mask)
                     assert (found is not None) == naive.has_induced_cycle(host, k, members), (side, k, g.adj, mask)
                     if found is not None:
                         assert set(found) <= set(members)
                         assert embedding_is_valid(host, cycle_graph(k), Embedding("cycle", found))
                         seen[side, k] += 1
-        assert all(seen[side, 5] > 1000 for side in ("rows", "co-rows")), seen
-        assert all(seen[side, k] >= 2 for side in ("rows", "co-rows") for k in range(7, 16, 2)), seen
+        assert all(seen[side, 5] > 1000 for side in ("rows", "complement")), seen
+        assert all(seen[side, k] >= 2 for side in ("rows", "complement") for k in range(7, 16, 2)), seen
 
     def test_long_cycles_agree_with_naive(self):
         # each odd cycle from 17 to 31 with one more vertex, joined to it,
         # apart from it, or an adjacent or non-adjacent twin of a cycle
-        # vertex; searched on its rows and as the co-rows of its complement
+        # vertex; searched on its rows, and on its complement's complement
+        # rows as the antihole search builds them
         rng = random.Random("decide/long-cycles")
         cases = 0
         for k in range(17, 32, 2):
@@ -591,9 +606,8 @@ class TestCycleDecisions:
                 g = _relabel(g, rng)
                 full = (1 << g.n) - 1
                 want = naive.first_induced(g, cycle)
-                assert search(g.adj, _co_rows(g.adj, full), full) == want, (k, g.adj)
-                h = complement(g)
-                assert search(_co_rows(h.adj, full), h.adj, full) == want, (k, g.adj)
+                assert search(g.adj, full) == want, (k, g.adj)
+                assert search(_co_rows(complement(g).adj, full), full) == want, (k, g.adj)
                 cases += 2
         assert cases == 64
 
