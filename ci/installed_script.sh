@@ -22,9 +22,12 @@ code=0; $GRAPHDIV verify --division rwbad.json --out rwbadv.json || code=$?; tes
 python -c "import json; e = json.load(open('rwbadv.json'))['records'][0]['error']; assert e == 'maximum clique weight of W is 9, not below 9', e"
 $GRAPHDIV divide --mode perfect --exhaustive 7 --filter bullfree,oddholefree --out r7.json
 $GRAPHDIV verify --division r7.json
-python -c "import hashlib, json; from graphdiv.report import scrub_volatile; t = json.dumps(scrub_volatile(json.load(open('r7.json'))), sort_keys=True, indent=2); d = hashlib.sha256(t.encode()).hexdigest()[:16]; assert d == '3d73740cb05dc914', d"
+python -c "import hashlib, json; from graphdiv.report import scrub_volatile; t = json.dumps(scrub_volatile(json.load(open('r7.json'))), sort_keys=True, indent=2); d = hashlib.sha256(t.encode()).hexdigest()[:16]; assert d == '7938e06ce41c8f74', d"
 python -c "import json; r = json.load(open('r7.json'))['records']; ok = [x for x in r if x['status'] == 'ok']; q = sum(any(s['kind'] == 'quotient' for s in x['log']) for x in ok); assert len(r) == len(ok) == 593 and q >= 500, (len(r), len(ok), q)"
 python -c "import json; c = {f: [[sum(s.get('case', s['kind']) == k for s in x['log']) for k in ('base-partition', 'xhat-in-p', 'xhat-in-w')] for x in json.load(open(f))['records'] if x['status'] == 'ok' and x['log'][0]['positive']] for f in ('r7.json', 'rw.json')}; assert all(b == 1 + p for v in c.values() for b, p, _ in v), 'base partitions'; assert all(sum(w for _, _, w in v) for v in c.values()), 'no xhat-in-w'"
+python -c "from graphdiv import complete_graph, emit_graph6, empty_graph; open('k8.g6', 'w').write(emit_graph6(complete_graph(8)) + '\n' + emit_graph6(empty_graph(8)) + '\n')"
+$GRAPHDIV divide --mode perfect --in k8.g6 --out k8.json
+python -c "import json; k = [[s['kind'] for s in x['log']] for x in json.load(open('k8.json'))['records']]; assert k == [['restrict', 'base-partition']] * 2, k"
 $GRAPHDIV color --mode perfect --exhaustive 6 --filter bullfree,oddholefree --out col.json
 $GRAPHDIV verify --division col.json
 python -c "import hashlib, json; from graphdiv.report import scrub_volatile; t = json.dumps(scrub_volatile(json.load(open('col.json'))), sort_keys=True, indent=2); d = hashlib.sha256(t.encode()).hexdigest()[:16]; assert d == '706554f932f356d3', d"

@@ -17,7 +17,7 @@ budget's check and its message live in one helper,
   ``_perfect_divide`` keeps the checks that guard its construction: each
   quotient checks that the contracted set is homogeneous, each
   recombination (``_merge``) that its divisions cover their parts, and a
-  prime set without a split fails. A merged P side is a perfect P with a
+  prime set without a base step fails. A merged P side is a perfect P with a
   perfect P substituted for one vertex, so perfect by Lovász's replication
   lemma. As in the paper, the contracted set is divided only when the
   quotient puts its representative on the P side.
@@ -574,19 +574,21 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
 
     The work happens inside the set U of positively weighted vertices
     (zero-weight vertices join the W side for free), on one modular
-    decomposition of U. If the graph induced on U has a homogeneous set,
-    the one that ``find_homogeneous_set`` names (a child of the root, or
-    its first two) is contracted and the quotient divided recursively. The
-    contracted part is divided too only when its representative lands on
-    the P side; on the W side all of it joins W. The results are
-    recombined; the two decompositions are the tree with the set contracted
-    and the set's own subtree. Otherwise the graph is prime and the
-    smallest vertex v with a perfect non-neighborhood yields the split
-    (M(v) + v, N(v)). Only the division returned is checked, once, by
-    ``verify_perfect_division`` on all of ``within``; a failure raises
-    ``TheoremViolationError`` with its log. ``w`` None means unit weights.
-    Class membership is checked on the whole host, once per call, even for
-    a smaller ``within``; heredity then covers every ``within``.
+    decomposition of U. One rule contracts: the first child of the root
+    with two or more vertices is contracted, the quotient divided
+    recursively, and the contracted part too when its representative
+    lands on the P side; on the W side all of it joins W. The results are
+    recombined; the two decompositions are the tree with the set
+    contracted and the set's own subtree. A set whose children are all
+    single vertices (prime, complete or edgeless) takes the base step: the
+    smallest vertex v with a perfect non-neighborhood M(v) yields the split
+    (M(v) + v, N(v)), valid wherever M(v) is perfect, as v has positive
+    weight and every clique of N(v) grows by v. Only the division returned
+    is checked, once, by ``verify_perfect_division`` on all of ``within``;
+    a failure raises ``TheoremViolationError`` with its log. ``w`` None
+    means unit weights. Class membership is checked on the whole host,
+    once per call, even for a smaller ``within``; heredity then covers
+    every ``within``.
     """
     weights = (1,) * g.n if w is None else w.weights
     if len(weights) != g.n:

@@ -30,8 +30,10 @@ a cycle lists it from its smallest vertex toward that vertex's smaller
 neighbour, so a hole's witness is in cycle order.
 
 Homogeneous sets and perfection are read off the modular decomposition of
-the subgraph (``_decompose``). ``find_homogeneous_set`` returns the set
-that perfect division contracts: a child of the root, or its first two.
+the subgraph (``_decompose``). Perfect division contracts only a child of
+the root with two or more vertices, so a prime, complete or edgeless set
+takes the base step; ``find_homogeneous_set`` returns that child, else
+the first two vertices of a complete or edgeless set.
 One rule decides imperfection, ``_imperfection``: the hole search and, on
 a set with no odd hole, the antihole search from length 7, since an odd
 antihole of length 5 is a C5. ``classify`` asks ``imperfection_witness``
@@ -43,8 +45,9 @@ Math. 2, 1972). So ``PERFECTION_BUDGET`` bounds the largest prime
 quotient there, while the witness finders count the whole ``within`` set
 against it.
 
-Caches see only public calls (hits / misses in the record phase of
-``bench/run.py``, seed 1, caches cleared after set-up). ``find_odd_hole``
+Caches see only public calls (hits / misses counted over the seed-1
+record phase of the benchmark's workloads, with every cache cleared after
+set-up; ``bench/run.py`` does not clear them). ``find_odd_hole``
 is cached on ``(g, within)``: 600 / 600 on ``perfect-reach-n16``, each hit
 a ``divide`` record re-checking the graph its coloring just checked, and
 3,277 / 1,601 on ``perfect-weighted``, the same graph under its three
@@ -534,23 +537,14 @@ def _with_child(node: Module, i: int, child: Module, x: int) -> Module:
 
 
 def _homogeneous_split(root: Module):
-    """A homogeneous set of the subgraph that ``root`` decomposes, as
-    ``(x's tree, the tree with x contracted to its smallest member)``; None
-    when there is none.
-
-    Every child of the root is a proper module (Gallai, 1967), so x is the
-    first child with two or more vertices. When every child is a single
-    vertex, a series or parallel root with three or more children
-    contracts its first two; a prime root, or one with at most two
-    vertices, has no homogeneous set.
-    """
+    """The set x that perfect division contracts in the subgraph that
+    ``root`` decomposes, as ``(x's tree, the tree with x contracted to its
+    smallest member)``: the first child of the root with two or more
+    vertices, a proper module (Gallai, 1967). None when every child is a
+    single vertex: a prime, complete or edgeless set takes the base step."""
     for i, child in enumerate(root.children):
         if child.children:
             return child, _with_child(root, i, Module(LEAF, child.mask & -child.mask), child.mask)
-    if root.kind != PRIME and len(root.children) >= 3:
-        first, second = root.children[:2]
-        x_tree = Module(root.kind, first.mask | second.mask, (first, second))
-        return x_tree, Module(root.kind, root.mask & ~second.mask, (first,) + root.children[2:])
     return None
 
 
@@ -610,13 +604,17 @@ def find_homogeneous_set(g: Graph, within: VertexSet = None):
     """A homogeneous set of ``g[within]`` (all of ``g`` by default), or
     None when that subgraph is prime or has at most two vertices.
 
-    It is the set that ``perfect_divide`` contracts, read off the modular
-    decomposition (``_homogeneous_split``): the first child of the root,
-    by smallest member, with two or more vertices; when every child is a
-    single vertex, the first two children of a series or parallel root
-    with three or more.
+    It is read off the modular decomposition: the first child of the root,
+    by smallest member, with two or more vertices, which is the set that
+    ``perfect_divide`` contracts (``_homogeneous_split``). When every child
+    is a single vertex, a complete or edgeless subgraph with three or more
+    vertices, it is the first two; ``perfect_divide`` contracts no set
+    there but takes the base step.
     """
-    split = _homogeneous_split(_decompose(g.adj, _within_mask(g, within)))
+    root = _decompose(g.adj, _within_mask(g, within))
+    split = _homogeneous_split(root)
+    if split is None and root.kind != PRIME and len(root.children) >= 3:
+        return VertexSet(g.n, root.children[0].mask | root.children[1].mask)
     return None if split is None else VertexSet(g.n, split[0].mask)
 
 

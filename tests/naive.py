@@ -6,8 +6,9 @@ share the input graphs. ``is_two_divisible_oracle``, ``_canonical_key``
 (with ``_refined_colors``), ``nonisomorphic_graphs``,
 ``old_rule_homogeneous_set`` and ``perfect_division_log`` are instead the
 slower versions that faster package code replaced, kept so the two can be
-compared exactly; ``child_rule_homogeneous_set`` states the package's
-current choice of homogeneous set with the same pair closures.
+compared exactly; ``contracted_set`` states the package's one contraction
+rule with the same pair closures, and ``child_rule_homogeneous_set`` the
+set that ``find_homogeneous_set`` names.
 """
 
 import functools
@@ -225,22 +226,19 @@ def _parts(full: int, linked) -> list:
     return parts
 
 
-def child_rule_homogeneous_set(g: Graph, within: VertexSet = None):
+def contracted_set(g: Graph, within: VertexSet = None):
     """The homogeneous set that perfect division contracts, from plain pair
     closures. Split ``within`` (all of ``g`` by default) into components,
     else anticomponents, else maximal proper modules (the union of the
     proper pair closures through each vertex). Take the first part with
-    two or more vertices; else, when the set is disconnected or
-    anti-disconnected with three or more vertices, its first two vertices;
-    else None."""
+    two or more vertices; else None, and the set, being prime, complete or
+    edgeless, takes the base step."""
     full = (1 << g.n) - 1 if within is None else within.mask
     members = list(_bits(full))
     parts = _parts(full, lambda v: g.adj[v])
-    degenerate = len(parts) > 1
-    if not degenerate:
+    if len(parts) == 1:
         parts = _parts(full, lambda v: ~g.adj[v] & ~(1 << v))
-        degenerate = len(parts) > 1
-    if not degenerate:
+    if len(parts) == 1:
         parts = []
         for u in members:
             part = 1 << u
@@ -253,12 +251,23 @@ def child_rule_homogeneous_set(g: Graph, within: VertexSet = None):
     for part in parts:
         if part.bit_count() >= 2:
             return VertexSet(g.n, part)
-    if degenerate and len(members) >= 3:
-        return VertexSet(g.n, (1 << members[0]) | (1 << members[1]))
     return None
 
 
-def perfect_division_log(g: Graph, weights, within: VertexSet = None, rule=child_rule_homogeneous_set) -> list:
+def child_rule_homogeneous_set(g: Graph, within: VertexSet = None):
+    """The homogeneous set that ``find_homogeneous_set`` names: the
+    contracted set, else, when ``within`` (all of ``g`` by default) is
+    complete or edgeless with three or more vertices, its first two
+    vertices; else None."""
+    x = contracted_set(g, within)
+    members = list(_bits((1 << g.n) - 1 if within is None else within.mask))
+    edges = {g.has_edge(u, v) for u, v in itertools.combinations(members, 2)}
+    if x is None and len(members) >= 3 and len(edges) == 1:
+        return VertexSet.of(g.n, members[:2])
+    return x
+
+
+def perfect_division_log(g: Graph, weights, within: VertexSet = None, rule=contracted_set) -> list:
     """The derivation log of the package's first perfect division, kept as
     the reference for the one that runs on a modular decomposition: every
     step finds its homogeneous set with ``rule`` (by default the package's

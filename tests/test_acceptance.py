@@ -521,11 +521,11 @@ def test_invariant_class_counts_up_to_eight(corpus_le8):
 # A change that alters what a report says must say why and update these.
 REPORT_DIGESTS = {
     "classify": "6e39326fd7998325",
-    "divide": "baf82c18d4d127e8",
+    "divide": "e1a4029a9f3dcb2b",
     "divide-two": "f85502f3df7fb24c",
     "color": "7ab40d03c9fe9938",
     "conjecture": "e1df0ea132f475e7",
-    "divide-weighted": "1d78be0f17f975bf",
+    "divide-weighted": "f2efdd24938b4942",
     "color-perfect": "3a2b41ae61d28624",
     "classify-exhaustive": "2c569cb34f1f7b48",
 }

@@ -205,7 +205,7 @@ class TestPerfectDivisionColoring:
         "g, merges",
         [
             (cycle_graph(5), 0),
-            (complete_graph(4), 3),
+            (complete_graph(4), 0),
             (twin_substitute(cycle_graph(5), 0, adjacent=True), 2),
             (twin_substitute(twin_substitute(cycle_graph(5), 0, adjacent=True), 2, adjacent=False), 3),
         ],

@@ -41,7 +41,6 @@ from graphdiv.corpus import nonisomorphic_graphs, random_graph, twin_substitute
 from graphdiv.harness import exhaustive_corpus
 from graphdiv.recognition import (
     PERFECTION_BUDGET,
-    PRIME,
     _ODD_CYCLES,
     _SEARCHES,
     _co_rows,
@@ -684,23 +683,23 @@ class TestHomogeneousSets:
 
 
 def _agrees_with_slow_search(g, mask):
-    """On ``g[mask]``, the homogeneous set read off the modular
-    decomposition is the child-rule reference's and is a child of the
-    root, or two single-vertex children of a series or parallel root; the
-    trees of that set and of the quotient are the decompositions of their
-    vertex sets, and ``is_perfect`` agrees with the exact witness search.
-    True when there is a homogeneous set."""
+    """On ``g[mask]``, ``find_homogeneous_set`` names the child-rule
+    reference's set; the set that perfect division contracts is the
+    one-rule reference's and a child of the root with two or more
+    vertices; the trees of that set and of the quotient are the
+    decompositions of their vertex sets, and ``is_perfect`` agrees with
+    the exact witness search. True when there is a homogeneous set."""
     within = VertexSet(g.n, mask)
     got = find_homogeneous_set(g, within)
     assert got == naive.child_rule_homogeneous_set(g, within), (g.adj, mask)
+    contracted = naive.contracted_set(g, within)
     root = _decompose(g.adj, mask)
     split = _homogeneous_split(root)
-    assert (split is None) == (got is None)
+    assert (split is None) == (contracted is None), (g.adj, mask)
     if split is not None:
         x_tree, q_tree = split
         x = x_tree.mask
-        pair = root.kind != PRIME and x.bit_count() == 2 and x_tree.children == root.children[:2]
-        assert x_tree in root.children or pair, (g.adj, mask)
+        assert x == contracted.mask and x_tree in root.children, (g.adj, mask)
         assert x_tree == _decompose(g.adj, x), (g.adj, mask)
         assert q_tree == _decompose(g.adj, (mask & ~x) | (x & -x)), (g.adj, mask)
     if mask.bit_count() <= PERFECTION_BUDGET:
