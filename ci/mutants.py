@@ -1,10 +1,10 @@
 """Mutation gate: every listed mutant of a check that guards a proof must
 fail the tier-1 tests named beside it.
 
-    python ci/mutants.py [NAME ...]
+    python ci/mutants.py
 
 Run it from anywhere; it needs pytest and nothing else outside the
-standard library. With no names it runs every mutant in ``MUTANTS``.
+standard library. It runs every mutant in ``MUTANTS``.
 
 For each mutant the script copies ``src`` to a temporary directory,
 replaces the mutant's ``old`` text, which must occur exactly once in its
@@ -132,13 +132,7 @@ def _copy_src(work: Path) -> Path:
     return src
 
 
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    mutants = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="graphdiv-mutants-") as tmp:
         src = _copy_src(Path(tmp) / "clean")
         probe = subprocess.run(
@@ -150,13 +144,13 @@ def main(argv=None) -> int:
         if not probe.stdout.startswith(str(src)):
             print(f"graphdiv is not imported from the copy: {probe.stdout or probe.stderr}", file=sys.stderr)
             return 2
-        tests = sorted({t for m in mutants for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         broken = {t: o for t, o in _outcomes(src, tests).items() if o != "PASSED"}
         if broken:
             print(f"named tests do not pass unmutated: {broken}", file=sys.stderr)
             return 2
         survivors = 0
-        for i, mutant in enumerate(mutants):
+        for i, mutant in enumerate(MUTANTS):
             src = _copy_src(Path(tmp) / f"mutant-{i}")
             path = src / "graphdiv" / mutant.path
             text = path.read_text()
@@ -171,7 +165,7 @@ def main(argv=None) -> int:
             passed = [t for t, o in outcomes.items() if o == "PASSED"]
             survivors += bool(passed)
             print(f"{'SURVIVED' if passed else 'killed'}: {mutant.name}" + "".join(f"\n  passed: {t}" for t in passed))
-    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 

@@ -667,7 +667,7 @@ class TestDecompositionDivision:
 
     def test_lifted_weights_match_subset_enumeration(self):
         rng = random.Random("decomposition/lifts")
-        lifts = 0
+        lifts = pairs = 0
         for g in _family_graphs(rng, 240, 3, 12):
             weights = [rng.randint(0, 5) for _ in range(g.n)]
             for mask in ((1 << g.n) - 1, rng.getrandbits(g.n) | rng.getrandbits(g.n)):
@@ -675,7 +675,24 @@ class TestDecompositionDivision:
                     sub, vmap = induced_subgraph(g, x)
                     assert lifted == naive.max_weight_clique(sub, [at[v] for v in vmap]), (g.adj, mask, x)
                     lifts += 1
-        assert lifts > 900
+                # perfect_divide takes the base step in a complete or edgeless
+                # set, but the public quotient still lifts the pair that
+                # find_homogeneous_set names there
+                for adjacent in (True, False):
+                    members = []
+                    for v in VertexSet(g.n, mask).members():
+                        if all(g.has_edge(u, v) == adjacent for u in members):
+                            members.append(v)
+                    if len(members) < 3:
+                        continue
+                    within = VertexSet(g.n, sum(1 << v for v in members))
+                    x = find_homogeneous_set(g, within)
+                    assert x.members() == tuple(members[:2]), (g.adj, members)
+                    lifted = quotient_by_homogeneous_set(g, WeightFn.of(weights), x, within)
+                    sub, vmap = induced_subgraph(g, x)
+                    assert lifted[members[0]] == naive.max_weight_clique(sub, [weights[v] for v in vmap])
+                    pairs += 1
+        assert lifts > 900 and pairs > 400 and lifts + pairs > 1000
 
     def test_logs_match_reference_on_the_criterion_3_graphs(self, levels):
         checked = quotients = 0
