@@ -37,7 +37,9 @@ class Mutant(NamedTuple):
 
 
 # The one contraction rule of perfect division, the merge's sides (which no
-# per-merge check re-verifies) and the quotient's homogeneity check.
+# per-merge check re-verifies), the quotient's homogeneity check, the base
+# step, the final check's perfection clause (the only test of a base step's
+# P side) and the class check's bull search.
 MUTANTS = (
     Mutant(
         "pair-rule-in-homogeneous-split",
@@ -107,6 +109,59 @@ MUTANTS = (
             "tests/test_divisibility.py::TestQuotient::test_rejects_non_homogeneous_set",
             "tests/test_harness.py::TestDrivers::test_failed_quotient_or_merge_check_is_a_theorem_violation[homogeneity]",
             "tests/test_cli.py::TestDivide::test_failed_self_check_in_the_recursion_exits_5",
+        ),
+    ),
+    Mutant(
+        "base-step-puts-v-on-w",
+        "divisibility.py",
+        """        p_mask = mask & ~adj[v]
+        w_mask = mask & adj[v]
+""",
+        """        p_mask = mask & ~adj[v] & ~(1 << v)
+        w_mask = mask & adj[v] | 1 << v
+""",
+        (
+            "tests/test_divisibility.py::TestPerfectDivide::test_c5_trace",
+            "tests/test_divisibility.py::TestPerfectDivide::test_complete_graph_peels_one_vertex",
+            "tests/test_harness.py::TestDrivers::test_failure_logs_are_plain_dicts_in_divide_and_color[perfection]",
+        ),
+    ),
+    Mutant(
+        "base-step-takes-the-largest-vertex",
+        "divisibility.py",
+        "        v = (mask & -mask).bit_length() - 1\n        p_mask",
+        "        v = mask.bit_length() - 1\n        p_mask",
+        (
+            "tests/test_divisibility.py::TestPerfectDivide::test_c5_trace",
+            "tests/test_divisibility.py::TestPerfectDivide::test_final_check_guards_the_smallest_vertex[FG`Xo]",
+            "tests/test_divisibility.py::TestDecompositionDivision::test_logs_match_reference_on_the_criterion_3_graphs",
+        ),
+    ),
+    Mutant(
+        "perfect-division-verifier-without-perfection",
+        "divisibility.py",
+        """    if not _is_perfect_mask(g.adj, d.p.mask):
+        return False, "P side is not perfect"
+""",
+        "",
+        (
+            "tests/test_divisibility.py::TestPerfectDivide::test_final_check_guards_the_smallest_vertex[FG`Xo]",
+            "tests/test_divisibility.py::TestRecombine::test_recombine_verifies_the_merge_it_returns[all-on-p]",
+            "tests/test_divisibility.py::TestVerifiers::test_perfect_division_matches_naive_on_moved_vertices",
+        ),
+    ),
+    Mutant(
+        "perfect-divide-class-without-bull-search",
+        "divisibility.py",
+        """    bull = find_bull(g)
+    if bull is not None:
+        raise NotInClassError("graph contains an induced bull", [bull])
+""",
+        "",
+        (
+            "tests/test_divisibility.py::TestPerfectDivide::test_bull_rejected",
+            "tests/test_coloring.py::TestPerfectDivisionColoring::test_rejects_bull",
+            "tests/test_cli.py::TestColor::test_class_violation_exit_and_witness[perfect-graph1-witness1]",
         ),
     ),
 )

@@ -15,16 +15,18 @@ budget's check and its message live in one helper,
   checks a stored record.
 - The cores only divide: they return ``(mask, steps)`` and verify nothing.
   ``_perfect_divide`` keeps the checks that guard its construction: each
-  quotient checks that the contracted set is homogeneous, each
-  recombination (``_merge``) that its divisions cover their parts, and a
-  prime set without a base step fails. A merged P side is a perfect P with a
-  perfect P substituted for one vertex, so perfect by Lovász's replication
-  lemma. As in the paper, the contracted set is divided only when the
-  quotient puts its representative on the P side.
+  quotient checks that the contracted set is homogeneous, and each
+  recombination (``_merge``) that its divisions cover their parts. A merged
+  P side is a perfect P with a perfect P substituted for one vertex, so
+  perfect by Lovász's replication lemma. As in the paper, the contracted
+  set is divided only when the quotient puts its representative on the P
+  side.
+- The base step takes the smallest vertex v of its set, untested. That
+  rests on the paper's lemma, measured for n <= 9, and on the final check,
+  whose perfection clause sees M(v) + v inside the P side returned.
 - The cores and their recursion read only the host's rows, weight
   tuples, masks and the trees they hold. ``verify_perfect_division``,
-  ``quotient_by_homogeneous_set``, ``recombine``,
-  ``find_perfect_nonneighborhood_vertex``, ``is_perfect`` and
+  ``quotient_by_homogeneous_set``, ``recombine``, ``is_perfect`` and
   ``is_homogeneous`` validate their arguments and call the mask forms the
   recursion calls, so a replay of a log re-derives every step through them.
 - The W clause of a perfect division computes W's maximum clique weight
@@ -160,9 +162,9 @@ class C5Classification:
 
 
 def _members(mask: int) -> list:
-    """The members of ``mask`` in ascending order, for the renderers below
-    and the prime-set error; no division calls it while it runs. A plain
-    loop is faster here than draining ``_bits``."""
+    """The members of ``mask`` in ascending order, for the renderers below;
+    no division calls it while it runs. A plain loop is faster here than
+    draining ``_bits``."""
     out = []
     while mask:
         low = mask & -mask
@@ -211,8 +213,9 @@ def _perfect_step_dict(step: tuple) -> dict:
     """The member-list dict of a ``perfect_divide`` step:
     ``("restrict", positive, zero)``,
     ``("quotient", x, representative, lifted_weight, quotient)``,
-    ``("base-partition", chosen, rejected, p, w)`` or
-    ``("recombination", case, x, p, w)``."""
+    ``("base-partition", chosen, p, w)`` or
+    ``("recombination", case, x, p, w)``. A base step's ``chosen`` is the
+    smallest vertex of its set."""
     kind = step[0]
     if kind == "recombination":
         _, case, x, p, w = step
@@ -221,15 +224,8 @@ def _perfect_step_dict(step: tuple) -> dict:
         _, x, rep, lifted, quotient = step
         return {"kind": kind, "x": _members(x), "representative": rep, "lifted_weight": lifted, "quotient": _members(quotient)}
     if kind == "base-partition":
-        _, v, rejected, p, w = step
-        return {
-            "kind": kind,
-            "rule": "perfect-non-neighborhood",
-            "chosen": v,
-            "rejected": _members(rejected),
-            "p": _members(p),
-            "w": _members(w),
-        }
+        _, v, p, w = step
+        return {"kind": kind, "rule": "perfect-non-neighborhood", "chosen": v, "p": _members(p), "w": _members(w)}
     return {"kind": kind, "positive": _members(step[1]), "zero": _members(step[2])}
 
 
@@ -543,13 +539,11 @@ def _merge(x_mask: int, quotient: tuple, inner, full: int, log: list) -> tuple:
 
 def find_perfect_nonneighborhood_vertex(g: Graph, within: VertexSet = None):
     """Smallest vertex of ``within`` (all of ``g`` by default) whose
-    non-neighborhood inside ``within`` induces a perfect graph, or None."""
-    return _perfect_nonneighborhood_vertex(g.adj, _within_mask(g, within))
-
-
-def _perfect_nonneighborhood_vertex(adj, full: int):
-    """``find_perfect_nonneighborhood_vertex`` on the host's rows and the
-    mask of ``within``."""
+    non-neighborhood inside ``within`` induces a perfect graph, or None.
+    ``perfect_divide`` does not call it: its base step takes the smallest
+    vertex. The tests state the paper's lemma with it: in a prime class
+    member every vertex qualifies."""
+    adj, full = g.adj, _within_mask(g, within)
     for v in _bits(full):
         if _is_perfect_mask(adj, full & ~adj[v] & ~(1 << v)):
             return v
@@ -580,15 +574,19 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
     lands on the P side; on the W side all of it joins W. The results are
     recombined; the two decompositions are the tree with the set
     contracted and the set's own subtree. A set whose children are all
-    single vertices (prime, complete or edgeless) takes the base step: the
-    smallest vertex v with a perfect non-neighborhood M(v) yields the split
-    (M(v) + v, N(v)), valid wherever M(v) is perfect, as v has positive
-    weight and every clique of N(v) grows by v. Only the division returned
-    is checked, once, by ``verify_perfect_division`` on all of ``within``;
-    a failure raises ``TheoremViolationError`` with its log. ``w`` None
-    means unit weights. Class membership is checked on the whole host,
-    once per call, even for a smaller ``within``; heredity then covers
-    every ``within``.
+    single vertices (prime, complete or edgeless) takes the base step at
+    its smallest vertex v: the paper's split (M(v) + v, N(v)) of a prime
+    set at a vertex whose non-neighborhood M(v) is perfect (Chudnovsky &
+    Sivaraman, arXiv:1704.06667). It is valid wherever M(v) is perfect, as
+    v has positive weight and every clique of N(v) grows by v. Taking the
+    smallest vertex, with no test, rests on two things: the lemma that in
+    a prime class member every M(v) is perfect, measured for n <= 9, and
+    the final check, which finds any imperfect M(v) inside the P side it
+    checks. Only the division returned is checked, once, by
+    ``verify_perfect_division`` on all of ``within``; a failure raises
+    ``TheoremViolationError`` with its log. ``w`` None means unit weights.
+    Class membership is checked on the whole host, once per call, even for
+    a smaller ``within``; heredity then covers every ``within``.
     """
     weights = (1,) * g.n if w is None else w.weights
     if len(weights) != g.n:
@@ -603,8 +601,8 @@ def perfect_divide(g: Graph, w: WeightFn = None, within: VertexSet = None) -> Pe
 def _perfect_divide(adj, weights: tuple, full: int) -> tuple:
     """``perfect_divide`` on the host's rows, weights and a mask, its host's
     class checked: (P mask, steps). It keeps the checks of its
-    construction, the quotients' homogeneity, the merges' covers and the
-    prime-set failure, but verifies no division."""
+    construction, the quotients' homogeneity and the merges' covers, but
+    tests no base step and verifies no division."""
     u_mask = 0
     for v in _bits(full):
         if weights[v] > 0:
@@ -626,13 +624,10 @@ def _divide_all_positive(adj, weights: tuple, tree: Module, log: list) -> tuple:
     mask = tree.mask
     split = _homogeneous_split(tree)
     if split is None:
-        v = _perfect_nonneighborhood_vertex(adj, mask)
-        if v is None:
-            message = f"prime graph on {_members(mask)} has no vertex with perfect non-neighborhood"
-            raise TheoremViolationError(message, log=map(_perfect_step_dict, log))
+        v = (mask & -mask).bit_length() - 1
         p_mask = mask & ~adj[v]
         w_mask = mask & adj[v]
-        log.append(("base-partition", v, mask & ((1 << v) - 1), p_mask, w_mask))
+        log.append(("base-partition", v, p_mask, w_mask))
         return p_mask, w_mask
     x_tree, q_tree = split
     x_mask = x_tree.mask

@@ -273,9 +273,12 @@ def perfect_division_log(g: Graph, weights, within: VertexSet = None, rule=contr
     step finds its homogeneous set with ``rule`` (by default the package's
     current one), lifts the representative's weight by branch and bound
     over the contracted set, and tests perfection by the exact hole and
-    antihole search on the whole non-neighborhood. As in the paper, the
-    contracted set is divided only when the quotient puts its
-    representative on the P side. Nothing is verified."""
+    antihole search on the whole non-neighborhood. Its base step still
+    scans for the first vertex with a perfect non-neighborhood, where the
+    package takes the smallest vertex untested, so an equal log checks the
+    lemma at each base step. As in the paper, the contracted set is
+    divided only when the quotient puts its representative on the P side.
+    Nothing is verified."""
     from graphdiv import WeightFn, imperfection_witness, max_weight_clique
 
     n = g.n
@@ -299,7 +302,6 @@ def perfect_division_log(g: Graph, weights, within: VertexSet = None, rule=contr
                     "kind": "base-partition",
                     "rule": "perfect-non-neighborhood",
                     "chosen": v,
-                    "rejected": members(mask & ((1 << v) - 1)),
                     "p": members(p),
                     "w": members(rest),
                 }

@@ -11,6 +11,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -35,10 +36,12 @@ from graphdiv import (
     find_odd_antihole,
     find_odd_hole,
     find_p5,
+    find_perfect_nonneighborhood_vertex,
     induced_subgraph,
     is_perfect,
     is_two_divisible_oracle,
     nonisomorphic_graphs,
+    parse_graph6,
     perfect_divide,
     random_graph,
     scrub_volatile,
@@ -214,23 +217,35 @@ def test_criterion_4_quadratic_bound(perfect_division_corpus):
 
 
 def test_criterion_5_perfect_nonneighborhoods_everywhere(corpus_le8):
+    # the lemma that lets perfect division's base step take the smallest
+    # vertex: in a prime class member every vertex has a perfect
+    # non-neighborhood. Outside the class, in a prime bull-free graph with
+    # an odd hole and a P5, some vertex may have an imperfect one
     graphs, _ = corpus_le8
     checked = 0
+    outside = {}
     for n in range(1, 9):
         for g in graphs[n]:
-            if find_bull(g) is not None or find_odd_hole(g) is not None:
+            if find_bull(g) is not None or find_homogeneous_set(g) is not None:
                 continue
-            if find_homogeneous_set(g) is not None:
-                continue
-            checked += 1
             full = (1 << g.n) - 1
-            for v in range(g.n):
-                sub, _ = induced_subgraph(g, VertexSet(g.n, full & ~g.adj[v] & ~(1 << v)))
-                assert is_perfect(sub), (emit_graph6(g), v)
+            imperfect = [v for v in range(g.n) if not is_perfect(g, VertexSet(g.n, full & ~g.adj[v] & ~(1 << v)))]
+            if find_odd_hole(g) is not None and find_p5(g) is not None:
+                if imperfect:
+                    outside[emit_graph6(g)] = (n, imperfect)
+                continue
+            assert not imperfect, (emit_graph6(g), imperfect)
+            checked += 1
+    assert checked == 288
+    assert Counter(n for n, _ in outside.values()) == {7: 2, 8: 25}
+    for g6 in ("FG`Xo", "F`GQW"):
+        assert outside[g6] == (7, [0])
+        assert find_perfect_nonneighborhood_vertex(parse_graph6(g6)) == 1
     _passed(
         5,
-        f"every vertex of every prime bull-free odd-hole-free graph "
-        f"(n <= 8, {checked} graphs) has a perfect non-neighborhood",
+        f"every vertex of every prime bull-free graph that is odd-hole-free or P5-free "
+        f"(n <= 8, {checked} graphs) has a perfect non-neighborhood; outside the class, "
+        f"{len(outside)} prime bull-free graphs have a vertex with an imperfect one",
     )
 
 
@@ -521,11 +536,11 @@ def test_invariant_class_counts_up_to_eight(corpus_le8):
 # A change that alters what a report says must say why and update these.
 REPORT_DIGESTS = {
     "classify": "6e39326fd7998325",
-    "divide": "e1a4029a9f3dcb2b",
+    "divide": "e7488792be5527ea",
     "divide-two": "f85502f3df7fb24c",
     "color": "7ab40d03c9fe9938",
     "conjecture": "e1df0ea132f475e7",
-    "divide-weighted": "f2efdd24938b4942",
+    "divide-weighted": "767b3e9b7626e835",
     "color-perfect": "3a2b41ae61d28624",
     "classify-exhaustive": "2c569cb34f1f7b48",
 }

@@ -41,6 +41,7 @@ from graphdiv import (
     is_perfect,
     is_two_divisible_oracle,
     max_weight_clique,
+    parse_graph6,
     path_graph,
     perfect_divide,
     quotient_by_homogeneous_set,
@@ -403,6 +404,20 @@ class TestPerfectDivide:
         names = {w.pattern_name for w in err.value.witnesses}
         assert names == {"odd-hole(7)", "P5"}
 
+    @pytest.mark.parametrize("g6", ["FG`Xo", "F`GQW"])
+    def test_final_check_guards_the_smallest_vertex(self, monkeypatch, g6):
+        # prime bull-free graphs with an odd hole and a P5, outside the
+        # class: vertex 0 has an imperfect non-neighborhood. With the class
+        # check off, the base step still takes 0, and the final check's
+        # perfection clause refuses the division
+        g = parse_graph6(g6)
+        assert find_perfect_nonneighborhood_vertex(g) == 1
+        monkeypatch.setattr(graphdiv.divisibility, "_require_perfect_divide_class", lambda g: None)
+        with pytest.raises(TheoremViolationError) as err:
+            perfect_divide(g)
+        assert str(err.value) == "perfect division failed verification: P side is not perfect"
+        assert [step["chosen"] for step in err.value.log if step["kind"] == "base-partition"] == [0]
+
     def test_class_hints(self, c5):
         # C5 has an odd hole but no P5, so it is in the class
         assert perfect_divide(c5).p.members() == (0, 2, 3)
@@ -631,8 +646,10 @@ def _replay(g, weights, log):
     """Re-derive every step of the ``perfect_divide`` log of ``g`` under
     ``weights`` through the public step API: each quotient's ``x`` (a
     child of the root with two or more vertices) and lifted weight, each
-    base step's chosen vertex and sides, and each recombination. A contracted set is replayed only when its
-    representative lands on the P side, as it is divided only then."""
+    base step's chosen vertex (the smallest of its set, which must have a
+    perfect non-neighborhood) and sides, and each recombination. A
+    contracted set is replayed only when its representative lands on the P
+    side, as it is divided only then."""
     steps = iter(log)
     restrict = next(steps)
     u_mask = sum(1 << v for v in restrict["positive"])
@@ -646,7 +663,10 @@ def _replay_set(g, w, mask, steps):
     step = next(steps)
     x = _contracted_set(g, within)
     if x is None:
-        v = find_perfect_nonneighborhood_vertex(g, within)
+        # the base step takes the smallest vertex; the lemma says that it
+        # is the first with a perfect non-neighborhood
+        v = within.members()[0]
+        assert find_perfect_nonneighborhood_vertex(g, within) == v, (emit_graph6(g), within)
         p, w_side = VertexSet(g.n, mask & ~g.adj[v]), VertexSet(g.n, mask & g.adj[v])
         assert (step["rule"], step["chosen"]) == ("perfect-non-neighborhood", v)
         assert (step["p"], step["w"]) == (list(p.members()), list(w_side.members()))
@@ -957,7 +977,7 @@ class TestLogsRenderOnRead:
         ids = graphs_with_ids(graphs)
         logs = [record.get("log") for mode in ("perfect", "two") for record in run_divide(ids, mode)]
         assert sum(log is not None for log in logs) == 7108
-        assert hashlib.sha256(json.dumps(logs).encode()).hexdigest()[:16] == "13b595107c8ee10e"
+        assert hashlib.sha256(json.dumps(logs).encode()).hexdigest()[:16] == "63bae8da99ce4ca2"
 
 
 class TestVerifiers:

@@ -32,23 +32,27 @@ from graphdiv.report import build_report, report_to_json
 
 # The logs that failed self-checks carry, as the division that built member
 # lists while it ran recorded them; each step is a plain dict. In "merge"
-# the set [4, 7] is not divided: its representative lands on W.
+# the set [4, 7] is not divided: its representative lands on W. In
+# "perfection" the division is the true one; only its final check fails.
 FAILURE_LOGS = {
     "merge": [
         {"kind": "restrict", "positive": [0, 1, 2, 3, 4, 5, 6, 7], "zero": []},
         {"kind": "quotient", "x": [0, 5], "representative": 0, "lifted_weight": 2, "quotient": [0, 1, 2, 3, 4, 6, 7]},
         {"kind": "quotient", "x": [2, 6], "representative": 2, "lifted_weight": 1, "quotient": [0, 1, 2, 3, 4, 7]},
         {"kind": "quotient", "x": [4, 7], "representative": 4, "lifted_weight": 2, "quotient": [0, 1, 2, 3, 4]},
-        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "rejected": [], "p": [0, 2, 3], "w": [1, 4]},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "p": [0, 2, 3], "w": [1, 4]},
         {"kind": "recombination", "case": "xhat-in-w", "x": [4, 7], "p": [0, 2, 3], "w": [1, 4, 7]},
-        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 2, "rejected": [], "p": [2, 6], "w": []},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 2, "p": [2, 6], "w": []},
         {"kind": "recombination", "case": "xhat-in-p", "x": [2, 6], "p": [0, 2, 3, 6], "w": [1, 4, 7]},
-        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "rejected": [], "p": [0], "w": [5]},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "p": [0], "w": [5]},
         {"kind": "recombination", "case": "xhat-in-p", "x": [0, 5], "p": [0, 2, 3, 6], "w": [1, 4, 5, 7]},
     ],
-    "prime": [
+    "perfection": [
         {"kind": "restrict", "positive": [0, 1, 2, 3, 4, 5], "zero": []},
         {"kind": "quotient", "x": [0, 5], "representative": 0, "lifted_weight": 2, "quotient": [0, 1, 2, 3, 4]},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "p": [0, 2, 3], "w": [1, 4]},
+        {"kind": "base-partition", "rule": "perfect-non-neighborhood", "chosen": 0, "p": [0], "w": [5]},
+        {"kind": "recombination", "case": "xhat-in-p", "x": [0, 5], "p": [0, 2, 3], "w": [1, 4, 5]},
     ],
     "two": [
         {"kind": "component-split", "components": [[0], [1, 2, 3, 4, 5, 6]]},
@@ -195,15 +199,6 @@ class TestDrivers:
         assert kinds.count("recombination") == 3 and kinds.count("quotient") == 3
         assert record["log"] == log
 
-    def test_prime_set_without_a_split_reports_its_vertices(self, monkeypatch):
-        # C5 with a true twin of 0: the quotient by {0, 5} is the prime C5
-        monkeypatch.setattr(graphdiv.divisibility, "_perfect_nonneighborhood_vertex", lambda *args: None)
-        g = twin_substitute(cycle_graph(5), 0, adjacent=True)
-        record = run_divide(graphs_with_ids([g]), mode="perfect")[0]
-        assert record["status"] == "theorem-violation"
-        assert record["error"] == "prime graph on [0, 1, 2, 3, 4] has no vertex with perfect non-neighborhood"
-        assert [step["kind"] for step in record["log"]] == ["restrict", "quotient"]
-
     @pytest.mark.parametrize("case", ["homogeneity", "cover"])
     def test_failed_quotient_or_merge_check_is_a_theorem_violation(self, monkeypatch, case):
         # C5 with a true twin of 0 contracts {0, 5}. "homogeneity" names the
@@ -239,10 +234,12 @@ class TestDrivers:
     def test_failure_logs_are_plain_dicts_in_divide_and_color(self, monkeypatch, case):
         # "merge": the core puts all of C5 with twins of 0, 2 and 4 on W
         # after three merges, so the check fails with the whole derivation
-        # as its log; "prime": the quotient C5 of C5 with a true twin finds
-        # no split; "two": the core puts all of a two-division with an
-        # isolated vertex and both vertex-choice rules on A. A coloring
-        # cannot recurse on such a division, so it reruns the public one
+        # as its log; "perfection": every perfection test answers False, so
+        # the final check of C5 with a true twin fails on its P side. A
+        # coloring tests no perfection, so it succeeds there; "two": the
+        # core puts all of a two-division with an isolated vertex and both
+        # vertex-choice rules on A. A coloring cannot recurse on such a
+        # division, so it reruns the public one
         twins = cycle_graph(5)
         for v in (0, 2, 4):
             twins = twin_substitute(twins, v, adjacent=v != 2)
@@ -252,10 +249,10 @@ class TestDrivers:
                 lambda original: lambda g, weights, full: (0, original(g, weights, full)[1]),
                 "perfect division failed verification: maximum clique weight of W is 4, not below 4",
             ),
-            "prime": (
-                twin_substitute(cycle_graph(5), 0, adjacent=True), "perfect", "_perfect_nonneighborhood_vertex",
-                lambda original: lambda *args: None,
-                "prime graph on [0, 1, 2, 3, 4] has no vertex with perfect non-neighborhood",
+            "perfection": (
+                twin_substitute(cycle_graph(5), 0, adjacent=True), "perfect", "_is_perfect_mask",
+                lambda original: lambda *args: False,
+                "perfect division failed verification: P side is not perfect",
             ),
             "two": (
                 parse_graph6("F?XXw"), "two", "_two_divide",
@@ -269,6 +266,9 @@ class TestDrivers:
                 monkeypatch.setattr(module, name, fake(original))
         for run in (run_divide, run_color):
             record = run(graphs_with_ids([g]), mode=mode)[0]
+            if case == "perfection" and run is run_color:
+                assert record["status"] == "ok", record
+                continue
             assert (record["status"], record["error"]) == ("theorem-violation", error)
             assert all(type(step) is dict for step in record["log"])
             assert record["log"] == FAILURE_LOGS[case], run.__name__
